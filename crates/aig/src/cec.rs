@@ -82,12 +82,12 @@ impl CecReport {
 }
 
 /// Decides equivalence of two narrow-input networks by complete
-/// simulation (on up to `jobs` workers; `0` defers to the global
-/// [`threadpool::Jobs`]). Returns the first differing output (scanning
-/// in output order) with a distinguishing assignment.
-pub(crate) fn exhaustive_cec(a: &Aig, b: &Aig, jobs: usize) -> CecResult {
-    let ma = SimMatrix::exhaustive_jobs(a, jobs);
-    let mb = SimMatrix::exhaustive_jobs(b, jobs);
+/// simulation (sharded over the global [`threadpool::Jobs`] budget).
+/// Returns the first differing output (scanning in output order) with
+/// a distinguishing assignment.
+pub(crate) fn exhaustive_cec(a: &Aig, b: &Aig) -> CecResult {
+    let ma = SimMatrix::exhaustive_jobs(a, 0);
+    let mb = SimMatrix::exhaustive_jobs(b, 0);
     for (o, (&la, &lb)) in a.pos().iter().zip(b.pos().iter()).enumerate() {
         for w in 0..ma.words() {
             let d = ma.lit_word(la, w) ^ mb.lit_word(lb, w);
@@ -125,7 +125,7 @@ pub fn check_equivalence_report(a: &Aig, b: &Aig) -> CecReport {
     assert_eq!(a.num_pos(), b.num_pos(), "PO count mismatch");
 
     if exhaustive_feasible(a, EXHAUSTIVE_MAX_PIS) && exhaustive_feasible(b, EXHAUSTIVE_MAX_PIS) {
-        return CecReport::simulation_only(exhaustive_cec(a, b, 0));
+        return CecReport::simulation_only(exhaustive_cec(a, b));
     }
 
     // Random-simulation pre-filter: cheap counterexamples first. Both

@@ -828,38 +828,6 @@ pub fn enumerate_cuts_with_jobs(aig: &Aig, params: CutParams, jobs: usize) -> Cu
     })
 }
 
-/// [`enumerate_cuts_custom`] sharded across `jobs` worker threads (`0`
-/// resolves through [`threadpool::Jobs`]). Because workers rank cuts
-/// concurrently, the oracle is supplied as a *factory*: `make_coster`
-/// runs once per worker chunk to build that worker's private oracle
-/// (e.g. a library matcher with its own memo table). The factory must
-/// be pure — every oracle it builds must return the same cost for the
-/// same `(root, leaves, function)` query — or the parallel result will
-/// not match the sequential one.
-///
-/// With `jobs ≤ 1` this is exactly [`enumerate_cuts_custom`].
-///
-/// # Panics
-///
-/// Panics if `params.k < 2`.
-pub fn enumerate_cuts_custom_jobs<C, F>(
-    aig: &Aig,
-    params: CutParams,
-    jobs: usize,
-    make_coster: C,
-) -> CutArena
-where
-    C: Fn() -> F + Sync,
-    F: FnMut(NodeId, &[NodeId], u64) -> (u32, u32),
-{
-    let jobs = threadpool::Jobs::resolve(jobs);
-    if jobs <= 1 {
-        let mut coster = make_coster();
-        return enumerate_impl(aig, params, &mut coster);
-    }
-    enumerate_impl_par(aig, params, jobs, &make_coster)
-}
-
 /// A cut-ranking oracle: `(root, sorted leaves, function word) →
 /// (primary, secondary)` cost, smaller is better.
 type CutCost<'a> = dyn FnMut(NodeId, &[NodeId], u64) -> (u32, u32) + 'a;
@@ -1514,20 +1482,6 @@ mod tests {
                 let par = enumerate_cuts_with_jobs(&g, params, jobs);
                 assert_same_per_node(&g, &seq, &par);
             }
-        }
-    }
-
-    #[test]
-    fn parallel_custom_oracle_matches_sequential() {
-        let g = reconvergent_aig();
-        let params = CutParams { k: 4, max_cuts: 5, rank: CutRank::Arrival };
-        let oracle = |_root: NodeId, leaves: &[NodeId], tt: u64| {
-            (tt.count_ones() + leaves.len() as u32, leaves.iter().map(|l| l.index() as u32).sum())
-        };
-        let seq = enumerate_cuts_custom(&g, params, oracle);
-        for jobs in [2, 4] {
-            let par = enumerate_cuts_custom_jobs(&g, params, jobs, || oracle);
-            assert_same_per_node(&g, &seq, &par);
         }
     }
 

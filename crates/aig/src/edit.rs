@@ -60,13 +60,6 @@ pub(crate) struct EditState {
     /// Node count when the session started; every node at or past this
     /// index was appended during the session.
     pub(crate) nodes_before: usize,
-    /// Touch log (see [`Aig::set_edit_touch_log`]): node ids whose
-    /// session-visible state (fanins, liveness, reference count, strash
-    /// membership of a key they appear in, forwarding) changed while
-    /// logging was enabled. Conservative superset, unsorted, may repeat.
-    pub(crate) touch_log: Vec<NodeId>,
-    /// Whether mutations currently record into `touch_log`.
-    pub(crate) logging: bool,
 }
 
 impl EditState {
@@ -80,15 +73,7 @@ impl EditState {
             fanouts[f1.node().index()].push(id);
         }
         let fwd = (0..n).map(|i| NodeId::from_index(i).lit()).collect();
-        EditState {
-            refs,
-            fanouts,
-            fwd,
-            dirty: vec![false; n],
-            nodes_before: n,
-            touch_log: Vec::new(),
-            logging: false,
-        }
+        EditState { refs, fanouts, fwd, dirty: vec![false; n], nodes_before: n }
     }
 
     /// Extends the session state for `added` freshly appended nodes
@@ -100,21 +85,12 @@ impl EditState {
             self.fanouts.push(Vec::new());
             self.fwd.push(id.lit());
             self.dirty.push(true);
-            self.touch(id);
         }
     }
 
     /// Marks a node's structural cone as changed.
     fn mark(&mut self, id: NodeId) {
         self.dirty[id.index()] = true;
-        self.touch(id);
-    }
-
-    /// Records a node in the touch log when logging is enabled.
-    pub(crate) fn touch(&mut self, id: NodeId) {
-        if self.logging {
-            self.touch_log.push(id);
-        }
     }
 }
 
@@ -228,41 +204,6 @@ impl Aig {
     /// True while an editing session is active.
     pub fn is_editing(&self) -> bool {
         self.edit.is_some()
-    }
-
-    /// Enables or disables the session's *touch log*. While enabled,
-    /// every mutation records the node ids whose session-visible state
-    /// changed — fanin rewrites, liveness flips, reference-count
-    /// changes, strash insertions/removals (both key operands) and
-    /// replacement forwarding — into a log drained by
-    /// [`Aig::drain_edit_touches`].
-    ///
-    /// This is the invalidation feed of evaluate-parallel /
-    /// commit-sequential rewriting: candidates are scored in parallel
-    /// against the pass-start state with a recorded read footprint, and
-    /// a commit's touches tell the committer which later candidates
-    /// must be re-scored. The log is a conservative superset (ids may
-    /// repeat; balanced changes such as a deref immediately undone by a
-    /// ref still log), so callers typically disable it around walks
-    /// they know restore state exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no editing session is active.
-    pub fn set_edit_touch_log(&mut self, on: bool) {
-        self.edit.as_mut().expect("no editing session active").logging = on;
-    }
-
-    /// Drains the touch log (see [`Aig::set_edit_touch_log`]) into
-    /// `out`, clearing it. Ids are in mutation order, unsorted, and may
-    /// repeat.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no editing session is active.
-    pub fn drain_edit_touches(&mut self, out: &mut Vec<NodeId>) {
-        let edit = self.edit.as_mut().expect("no editing session active");
-        out.append(&mut edit.touch_log);
     }
 
     /// The session's reference count of a node (AND fanin slots plus
@@ -425,10 +366,7 @@ impl Aig {
                     }
                     None => {
                         self.strash.insert(key, o);
-                        let edit = self.edit.as_mut().expect("session active");
-                        edit.touch(node.f0.node());
-                        edit.touch(node.f1.node());
-                        edit.mark(o);
+                        self.edit.as_mut().expect("session active").mark(o);
                         continue;
                     }
                 }
@@ -442,7 +380,6 @@ impl Aig {
                     let edit = self.edit.as_mut().expect("session checked active on entry");
                     edit.refs[o.index()] -= 1;
                     edit.refs[n.node().index()] += 1;
-                    edit.touch(n.node());
                 }
             }
 
@@ -458,9 +395,6 @@ impl Aig {
                 let old_key = (f0.code(), f1.code());
                 if self.strash.get(&old_key) == Some(&f_id) {
                     self.strash.remove(&old_key);
-                    let edit = self.edit.as_mut().expect("session active");
-                    edit.touch(f0.node());
-                    edit.touch(f1.node());
                 }
                 let nf0 = if f0.node() == o { n.negate_if(f0.is_complement()) } else { f0 };
                 let nf1 = if f1.node() == o { n.negate_if(f1.is_complement()) } else { f1 };
@@ -470,7 +404,6 @@ impl Aig {
                         edit.refs[o.index()] -= 1;
                         edit.refs[new_f.node().index()] += 1;
                         edit.fanouts[new_f.node().index()].push(f_id);
-                        edit.touch(new_f.node());
                     }
                 }
                 // Trivial simplifications leave the stored fanins
@@ -497,9 +430,6 @@ impl Aig {
                             Some(&z) if z != f_id => work.push((f_id, z.lit())),
                             _ => {
                                 self.strash.insert(key, f_id);
-                                let edit = self.edit.as_mut().expect("session active");
-                                edit.touch(w0.node());
-                                edit.touch(w1.node());
                             }
                         }
                     }
@@ -535,7 +465,6 @@ impl Aig {
                 let fi = f.node().index();
                 edit.refs[fi] -= 1;
                 edit.fanouts[fi].retain(|&y| y != x);
-                edit.touch(f.node());
                 if edit.refs[fi] == 0 && self.nodes[fi].is_and() {
                     stack.push(f.node());
                 }
@@ -723,38 +652,6 @@ mod tests {
         assert!(remapped.dirty().contains(&yb_new));
         assert!(remapped.dirty().windows(2).all(|w| w[0].index() < w[1].index()));
         assert!(remapped.dirty().len() <= delta.dirty().len());
-    }
-
-    #[test]
-    fn touch_log_records_commit_footprint() {
-        let mut g = Aig::new("t");
-        let p = g.add_pis(3);
-        let x = g.and(p[0], p[1]);
-        let y = g.and(x, p[2]);
-        g.add_po(y);
-        g.begin_edit();
-        // Balanced walks with the log off record nothing.
-        g.set_edit_touch_log(false);
-        let _ = g.mffc_size(y.node());
-        let mut touched = Vec::new();
-        g.drain_edit_touches(&mut touched);
-        assert!(touched.is_empty());
-        // A replacement with the log on records the replaced node, its
-        // reclaimed cone, the patched references and the appended
-        // nodes — everything whose session-visible state changed.
-        g.set_edit_touch_log(true);
-        let r = g.and(p[1], p[2]);
-        let yb = g.and(p[0], r);
-        g.replace_node(y.node(), yb);
-        g.drain_edit_touches(&mut touched);
-        for id in [y.node(), x.node(), r.node(), yb.node()] {
-            assert!(touched.contains(&id), "missing touch of {id:?}");
-        }
-        // Draining empties the log.
-        let mut again = Vec::new();
-        g.drain_edit_touches(&mut again);
-        assert!(again.is_empty());
-        g.end_edit();
     }
 
     #[test]

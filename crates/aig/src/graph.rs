@@ -202,7 +202,6 @@ impl Aig {
         self.pos.push(l);
         if let Some(edit) = &mut self.edit {
             edit.refs[l.node().index()] += 1;
-            edit.touch(l.node());
         }
     }
 
@@ -227,7 +226,6 @@ impl Aig {
             for f in [Lit(key.0), Lit(key.1)] {
                 edit.refs[f.node().index()] += 1;
                 edit.fanouts[f.node().index()].push(id);
-                edit.touch(f.node());
             }
         }
         id.lit()
@@ -353,11 +351,8 @@ impl Aig {
     /// Replaces output `i` with a new literal.
     pub fn set_po(&mut self, i: usize, l: Lit) {
         if let Some(edit) = &mut self.edit {
-            let old = self.pos[i].node();
-            edit.refs[old.index()] -= 1;
+            edit.refs[self.pos[i].node().index()] -= 1;
             edit.refs[l.node().index()] += 1;
-            edit.touch(old);
-            edit.touch(l.node());
         }
         self.pos[i] = l;
     }

@@ -95,8 +95,8 @@ pub use cec::{
     CecResult,
 };
 pub use cuts::{
-    cut_function, enumerate_cuts, enumerate_cuts_custom, enumerate_cuts_custom_jobs,
-    enumerate_cuts_with, enumerate_cuts_with_jobs, CutArena, CutIter, CutParams, CutRank, CutView,
+    cut_function, enumerate_cuts, enumerate_cuts_custom, enumerate_cuts_with,
+    enumerate_cuts_with_jobs, CutArena, CutIter, CutParams, CutRank, CutView,
 };
 pub use edit::EditDelta;
 pub use graph::{Aig, CompactMap, Lit, NodeId};

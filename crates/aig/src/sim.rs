@@ -131,22 +131,6 @@ impl SimMatrix {
         self.simulate_last_word(aig);
     }
 
-    /// [`SimMatrix::refine`] with the new round's random upper bits
-    /// drawn from an explicit `seed` stream instead of the matrix's
-    /// rolling internal seed. Parallel sweeping derives `seed` from
-    /// `SweepOptions::seed` and the candidate's node id, so the
-    /// refinement patterns depend only on *which* counterexamples were
-    /// found — never on worker count or merge timing.
-    pub fn refine_seeded(&mut self, aig: &Aig, forced: &[bool], seed: u64) {
-        let mut state = seed;
-        for &bit in forced.iter().take(self.num_pis) {
-            let w = splitmix(&mut state);
-            self.rounds.push((w & !1) | u64::from(bit));
-        }
-        self.words += 1;
-        self.simulate_last_word(aig);
-    }
-
     /// Restrides the signatures to `words` (one straight copy) and
     /// simulates only the newly appended round.
     fn simulate_last_word(&mut self, aig: &Aig) {
@@ -286,16 +270,6 @@ impl SimMatrix {
 
 }
 
-/// One step of the splitmix64 stream — the stateless counterpart of
-/// the matrix's internal xorshift, safe for any seed including 0.
-pub(crate) fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Simulates words `[w0, w0 + cw)` of every node into a fresh
 /// node-major chunk buffer (`buf[node * cw ..]`). A pure function of
 /// the PI round words, so any chunk decomposition yields bit-identical
@@ -387,27 +361,5 @@ mod tests {
             assert_eq!(whole.data, chunked.data, "jobs={jobs}");
             assert_eq!(whole.rounds, chunked.rounds);
         }
-    }
-
-    #[test]
-    fn refine_seeded_is_reproducible_and_plants_cex() {
-        let mut g = Aig::new("t");
-        let p = g.add_pis(3);
-        let x = g.and(p[0], p[1]);
-        g.add_po(x);
-        g.add_po(p[2]);
-        let mut a = SimMatrix::random(&g, 2, 42);
-        let mut b = SimMatrix::random(&g, 2, 42);
-        a.refine_seeded(&g, &[true, false, true], 0xDEAD);
-        b.refine_seeded(&g, &[true, false, true], 0xDEAD);
-        assert_eq!(a.data, b.data);
-        assert_eq!(a.rounds, b.rounds);
-        let w = a.words() - 1;
-        assert_eq!(a.lit_word(g.pos()[1], w) & 1, 1);
-        // Internal rolling seed untouched: a later plain refine on both
-        // still agrees.
-        a.refine(&g, &[false, true, false]);
-        b.refine(&g, &[false, true, false]);
-        assert_eq!(a.data, b.data);
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::cec::{exhaustive_cec, sat_lit, tseitin, CecReport, CecResult};
 use crate::graph::{Aig, Lit, NodeId};
-use crate::sim::{exhaustive_feasible, splitmix, SimMatrix, EXHAUSTIVE_MAX_PIS};
+use crate::sim::{exhaustive_feasible, SimMatrix, EXHAUSTIVE_MAX_PIS};
 use cntfet_sat::{Lit as SatLit, SolveResult, Solver, SolverStats, Var};
 use std::collections::HashMap;
 
@@ -21,6 +21,11 @@ use std::collections::HashMap;
 /// reproduce the library's standard behavior; tests and benches can
 /// stress specific paths (e.g. `node_budget: 0` disables internal
 /// sweeping entirely, forcing the pure output-miter fallback).
+///
+/// The sweep itself runs on the calling thread, so its report — solver
+/// counters included — is a function of the two graphs and these
+/// options alone. Only the exhaustive tier's simulation shards over
+/// the global [`threadpool::Jobs`] budget, with bit-identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SweepOptions {
     /// Conflict budget per internal equivalence proof; `0` skips the
@@ -34,11 +39,6 @@ pub struct SweepOptions {
     /// PI counts up to this bound are decided by exhaustive simulation
     /// without SAT; `0` disables the shortcut.
     pub exhaustive_pis: u32,
-    /// Worker count: `0` defers to the global [`threadpool::Jobs`],
-    /// `1` forces the sequential engine (bit-for-bit the historical
-    /// behavior), `n > 1` proves candidate batches on `n` cloned
-    /// solvers. Verdicts are deterministic for every fixed value.
-    pub jobs: usize,
 }
 
 impl Default for SweepOptions {
@@ -48,7 +48,6 @@ impl Default for SweepOptions {
             sim_words: 4,
             seed: 0x1357_9BDF_2468_ACE0,
             exhaustive_pis: EXHAUSTIVE_MAX_PIS,
-            jobs: 0,
         }
     }
 }
@@ -75,9 +74,9 @@ pub fn check_equivalence_sweeping_with(a: &Aig, b: &Aig, opts: &SweepOptions) ->
 }
 
 /// The process-wide CEC result cache: verdicts (full [`CecReport`]s)
-/// keyed by both graphs' structural fingerprints and the resolved
-/// sweep options. The sweeping engine is deterministic in that key,
-/// so a hit returns exactly what a recomputation would.
+/// keyed by both graphs' structural fingerprints and the sweep
+/// options. The sweeping engine is deterministic in that key, so a hit
+/// returns exactly what a recomputation would.
 fn cec_cache() -> &'static crate::ResultCache<(u128, u128, SweepOptions), CecReport> {
     static CACHE: std::sync::OnceLock<crate::ResultCache<(u128, u128, SweepOptions), CecReport>> =
         std::sync::OnceLock::new();
@@ -99,8 +98,8 @@ pub fn clear_cec_cache() {
 /// (solver statistics, internal proof and refinement counts).
 ///
 /// Results are memoized process-wide under the two graphs' structural
-/// fingerprints and the resolved options ([`cec_cache_stats`] reads
-/// the counters; `CNTFET_NO_CACHE=1` disables the memo).
+/// fingerprints and the options ([`cec_cache_stats`] reads the
+/// counters; `CNTFET_NO_CACHE=1` disables the memo).
 ///
 /// # Panics
 ///
@@ -108,26 +107,20 @@ pub fn clear_cec_cache() {
 pub fn check_equivalence_sweeping_report(a: &Aig, b: &Aig, opts: &SweepOptions) -> CecReport {
     assert_eq!(a.num_pis(), b.num_pis(), "PI count mismatch");
     assert_eq!(a.num_pos(), b.num_pos(), "PO count mismatch");
-    // Resolve the deferred job count into the key: the verdict is
-    // deterministic for every fixed value, but the report's solver
-    // statistics legitimately differ between engine configurations.
-    let resolved = SweepOptions { jobs: threadpool::Jobs::resolve(opts.jobs), ..*opts };
-    cec_cache().get_or_insert_with((a.fingerprint(), b.fingerprint(), resolved), || {
+    cec_cache().get_or_insert_with((a.fingerprint(), b.fingerprint(), *opts), || {
         sweeping_report_uncached(a, b, opts)
     })
 }
 
 fn sweeping_report_uncached(a: &Aig, b: &Aig, opts: &SweepOptions) -> CecReport {
-
     // Narrow interface: complete simulation decides without SAT (as
     // long as the matrices fit the memory budget).
-    let jobs = threadpool::Jobs::resolve(opts.jobs);
     if opts.exhaustive_pis > 0
         && exhaustive_feasible(a, opts.exhaustive_pis)
         && exhaustive_feasible(b, opts.exhaustive_pis)
     {
         return CecReport {
-            result: exhaustive_cec(a, b, jobs),
+            result: exhaustive_cec(a, b),
             sat_stats: SolverStats::default(),
             internal_proofs: 0,
             refinements: 0,
@@ -149,27 +142,11 @@ fn sweeping_report_uncached(a: &Aig, b: &Aig, opts: &SweepOptions) -> CecReport 
     // Union-find with complement phases: node -> (repr, phase).
     let mut repr: Vec<(u32, bool)> = (0..n as u32).map(|i| (i, false)).collect();
 
-    let mut internal_proofs = 0u64;
-    let mut refinements = 0u64;
-    // Work done on cloned worker solvers (parallel engine only); the
-    // master's own counters live in `solver`.
-    let mut worker_stats = SolverStats::default();
-
-    let ids: Vec<NodeId> = joint.and_ids().collect();
-    if opts.node_budget > 0 {
-        if jobs <= 1 {
-            let (p, r) =
-                sweep_sequential(&joint, &mut solver, &vars, &mut repr, &ids, opts);
-            internal_proofs = p;
-            refinements = r;
-        } else {
-            let (p, r, extra) =
-                sweep_parallel(&joint, &mut solver, &vars, &mut repr, &ids, opts, jobs);
-            internal_proofs = p;
-            refinements = r;
-            worker_stats = extra;
-        }
-    }
+    let (internal_proofs, refinements) = if opts.node_budget > 0 {
+        sweep(&joint, &mut solver, &vars, &mut repr, opts)
+    } else {
+        (0, 0)
+    };
 
     // ---- output miters (trivial when sweeping did its job) ----
     let mut result = CecResult::Equivalent;
@@ -207,30 +184,24 @@ fn sweeping_report_uncached(a: &Aig, b: &Aig, opts: &SweepOptions) -> CecReport 
     }
     CecReport {
         result,
-        sat_stats: {
-            let mut s = solver.stats();
-            s.absorb(&worker_stats);
-            s
-        },
+        sat_stats: solver.stats(),
         internal_proofs,
         refinements,
         exhaustive: false,
     }
 }
 
-/// The historical sequential sweeping loop, kept verbatim: candidate
-/// pairs proven in topological order on the one incremental solver,
-/// with bucket rebuilds after every refinement. `jobs == 1` must
-/// reproduce this bit-for-bit, so the parallel engine never replaces
-/// it — it lives beside it.
-fn sweep_sequential(
+/// The internal sweep: candidate pairs proven in topological order on
+/// the one incremental solver, with bucket rebuilds after every
+/// refinement. Returns `(internal proofs, refinements)`.
+fn sweep(
     joint: &Aig,
     solver: &mut Solver,
     vars: &[Var],
     repr: &mut Vec<(u32, bool)>,
-    ids: &[NodeId],
     opts: &SweepOptions,
 ) -> (u64, u64) {
+    let ids: Vec<NodeId> = joint.and_ids().collect();
     let mut internal_proofs = 0u64;
     let mut refinements = 0u64;
     // Flat simulation signatures (only needed for candidate
@@ -300,144 +271,6 @@ fn sweep_sequential(
         }
     }
     (internal_proofs, refinements)
-}
-
-/// A worker's answer for one candidate pair. `Differ` carries the
-/// distinguishing PI assignment extracted from the worker's model.
-enum Verdict {
-    Equal,
-    Differ(Vec<bool>),
-    Unknown,
-}
-
-/// Round-based parallel sweeping. Each round:
-///
-/// 1. harvest candidate pairs from the signature buckets in ascending
-///    node order (a fixed, scheduling-independent list);
-/// 2. shard the list into `jobs` contiguous batches and prove each
-///    batch on a **clone** of the master solver (assumption solves
-///    only — clones learn privately and are discarded);
-/// 3. merge verdicts back in candidate order: proven equalities go
-///    into the union-find *and* the master solver as clauses,
-///    budget-exhausted pairs are retired, counterexamples refine the
-///    signatures via [`SimMatrix::refine_seeded`] keyed by
-///    `opts.seed` and the candidate node id.
-///
-/// Every step is deterministic for a fixed candidate list, and the
-/// candidate list of round *k+1* is a pure function of the merged
-/// round-*k* outcomes — so verdicts and counts are identical for every
-/// run at the same `jobs`, and the final equivalence answer matches
-/// the sequential engine (both only ever record *proven* facts).
-fn sweep_parallel(
-    joint: &Aig,
-    solver: &mut Solver,
-    vars: &[Var],
-    repr: &mut Vec<(u32, bool)>,
-    ids: &[NodeId],
-    opts: &SweepOptions,
-    jobs: usize,
-) -> (u64, u64, SolverStats) {
-    let mut internal_proofs = 0u64;
-    let mut refinements = 0u64;
-    let mut worker_stats = SolverStats::default();
-    let mut sim = SimMatrix::random(joint, opts.sim_words, opts.seed);
-    // Pairs that exhausted their budget: never retried, and (as in the
-    // sequential engine) the node still may own a bucket later.
-    let mut gave_up = vec![false; joint.num_nodes()];
-    loop {
-        // ---- 1. candidate harvest, ascending id order ----
-        let mut buckets: HashMap<Vec<u64>, u32> = HashMap::new();
-        buckets.insert(vec![0u64; sim.words()], 0);
-        let mut cands: Vec<(NodeId, u32, bool)> = Vec::new();
-        for &id in ids {
-            let (sig_n, phase_n) = norm(sim.sig(id.index()));
-            match buckets.get(&sig_n) {
-                None => {
-                    buckets.insert(sig_n, id.index() as u32);
-                }
-                Some(&r) => {
-                    if gave_up[id.index()] {
-                        continue;
-                    }
-                    let (_, phase_r) = norm(sim.sig(r as usize));
-                    let want_phase = phase_n ^ phase_r;
-                    let (root_n, _) = find(repr, id.index() as u32);
-                    let (root_r, _) = find(repr, r);
-                    if root_n != root_r {
-                        cands.push((id, r, want_phase));
-                    }
-                }
-            }
-        }
-        if cands.is_empty() {
-            break;
-        }
-
-        // ---- 2. prove batches on cloned solvers ----
-        let base = solver.stats();
-        let ranges = threadpool::split_even(cands.len(), jobs);
-        let frozen: &Solver = solver;
-        let (cands_ref, ranges_ref) = (&cands, &ranges);
-        let results: Vec<(Vec<Verdict>, SolverStats)> =
-            threadpool::par_map(jobs, ranges.len(), |bi| {
-                let mut worker = frozen.clone();
-                let verdicts = ranges_ref[bi]
-                    .clone()
-                    .map(|k| {
-                        let (id, r, want_phase) = cands_ref[k];
-                        let ln = vars[id.index()].pos();
-                        let lr = vars[r as usize].lit(!want_phase);
-                        match prove_equal(&mut worker, ln, lr, opts.node_budget) {
-                            Proof::Equal => Verdict::Equal,
-                            Proof::Unknown => Verdict::Unknown,
-                            Proof::Differ => Verdict::Differ(
-                                joint
-                                    .pis()
-                                    .iter()
-                                    .map(|pi| worker.value(vars[pi.index()]).unwrap_or(false))
-                                    .collect(),
-                            ),
-                        }
-                    })
-                    .collect();
-                (verdicts, worker.stats().delta(&base))
-            });
-
-        // ---- 3. fixed-order merge ----
-        let mut pending_cex: Vec<(NodeId, Vec<bool>)> = Vec::new();
-        for (bi, (verdicts, stats)) in results.iter().enumerate() {
-            worker_stats.absorb(stats);
-            for (k, v) in ranges[bi].clone().zip(verdicts.iter()) {
-                let (id, r, want_phase) = cands[k];
-                match v {
-                    Verdict::Equal => {
-                        internal_proofs += 1;
-                        let (root_n, ph_n) = find(repr, id.index() as u32);
-                        let (root_r, ph_r) = find(repr, r);
-                        if root_n != root_r {
-                            repr[root_n as usize] = (root_r, ph_n ^ ph_r ^ want_phase);
-                        }
-                        let ln = vars[id.index()].pos();
-                        let lr = vars[r as usize].lit(!want_phase);
-                        solver.add_clause(&[ln.negate(), lr]);
-                        solver.add_clause(&[ln, lr.negate()]);
-                    }
-                    Verdict::Differ(cex) => pending_cex.push((id, cex.clone())),
-                    Verdict::Unknown => gave_up[id.index()] = true,
-                }
-            }
-        }
-        for (id, cex) in &pending_cex {
-            // Per-candidate seed: refinement patterns depend on the
-            // counterexample and `opts.seed` alone, never on worker
-            // count or timing.
-            let mut key = opts.seed ^ (id.index() as u64);
-            let seed = splitmix(&mut key);
-            sim.refine_seeded(joint, cex, seed);
-            refinements += 1;
-        }
-    }
-    (internal_proofs, refinements, worker_stats)
 }
 
 enum Proof {
@@ -576,45 +409,6 @@ mod tests {
         assert_eq!(r.internal_proofs, 0, "budget 0 must skip internal sweeping");
         assert_eq!(r.refinements, 0);
         assert!(!r.exhaustive);
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential_verdicts() {
-        let m1 = cntfet_circuits_multiplier_columns(5);
-        let m2 = cntfet_circuits_multiplier_shift_add(5);
-        let seq = SweepOptions { exhaustive_pis: 0, jobs: 1, ..Default::default() };
-        assert_eq!(check_equivalence_sweeping_with(&m1, &m2, &seq), CecResult::Equivalent);
-        for jobs in [2, 4] {
-            let par = SweepOptions { jobs, ..seq };
-            let r = check_equivalence_sweeping_report(&m1, &m2, &par);
-            assert_eq!(r.result, CecResult::Equivalent, "jobs={jobs}");
-            // Run-to-run determinism at a fixed worker count: same
-            // proofs, refinements and solver work every time.
-            let r2 = check_equivalence_sweeping_report(&m1, &m2, &par);
-            assert_eq!(r.internal_proofs, r2.internal_proofs, "jobs={jobs}");
-            assert_eq!(r.refinements, r2.refinements, "jobs={jobs}");
-            assert_eq!(r.sat_stats.conflicts, r2.sat_stats.conflicts, "jobs={jobs}");
-            assert_eq!(r.sat_stats.propagations, r2.sat_stats.propagations, "jobs={jobs}");
-        }
-
-        // Inequivalent pair: every worker count reports the same
-        // failing output with a valid counterexample.
-        let mut broken = cntfet_circuits_multiplier_shift_add(5);
-        let po = broken.pos()[3];
-        broken.set_po(3, po.negate());
-        let first = match check_equivalence_sweeping_with(&m1, &broken, &seq) {
-            CecResult::Counterexample { output, .. } => output,
-            CecResult::Equivalent => panic!("broken multiplier reported equivalent"),
-        };
-        for jobs in [2, 4] {
-            match check_equivalence_sweeping_with(&m1, &broken, &SweepOptions { jobs, ..seq }) {
-                CecResult::Counterexample { inputs, output } => {
-                    assert_eq!(output, first, "jobs={jobs}");
-                    assert_ne!(m1.eval(&inputs)[output], broken.eval(&inputs)[output]);
-                }
-                CecResult::Equivalent => panic!("broken multiplier reported equivalent"),
-            }
-        }
     }
 
     fn cntfet_circuits_multiplier_columns(n: usize) -> Aig {

@@ -4,20 +4,20 @@
 //! counts, the incrementality substrate (warm-vs-cold result-cache
 //! behaviour of the whole suite synthesis and dirty-region
 //! cut-enumeration updates vs from-scratch re-enumeration), the batch
-//! synthesis service (cold vs warm throughput), and (new in PR 10)
-//! the intra-circuit parallel engines: partition-parallel synthesis
-//! and parallel covering scaling rows at several worker counts, plus
-//! the persistent cut arena carried across a compaction (`rebase` vs
+//! synthesis service (cold vs warm throughput), synthesis and
+//! covering scaling rows at several worker counts, and the persistent
+//! cut arena carried across a compaction (`rebase` vs
 //! re-enumeration) — and writes the numbers to `BENCH_PR10.json` in
-//! the current directory. The JSON continues the bench trajectory the
+//! the current directory. Its ratio assertions run in CI at the
+//! default worker count. The JSON continues the bench trajectory the
 //! ROADMAP asks for: `BENCH_PR3.json` records the verification
 //! rebuild, `BENCH_PR4.json` the arrival-aware mapper,
 //! `BENCH_PR5.json` the synthesis rebuild, `BENCH_PR7.json` the
 //! work-stealing thread pool, `BENCH_PR8.json` the caches,
-//! `BENCH_PR9.json` the service, this file the parallel covering and
-//! synthesis engines. Every engine timing row clears the process-wide
-//! result caches before each iteration, so those numbers stay
-//! comparable with the earlier snapshots; the dedicated cold/warm
+//! `BENCH_PR9.json` the service, this file the covering and
+//! synthesis scaling rows. Every engine timing row clears the
+//! process-wide result caches before each iteration, so those numbers
+//! stay comparable with the earlier snapshots; the dedicated cold/warm
 //! rows are where the caches are allowed to shine. Scaling rows are
 //! honest measurements of the machine the snapshot ran on:
 //! `available_parallelism` is recorded next to them, and on a
@@ -266,11 +266,12 @@ fn main() {
     let deterministic = report1 == report2 && report1 == report4 && report1 == report_all;
     assert!(deterministic, "suite reports diverged across worker counts");
 
-    // --- partition-parallel synthesis scaling (PR 10) ---
+    // --- synthesis scaling ---
     // One cold `resyn2rs` of the suite's biggest graph per worker
-    // count. The evaluate-parallel / commit-sequential sweeps must
-    // return the bit-identical graph at every count; the wall times
-    // say whatever this machine's cores let them say.
+    // count. Only cut enumeration and its incremental update shard
+    // over the pool; the graph must be bit-identical at every count,
+    // and the wall times say whatever this machine's cores let them
+    // say.
     println!("perfsnap: synthesis scaling on des-like...");
     let synth_at = |jobs: usize| {
         clear_result_caches();
@@ -286,13 +287,12 @@ fn main() {
     threadpool::Jobs::set(0);
     let synth_scaling_identical =
         synth_fp1 == synth_fp2 && synth_fp1 == synth_fp4 && synth_fp1 == synth_fp_all;
-    assert!(synth_scaling_identical, "parallel synthesis diverged across worker counts");
+    assert!(synth_scaling_identical, "synthesis diverged across worker counts");
 
-    // --- parallel covering scaling (PR 10) ---
+    // --- covering scaling ---
     // One cold technology mapping of the synthesized des-like graph
-    // per worker count: rank-parallel forward/area-flow passes plus
-    // speculate/validate exact-area recovery must pick the identical
-    // cover, gate for gate.
+    // per `MapOptions::jobs` value: only the initial cut enumeration
+    // shards, and the cover must be identical, gate for gate.
     println!("perfsnap: covering scaling on des-like...");
     let des_opt = resyn2rs(&des_src);
     let map_at = |jobs: usize| {
@@ -306,7 +306,7 @@ fn main() {
     let (map_des_j4_ms, cover4) = map_at(4);
     let (map_des_jall_ms, cover_all) = map_at(0);
     let cover_scaling_identical = cover1 == cover2 && cover1 == cover4 && cover1 == cover_all;
-    assert!(cover_scaling_identical, "parallel covering diverged across worker counts");
+    assert!(cover_scaling_identical, "covering diverged across worker counts");
 
     // --- batch synthesis service (PR 9): cold vs warm throughput ---
     // The full 15-circuit suite through `SynthService::process_batch`,
@@ -364,7 +364,7 @@ fn main() {
     let json = format!(
         r#"{{
   "pr": 10,
-  "description": "Parallel covering + partition-parallel rewriting, with the incremental cut arena surviving compaction: rank-parallel forward/area-flow covering passes, windowed speculate/validate exact-area recovery, evaluate-parallel/commit-sequential synthesis sweeps, and Script-owned arenas rebased across compaction — all bit-identical at every worker count",
+  "description": "Synthesis and covering scaling rows at several worker counts over sharded cut enumeration, and Script-owned arenas rebased across compaction — all bit-identical at every worker count",
   "service": {{
     "requests": {n_requests},
     "verify": false,

@@ -204,26 +204,6 @@ impl SolverStats {
         self.adaptive_restarts += other.adaptive_restarts;
         self.blocked_restarts += other.blocked_restarts;
     }
-
-    /// Field-wise saturating difference `self − base`: the work done
-    /// since `base` was snapshotted. Parallel drivers snapshot a
-    /// solver's stats before cloning it and absorb only each worker
-    /// clone's delta, so inherited counters are not double-counted.
-    #[must_use]
-    pub fn delta(&self, base: &SolverStats) -> SolverStats {
-        SolverStats {
-            conflicts: self.conflicts.saturating_sub(base.conflicts),
-            decisions: self.decisions.saturating_sub(base.decisions),
-            propagations: self.propagations.saturating_sub(base.propagations),
-            restarts: self.restarts.saturating_sub(base.restarts),
-            learnts: self.learnts.saturating_sub(base.learnts),
-            reduces: self.reduces.saturating_sub(base.reduces),
-            gcs: self.gcs.saturating_sub(base.gcs),
-            minimized_lits: self.minimized_lits.saturating_sub(base.minimized_lits),
-            adaptive_restarts: self.adaptive_restarts.saturating_sub(base.adaptive_restarts),
-            blocked_restarts: self.blocked_restarts.saturating_sub(base.blocked_restarts),
-        }
-    }
 }
 
 /// Learnt clauses at or below this LBD ("glue" clauses) are never

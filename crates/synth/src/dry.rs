@@ -88,13 +88,6 @@ pub(crate) struct DryScratch {
     pub created: usize,
     /// Live AND nodes the candidate would reuse (strash hits).
     pub reused: Vec<NodeId>,
-    /// Operand nodes of every real-pair strash probe, hit or miss.
-    /// This is the *read footprint* of the walk against the graph's
-    /// strash: a later edit that inserts or removes an entry under one
-    /// of these keys always touches both operand nodes, so a
-    /// speculative evaluation stays valid exactly while none of these
-    /// nodes is dirtied.
-    pub probes: Vec<NodeId>,
 }
 
 impl DryScratch {
@@ -102,7 +95,6 @@ impl DryScratch {
         self.vstrash.clear();
         self.created = 0;
         self.reused.clear();
-        self.probes.clear();
     }
 }
 
@@ -143,8 +135,6 @@ impl Build for DryBuild<'_> {
             return a;
         }
         if let (Some(ra), Some(rb)) = (as_real(a), as_real(b)) {
-            self.s.probes.push(ra.node());
-            self.s.probes.push(rb.node());
             if let Some(l) = self.aig.find_and(ra, rb) {
                 if self.aig.is_and(l.node()) {
                     self.s.reused.push(l.node());

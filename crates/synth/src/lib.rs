@@ -74,7 +74,6 @@
 
 mod balance;
 mod dry;
-mod par;
 mod pass;
 mod refactor;
 mod rewrite;

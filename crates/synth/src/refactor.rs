@@ -11,9 +11,8 @@
 //! (the seed engine's dry builds polluted the strash).
 
 use crate::dry::{real, revive_count, Build, DryBuild, DryScratch, MffcSet, RealBuild, VLit};
-use crate::par::{absorb_touches, footprint_clean, virt_mffc, VirtRefs, PAR_MIN_NODES};
 use crate::pass::PassCtx;
-use cntfet_aig::{Aig, CutArena, CutParams, CutRank, Lit, NodeId};
+use cntfet_aig::{Aig, CutParams, CutRank, Lit, NodeId};
 use cntfet_boolfn::{factor, isop, Expr, TruthTable};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -77,56 +76,24 @@ pub fn refactor_inplace(aig: &mut Aig, k: usize, zero_cost: bool) -> usize {
     refactor_ctx(aig, k, zero_cost, &mut PassCtx::ephemeral())
 }
 
-/// A speculated per-node evaluation against the pass-start graph.
-struct RfSpec {
-    foot: Vec<u32>,
-    commit: Option<(Expr, bool, Vec<Lit>)>,
-}
-
 /// [`refactor_inplace`] with a [`PassCtx`] carrying persistent cut
-/// arenas across passes and rounds. Runs evaluate-parallel /
-/// commit-sequential when the pool has workers (see [`crate::par`]).
+/// arenas across passes and rounds.
 pub(crate) fn refactor_ctx(aig: &mut Aig, k: usize, zero_cost: bool, ctx: &mut PassCtx) -> usize {
     assert!(!aig.is_editing(), "pass expects sole ownership of the graph");
     let params = CutParams { k, max_cuts: REFACTOR_CUTS, rank: CutRank::Size };
     ctx.sync(aig);
     let cuts = ctx.take_or_enumerate(aig, params);
     let n0 = aig.num_nodes();
-    let jobs = threadpool::Jobs::get();
-    let specs = (jobs > 1 && n0 >= PAR_MIN_NODES)
-        .then(|| refactor_evaluate(aig, &cuts, zero_cost, jobs));
-
     let mut mffc = MffcSet::default();
     let mut mffc_buf: Vec<NodeId> = Vec::new();
     let mut revive_buf: Vec<NodeId> = Vec::new();
     let mut scratch = DryScratch::default();
     let mut cone_memo: Vec<(NodeId, TruthTable)> = Vec::new();
     let mut applied = 0usize;
-    let mut dirty = vec![false; if specs.is_some() { n0 } else { 0 }];
-    let mut touches: Vec<NodeId> = Vec::new();
 
     aig.begin_edit();
-    if specs.is_some() {
-        aig.set_edit_touch_log(true);
-    }
     for idx in 1..n0 {
         let id = NodeId::from_index(idx);
-        // Speculated result still exact? Commit it without re-scoring.
-        if let Some(specs) = &specs {
-            let spec = &specs[idx - 1];
-            if footprint_clean(&spec.foot, &dirty) {
-                if let Some((expr, neg, leaves)) = &spec.commit {
-                    let out = walk_expr(&mut RealBuild(aig), expr, leaves);
-                    let out = if *neg { out.negate() } else { out };
-                    if out.node() != id {
-                        aig.replace_node(id, out);
-                        applied += 1;
-                    }
-                    absorb_touches(aig, &mut touches, &mut dirty);
-                }
-                continue;
-            }
-        }
         if !aig.is_and(id) || aig.ref_count(id) == 0 {
             continue;
         }
@@ -156,7 +123,7 @@ pub(crate) fn refactor_ctx(aig: &mut Aig, k: usize, zero_cost: bool, ctx: &mut P
         if !ok {
             continue;
         }
-        let Some(tt) = cone_function(aig, id, &leaves, &mut cone_memo, None) else { continue };
+        let Some(tt) = cone_function(aig, id, &leaves, &mut cone_memo) else { continue };
         let exprs = FACTOR_CACHE.with(|c| {
             let mut c = c.borrow_mut();
             // Wide-cone functions are unbounded in number; cap the
@@ -204,9 +171,6 @@ pub(crate) fn refactor_ctx(aig: &mut Aig, k: usize, zero_cost: bool, ctx: &mut P
                     aig.replace_node(id, out);
                     applied += 1;
                 }
-                if specs.is_some() {
-                    absorb_touches(aig, &mut touches, &mut dirty);
-                }
             }
         }
     }
@@ -222,129 +186,16 @@ pub(crate) fn refactor_ctx(aig: &mut Aig, k: usize, zero_cost: bool, ctx: &mut P
     applied
 }
 
-/// Phase A: scores every node of the pass-start graph in parallel
-/// (see [`crate::par`]). Each evaluation is a pure function of the
-/// immutable graph, so the result is independent of the worker count
-/// and shard layout; workers keep their own thread-local factoring
-/// caches (the cached `(Expr, Expr)` pair is a pure function of the
-/// cone truth table, so sharing or not sharing a cache cannot change
-/// any result).
-fn refactor_evaluate(aig: &Aig, cuts: &CutArena, zero_cost: bool, jobs: usize) -> Vec<RfSpec> {
-    let n0 = aig.num_nodes();
-    let base = aig.fanout_counts();
-    let shards = threadpool::split_even(n0 - 1, jobs * 4);
-    let per: Vec<Vec<RfSpec>> = threadpool::par_map(jobs, shards.len(), |si| {
-        let mut vr = VirtRefs::default();
-        let mut mffc = MffcSet::default();
-        let mut mffc_buf: Vec<NodeId> = Vec::new();
-        let mut revive_buf: Vec<NodeId> = Vec::new();
-        let mut scratch = DryScratch::default();
-        let mut cone_memo: Vec<(NodeId, TruthTable)> = Vec::new();
-        shards[si]
-            .clone()
-            .map(|off| {
-                let idx = off + 1;
-                let id = NodeId::from_index(idx);
-                let mut foot: Vec<u32> = vec![idx as u32];
-                let mut spec = RfSpec { foot: Vec::new(), commit: None };
-                'eval: {
-                    if !aig.is_and(id) || base[idx] == 0 {
-                        break 'eval;
-                    }
-                    let Some(cut_leaves) = cuts
-                        .of(id)
-                        .filter(|c| c.size() > cntfet_boolfn::rwr::RWR_VARS)
-                        .max_by_key(|c| c.size())
-                        .map(|c| c.leaves().to_vec())
-                    else {
-                        break 'eval;
-                    };
-                    let mut leaves: Vec<Lit> = Vec::with_capacity(cut_leaves.len());
-                    let mut ok = true;
-                    for &l in &cut_leaves {
-                        foot.push(l.index() as u32);
-                        // Pre-edit, `Aig::resolve` is the identity.
-                        let r = l.lit();
-                        if aig.is_dead(r.node()) || r.is_const() {
-                            ok = false;
-                            break;
-                        }
-                        leaves.push(r);
-                    }
-                    if !ok {
-                        break 'eval;
-                    }
-                    let Some(tt) =
-                        cone_function(aig, id, &leaves, &mut cone_memo, Some(&mut foot))
-                    else {
-                        break 'eval;
-                    };
-                    let exprs = FACTOR_CACHE.with(|c| {
-                        let mut c = c.borrow_mut();
-                        if c.len() >= FACTOR_CACHE_CAP {
-                            c.clear();
-                        }
-                        c.entry(tt.clone())
-                            .or_insert_with(|| Rc::new((factor(&isop(&tt)), factor(&isop(&!&tt)))))
-                            .clone()
-                    });
-                    let (e_pos, e_neg) = (&exprs.0, &exprs.1);
-
-                    mffc_buf.clear();
-                    let saved = virt_mffc(aig, &base, &mut vr, id, &mut mffc_buf, &mut foot);
-                    mffc.begin(n0);
-                    for &m in &mffc_buf {
-                        mffc.insert(m);
-                    }
-                    let vleaves: Vec<VLit> = leaves.iter().map(|&l| real(l)).collect();
-                    let mut best: Option<(isize, &Expr, bool)> = None;
-                    for (expr, neg) in [(e_pos, false), (e_neg, true)] {
-                        let mut dry = DryBuild::new(aig, &mut scratch);
-                        walk_expr(&mut dry, expr, &vleaves);
-                        let revive = revive_count(
-                            aig,
-                            &mffc,
-                            leaves
-                                .iter()
-                                .map(|l| l.node())
-                                .chain(scratch.reused.iter().copied()),
-                            &mut revive_buf,
-                        );
-                        foot.extend(scratch.probes.iter().map(|n| n.index() as u32));
-                        foot.extend(scratch.reused.iter().map(|n| n.index() as u32));
-                        let gain = saved as isize - (scratch.created + revive) as isize;
-                        if best.as_ref().map(|b| gain > b.0).unwrap_or(true) {
-                            best = Some((gain, expr, neg));
-                        }
-                    }
-                    spec.commit = best.and_then(|(gain, expr, neg)| {
-                        (gain > 0 || (zero_cost && gain == 0))
-                            .then(|| (expr.clone(), neg, leaves))
-                    });
-                }
-                foot.sort_unstable();
-                foot.dedup();
-                spec.foot = foot;
-                spec
-            })
-            .collect()
-    });
-    per.into_iter().flatten().collect()
-}
-
 /// Computes the function of `root` over the resolved leaf literals by
 /// walking the *current* graph; `None` when the walk escapes the
 /// leaves (the stale cut no longer bounds the cone) or exceeds the
 /// cone limit. The memo is a linear list — cones are bounded by
-/// [`CONE_LIMIT`], where a scan beats hashing. When `foot` is given,
-/// every node whose kind or fanins the walk reads is appended to it
-/// (the read footprint of a speculative evaluation).
+/// [`CONE_LIMIT`], where a scan beats hashing.
 fn cone_function(
     aig: &Aig,
     root: NodeId,
     leaves: &[Lit],
     memo: &mut Vec<(NodeId, TruthTable)>,
-    mut foot: Option<&mut Vec<u32>>,
 ) -> Option<TruthTable> {
     let k = leaves.len();
     memo.clear();
@@ -366,9 +217,6 @@ fn cone_function(
         if lookup(memo, n).is_some() {
             stack.pop();
             continue;
-        }
-        if let Some(foot) = foot.as_deref_mut() {
-            foot.push(n.index() as u32);
         }
         if !aig.is_and(n) {
             return None; // escaped the cut (PI or dead node)

@@ -18,18 +18,10 @@
 //! *globally* sound: a live node's global function never changes, so
 //! implementing its (stale) cut function over the forwarded leaf
 //! signals still realizes the node's function.
-//!
-//! With pool workers available the sweep runs evaluate-parallel /
-//! commit-sequential (see [`crate::par`]): scoring fans over
-//! node shards against the pass-start graph, commits replay in
-//! ascending node order, and any candidate whose read footprint was
-//! touched by an earlier commit is re-scored in place — bit-identical
-//! to the sequential sweep at every worker count.
 
 use crate::dry::{real, revive_count, Build, DryBuild, DryScratch, MffcSet, RealBuild};
-use crate::par::{absorb_touches, footprint_clean, virt_mffc, VirtRefs, PAR_MIN_NODES};
 use crate::pass::PassCtx;
-use cntfet_aig::{Aig, CutArena, CutParams, CutRank, Lit, NodeId};
+use cntfet_aig::{Aig, CutParams, CutRank, Lit, NodeId};
 use cntfet_boolfn::{RwrLibrary, RwrMatch, RwrOperand, RwrStructure};
 use std::collections::HashMap;
 
@@ -80,13 +72,6 @@ pub fn rewrite_inplace(aig: &mut Aig, zero_cost: bool) -> usize {
     rewrite_ctx(aig, zero_cost, &mut PassCtx::ephemeral())
 }
 
-/// A speculated per-node evaluation against the pass-start graph:
-/// the read footprint plus the accepted candidate, if any.
-struct RwrSpec {
-    foot: Vec<u32>,
-    commit: Option<(RwrMatch<'static>, [Lit; 4])>,
-}
-
 /// [`rewrite_inplace`] with a [`PassCtx`] carrying persistent cut
 /// arenas across passes and rounds.
 pub(crate) fn rewrite_ctx(aig: &mut Aig, zero_cost: bool, ctx: &mut PassCtx) -> usize {
@@ -100,39 +85,15 @@ pub(crate) fn rewrite_ctx(aig: &mut Aig, zero_cost: bool, ctx: &mut PassCtx) -> 
     let cuts = ctx.take_or_enumerate(aig, params);
     let lib = RwrLibrary::global();
     let n0 = aig.num_nodes();
-    let jobs = threadpool::Jobs::get();
-    let specs = (jobs > 1 && n0 >= PAR_MIN_NODES)
-        .then(|| rewrite_evaluate(aig, &cuts, lib, zero_cost, jobs));
-
     let mut mffc = MffcSet::default();
     let mut mffc_buf: Vec<NodeId> = Vec::new();
     let mut revive_buf: Vec<NodeId> = Vec::new();
     let mut scratch = DryScratch::default();
     let mut applied = 0usize;
-    let mut dirty = vec![false; if specs.is_some() { n0 } else { 0 }];
-    let mut touches: Vec<NodeId> = Vec::new();
 
     aig.begin_edit();
-    if specs.is_some() {
-        aig.set_edit_touch_log(true);
-    }
     for idx in 1..n0 {
         let id = NodeId::from_index(idx);
-        // Speculated result still exact? Commit it without re-scoring.
-        if let Some(specs) = &specs {
-            let spec = &specs[idx - 1];
-            if footprint_clean(&spec.foot, &dirty) {
-                if let Some((m, leaves)) = &spec.commit {
-                    let out = walk_structure(&mut RealBuild(aig), m, leaves);
-                    if out.node() != id {
-                        aig.replace_node(id, out);
-                        applied += 1;
-                    }
-                    absorb_touches(aig, &mut touches, &mut dirty);
-                }
-                continue;
-            }
-        }
         if !aig.is_and(id) || aig.ref_count(id) == 0 {
             continue;
         }
@@ -195,9 +156,6 @@ pub(crate) fn rewrite_ctx(aig: &mut Aig, zero_cost: bool, ctx: &mut PassCtx) -> 
                     aig.replace_node(id, out);
                     applied += 1;
                 }
-                if specs.is_some() {
-                    absorb_touches(aig, &mut touches, &mut dirty);
-                }
             }
         }
     }
@@ -211,98 +169,6 @@ pub(crate) fn rewrite_ctx(aig: &mut Aig, zero_cost: bool, ctx: &mut PassCtx) -> 
     }
     ctx.finish(aig);
     applied
-}
-
-/// Phase A: scores every node of the pass-start graph in parallel.
-/// Each evaluation is a pure function of the immutable graph (the
-/// virtual MFFC walk replays [`Aig::mffc_deref_into`] against the
-/// pass-start fanout counts, and leaf resolution is the identity
-/// before any edit), so the result is independent of the worker
-/// count and shard layout.
-fn rewrite_evaluate(
-    aig: &Aig,
-    cuts: &CutArena,
-    lib: &'static RwrLibrary,
-    zero_cost: bool,
-    jobs: usize,
-) -> Vec<RwrSpec> {
-    let n0 = aig.num_nodes();
-    let base = aig.fanout_counts();
-    let shards = threadpool::split_even(n0 - 1, jobs * 4);
-    let per: Vec<Vec<RwrSpec>> = threadpool::par_map(jobs, shards.len(), |si| {
-        let mut vr = VirtRefs::default();
-        let mut mffc = MffcSet::default();
-        let mut mffc_buf: Vec<NodeId> = Vec::new();
-        let mut revive_buf: Vec<NodeId> = Vec::new();
-        let mut scratch = DryScratch::default();
-        shards[si]
-            .clone()
-            .map(|off| {
-                let idx = off + 1;
-                let id = NodeId::from_index(idx);
-                let mut foot: Vec<u32> = vec![idx as u32];
-                if !aig.is_and(id) || base[idx] == 0 {
-                    return RwrSpec { foot, commit: None };
-                }
-                mffc_buf.clear();
-                let saved = virt_mffc(aig, &base, &mut vr, id, &mut mffc_buf, &mut foot);
-                mffc.begin(n0);
-                for &m in &mffc_buf {
-                    mffc.insert(m);
-                }
-                let mut best: Option<(isize, RwrMatch<'static>, [Lit; 4])> = None;
-                for cut in cuts.of(id) {
-                    if cut.size() < 2 {
-                        continue;
-                    }
-                    let Some(word) = cut.function_word() else { continue };
-                    let mut leaves = [Lit::FALSE; 4];
-                    let mut ok = true;
-                    for (i, &l) in cut.leaves().iter().enumerate() {
-                        foot.push(l.index() as u32);
-                        // Pre-edit, `Aig::resolve` is the identity.
-                        let r = l.lit();
-                        if aig.is_dead(r.node()) || r.is_const() {
-                            ok = false;
-                            break;
-                        }
-                        leaves[i] = r;
-                    }
-                    if !ok {
-                        continue;
-                    }
-                    let m = LOOKUP_CACHE.with(|c| {
-                        c.borrow_mut().entry(word).or_insert_with(|| lib.lookup_word(word)).clone()
-                    });
-                    let mut dry = DryBuild::new(aig, &mut scratch);
-                    walk_structure(&mut dry, &m, &leaves.map(real));
-                    let revive = revive_count(
-                        aig,
-                        &mffc,
-                        leaves
-                            .iter()
-                            .take(cut.size())
-                            .map(|l| l.node())
-                            .chain(scratch.reused.iter().copied()),
-                        &mut revive_buf,
-                    );
-                    foot.extend(scratch.probes.iter().map(|n| n.index() as u32));
-                    foot.extend(scratch.reused.iter().map(|n| n.index() as u32));
-                    let gain = saved as isize - (scratch.created + revive) as isize;
-                    if best.as_ref().map(|b| gain > b.0).unwrap_or(true) {
-                        best = Some((gain, m, leaves));
-                    }
-                }
-                foot.sort_unstable();
-                foot.dedup();
-                let commit = best.and_then(|(gain, m, leaves)| {
-                    (gain > 0 || (zero_cost && gain == 0)).then_some((m, leaves))
-                });
-                RwrSpec { foot, commit }
-            })
-            .collect()
-    });
-    per.into_iter().flatten().collect()
 }
 
 /// Walks a class structure through a builder (dry or real), wiring

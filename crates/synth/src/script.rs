@@ -64,11 +64,12 @@ impl Default for SynthOptions {
 /// Everything that determines a synthesis outcome: the input's
 /// structural fingerprint, the full options and the script kind
 /// (`0` = resyn2rs, `1` = quick). The worker count is deliberately
-/// *not* part of the key: the in-place engine's parallel sweeps are
-/// evaluate-parallel / commit-sequential (see [`crate::par`]) and
-/// produce bit-identical graphs at every worker count (asserted by
-/// the workspace `determinism` tests), and the seed engine never
-/// spawns workers — so one cached result serves every `jobs` setting.
+/// *not* part of the key: the passes themselves run on the calling
+/// thread, and the cut enumeration and arena updates they shard over
+/// the pool produce bit-identical cut lists at every worker count, so
+/// the synthesized graph is too (asserted by the workspace
+/// `determinism` tests) — one cached result serves every `jobs`
+/// setting.
 type SynthKey = (u128, SynthOptions, u8);
 
 /// The process-wide synthesis result cache: optimized graphs keyed by

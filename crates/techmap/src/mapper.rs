@@ -25,8 +25,8 @@
 
 use crate::matcher::Matcher;
 use cntfet_aig::{
-    enumerate_cuts_custom, enumerate_cuts_custom_jobs, enumerate_cuts_with_jobs, Aig, CutArena,
-    CutParams, CutRank, NodeId, ResultCache,
+    enumerate_cuts_custom, enumerate_cuts_with_jobs, Aig, CutArena, CutParams, CutRank, NodeId,
+    ResultCache,
 };
 use cntfet_boolfn::word;
 use cntfet_core::{Library, LogicFamily};
@@ -136,16 +136,12 @@ pub struct MapOptions {
     pub cut_rank: CutRank,
     /// Covering objective.
     pub objective: Objective,
-    /// Worker threads (`0` resolves through the workspace
-    /// [`threadpool::Jobs`] default, `1` forces the sequential
-    /// engine). The mapped result is bit-identical for every value:
-    /// cut enumeration shards over a fixed node grid, the
-    /// forward/area-flow passes evaluate level-by-level (a node's
-    /// candidates read only strictly-lower-level leaves, so each rank
-    /// is embarrassingly parallel behind a barrier), and exact-area
-    /// recovery speculates over fixed windows of nodes, committing a
-    /// speculation only when no earlier commit invalidated its read
-    /// footprint — re-evaluating it sequentially otherwise.
+    /// Worker threads of the initial cut enumeration (`0` resolves
+    /// through the workspace [`threadpool::Jobs`] default, `1` forces
+    /// the sequential enumerator). Enumeration shards over a fixed
+    /// topological-rank grid, so the mapped result is bit-identical
+    /// for every value. Covering and the arrival-aware rounds always
+    /// run on the calling thread.
     pub jobs: usize,
 }
 
@@ -298,7 +294,6 @@ pub fn map(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
 fn map_uncached(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
     let mut matcher = Matcher::new(library);
     let cut_size = opts.cut_size.clamp(2, 6);
-    let jobs = threadpool::Jobs::resolve(opts.jobs);
     // The first enumeration has no mapped arrivals to rank by, so
     // `CutRank::Arrival` starts from size ranking — which also keeps
     // the richest candidate variety per node; the paper's wide
@@ -312,7 +307,7 @@ fn map_uncached(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
     let cuts = enumerate_cuts_with_jobs(
         aig,
         CutParams { k: cut_size, max_cuts: opts.cuts_per_node, rank: initial_rank },
-        jobs,
+        opts.jobs,
     );
     let ctx = Ctx {
         aig,
@@ -353,26 +348,10 @@ fn map_uncached(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
         let arr = sel.arr.clone();
         let aflow = sel.aflow.clone();
         let params = CutParams { k: cut_size, max_cuts: opts.cuts_per_node, rank: CutRank::Arrival };
-        // The arrival oracle queries a memoized library matcher, which
-        // is mutable state — each enumeration worker gets its own
-        // matcher via the factory form. The memo is transparent (same
-        // answers with or without it), so per-worker tables rank every
-        // cut exactly as the shared sequential matcher would.
-        let cuts = if jobs <= 1 {
-            let mut support: Vec<usize> = Vec::with_capacity(6);
-            enumerate_cuts_custom(aig, params, |_root, leaves, tt| {
-                arrival_cost(&ctx, &mut matcher, &mut support, &arr, &aflow, leaves, tt)
-            })
-        } else {
-            let (ctx, arr, aflow) = (&ctx, &arr, &aflow);
-            enumerate_cuts_custom_jobs(aig, params, jobs, || {
-                let mut matcher = Matcher::new(ctx.library);
-                let mut support: Vec<usize> = Vec::with_capacity(6);
-                move |_root: NodeId, leaves: &[NodeId], tt: u64| {
-                    arrival_cost(ctx, &mut matcher, &mut support, arr, aflow, leaves, tt)
-                }
-            })
-        };
+        let mut support: Vec<usize> = Vec::with_capacity(6);
+        let cuts = enumerate_cuts_custom(aig, params, |_root, leaves, tt| {
+            arrival_cost(&ctx, &mut matcher, &mut support, &arr, &aflow, leaves, tt)
+        });
         let new_cands = generate_cands(&ctx, &cuts, &mut matcher);
         let new_sel = run_cover(&ctx, &new_cands, &opts);
         let m = extract(&ctx, &new_cands, &new_sel);
@@ -464,11 +443,8 @@ fn generate_cands(ctx: &Ctx<'_>, cuts: &CutArena, matcher: &mut Matcher<'_>) -> 
 
 /// Runs the covering pass pipeline — forward pass, area-flow recovery
 /// under required times, exact-area refinement — over a fixed
-/// candidate set and returns the final per-node selection. Every pass
-/// fans out across `opts.jobs` workers on large enough graphs; the
-/// selection is bit-identical at every worker count.
+/// candidate set and returns the final per-node selection.
 fn run_cover(ctx: &Ctx<'_>, cands: &[Vec<Cand>], opts: &MapOptions) -> Sel {
-    let jobs = threadpool::Jobs::resolve(opts.jobs);
     let n = ctx.aig.num_nodes();
     let mut sel = Sel {
         choice: vec![0; n],
@@ -481,7 +457,7 @@ fn run_cover(ctx: &Ctx<'_>, cands: &[Vec<Cand>], opts: &MapOptions) -> Sel {
 
     // Forward pass: delay-optimal, unless area is the sole objective.
     let mode0 = if opts.objective == Objective::Area { Mode::Flow } else { Mode::Delay };
-    select_pass(ctx, cands, &mut sel, mode0, opts.objective, jobs);
+    select_pass(ctx, cands, &mut sel, mode0, opts.objective);
 
     if opts.area_rounds > 0 {
         // Required times are the standard (heuristically stale) fence;
@@ -496,7 +472,7 @@ fn run_cover(ctx: &Ctx<'_>, cands: &[Vec<Cand>], opts: &MapOptions) -> Sel {
             if mode == Mode::Exact {
                 compute_refs(ctx, cands, sel);
             }
-            select_pass(ctx, cands, sel, mode, opts.objective, jobs);
+            select_pass(ctx, cands, sel, mode, opts.objective);
             if let Some(snap) = snap {
                 if cover_delay(ctx, sel) > *target + EPS {
                     sel.restore(snap);
@@ -607,300 +583,79 @@ fn eval_cand(ctx: &Ctx<'_>, sel: &Sel, c: &Cand) -> (f64, f64, bool) {
     (a, flow, ph)
 }
 
-/// Minimum AND-node count before a covering pass fans out — below
-/// this, per-rank barriers and speculation bookkeeping cost more than
-/// the work they split.
-const COVER_PAR_MIN_ANDS: usize = 32;
-
-/// Speculation window of the parallel exact-area pass: this many
-/// consecutive nodes evaluate in parallel against the window-start
-/// state before the sequential validate/commit sweep.
-const EXACT_BATCH: usize = 128;
-
-/// One forward selection pass over all AND nodes. With `jobs > 1` on
-/// a large enough graph the pass fans out — level-by-level for
-/// [`Mode::Delay`]/[`Mode::Flow`], speculate-and-validate windows for
-/// [`Mode::Exact`] — selecting the exact cover the sequential pass
-/// does at every worker count.
-fn select_pass(
-    ctx: &Ctx<'_>,
-    cands: &[Vec<Cand>],
-    sel: &mut Sel,
-    mode: Mode,
-    obj: Objective,
-    jobs: usize,
-) {
-    let par = jobs > 1 && ctx.aig.num_ands() >= COVER_PAR_MIN_ANDS;
-    match mode {
-        Mode::Exact => select_exact(ctx, cands, sel, obj, if par { jobs } else { 1 }),
-        Mode::Delay | Mode::Flow if par => select_flow_ranked(ctx, cands, sel, mode, obj, jobs),
-        Mode::Delay | Mode::Flow => {
-            for id in ctx.aig.and_ids() {
-                let i = id.index();
-                let (ci, a, flow, ph) = choose_flow(ctx, cands, sel, i, mode, obj);
-                sel.choice[i] = ci;
-                sel.arr[i] = a;
-                sel.aflow[i] = flow;
-                sel.phase[i] = ph;
-            }
-        }
-    }
-}
-
-/// Candidate choice of node `i` under the [`Mode::Delay`] /
-/// [`Mode::Flow`] rules — a pure function of the selection state
-/// (only the cut leaves' slots and the node's own required time are
-/// read), which is what makes the rank-parallel pass exact.
-fn choose_flow(
-    ctx: &Ctx<'_>,
-    cands: &[Vec<Cand>],
-    sel: &Sel,
-    i: usize,
-    mode: Mode,
-    obj: Objective,
-) -> (usize, f64, f64, bool) {
-    debug_assert!(mode != Mode::Exact, "exact mode selects through exact_eval");
-    let mut best: Option<(usize, f64, f64, bool)> = None;
-    let mut best_cost = f64::INFINITY;
-    for (ci, c) in cands[i].iter().enumerate() {
-        let (a, flow, ph) = eval_cand(ctx, sel, c);
-        let cost = flow;
-        let better = match best {
-            None => true,
-            Some((_, ba, _, _)) if mode == Mode::Delay => {
-                a < ba - EPS || (a < ba + EPS && cost < best_cost - EPS)
-            }
-            Some((_, ba, _, _)) => {
-                let req = sel.required[i];
-                let fits = a <= req + EPS;
-                let best_fits = ba <= req + EPS;
-                match (fits, best_fits) {
-                    (true, false) => true,
-                    (false, true) => false,
-                    (false, false) if obj == Objective::Delay => {
-                        // Strict delay mode: when nothing fits,
-                        // chase arrival, not area.
-                        a < ba - EPS || (a < ba + EPS && cost < best_cost - EPS)
-                    }
-                    _ => cost < best_cost - EPS || (cost < best_cost + EPS && a < ba - EPS),
-                }
-            }
-        };
-        if better {
-            best = Some((ci, a, flow, ph));
-            best_cost = cost;
-        }
-    }
-    best.expect("candidates nonempty")
-}
-
-/// Rank-parallel [`Mode::Delay`]/[`Mode::Flow`] pass. A candidate
-/// evaluation reads only its cut leaves' slots — nodes of strictly
-/// lower structural level, committed by an earlier rank — plus the
-/// node's own pass-constant required time. Nodes of one level are
-/// therefore independent: evaluate them in parallel, commit after the
-/// barrier, and the selection is the sequential pass's bit for bit.
-fn select_flow_ranked(
-    ctx: &Ctx<'_>,
-    cands: &[Vec<Cand>],
-    sel: &mut Sel,
-    mode: Mode,
-    obj: Objective,
-    jobs: usize,
-) {
-    let levels = ctx.aig.levels();
-    let depth = ctx.aig.and_ids().map(|id| levels[id.index()]).max().unwrap_or(0);
-    let mut ranks: Vec<Vec<u32>> = vec![Vec::new(); depth as usize + 1];
+/// One forward selection pass over all AND nodes.
+fn select_pass(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, mode: Mode, obj: Objective) {
     for id in ctx.aig.and_ids() {
-        ranks[levels[id.index()] as usize].push(id.index() as u32);
-    }
-    for rank in ranks.iter().filter(|r| !r.is_empty()) {
-        let picked = {
-            let s: &Sel = sel;
-            threadpool::par_map(jobs, rank.len(), |k| {
-                choose_flow(ctx, cands, s, rank[k] as usize, mode, obj)
-            })
-        };
-        for (k, (ci, a, flow, ph)) in picked.into_iter().enumerate() {
-            let i = rank[k] as usize;
-            sel.choice[i] = ci;
+        let i = id.index();
+        if mode == Mode::Exact && cands[i][sel.choice[i]].cell == ALIAS {
+            // Alias choices stay fixed during exact recovery: they are
+            // free, and consumers already resolve through them — see
+            // the reference-count invariant in `compute_refs`. Their
+            // mirrored state must still be refreshed, though: the
+            // chain's base may just have been re-chosen, and consumers
+            // (and the final delay report) read the alias's arrival.
+            let (a, flow, ph) = eval_cand(ctx, sel, &cands[i][sel.choice[i]]);
             sel.arr[i] = a;
             sel.aflow[i] = flow;
             sel.phase[i] = ph;
-        }
-    }
-}
-
-/// Exact-area pass. Sequentially (`jobs ≤ 1`) every node evaluates
-/// through [`exact_eval`] against the live counts and commits
-/// immediately. In parallel, consecutive windows of [`EXACT_BATCH`]
-/// nodes speculate concurrently against the window-start state, then
-/// a sequential sweep walks the window in id order committing each
-/// speculation whose recorded read footprint no earlier commit
-/// dirtied — and re-evaluating the rest against the live state. A
-/// clean footprint means every slot the speculation read still holds
-/// its window-start value, so its decision (and floating-point cost
-/// arithmetic) is exactly what a live evaluation would produce;
-/// re-runs *are* live evaluations — either way each commit equals
-/// the sequential pass's.
-fn select_exact(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, obj: Objective, jobs: usize) {
-    let n = ctx.aig.num_nodes();
-    if jobs <= 1 {
-        let mut vr = RefOverlay::new();
-        for id in ctx.aig.and_ids() {
-            let i = id.index();
-            vr.begin(n);
-            let ch = exact_eval(ctx, cands, sel, &mut vr, i, obj, &mut None);
-            apply_exact(sel, i, &ch);
-        }
-        return;
-    }
-    thread_local! {
-        /// Per-worker speculation overlay, reused across windows (the
-        /// generation stamp makes reuse O(1)).
-        static OVERLAY: std::cell::RefCell<RefOverlay> =
-            std::cell::RefCell::new(RefOverlay::new());
-    }
-    let ids: Vec<u32> = ctx.aig.and_ids().map(|id| id.index() as u32).collect();
-    let mut dirty = vec![false; n];
-    let mut vr = RefOverlay::new();
-    for batch in ids.chunks(EXACT_BATCH) {
-        let specs = {
-            let s: &Sel = sel;
-            threadpool::par_map(jobs, batch.len(), |k| {
-                OVERLAY.with(|cell| {
-                    let vr = &mut *cell.borrow_mut();
-                    vr.begin(n);
-                    let mut foot: Vec<u32> = Vec::new();
-                    let ch = exact_eval(
-                        ctx,
-                        cands,
-                        s,
-                        vr,
-                        batch[k] as usize,
-                        obj,
-                        &mut Some(&mut foot),
-                    );
-                    (foot, ch)
-                })
-            })
-        };
-        for d in dirty.iter_mut() {
-            *d = false;
-        }
-        for (k, (foot, spec)) in specs.into_iter().enumerate() {
-            let i = batch[k] as usize;
-            let ch = if foot.iter().all(|&x| !dirty[x as usize]) {
-                spec
-            } else {
-                vr.begin(n);
-                exact_eval(ctx, cands, sel, &mut vr, i, obj, &mut None)
-            };
-            dirty[i] = true;
-            for &(x, _) in &ch.refs {
-                dirty[x as usize] = true;
-            }
-            apply_exact(sel, i, &ch);
-        }
-    }
-}
-
-/// One node's exact-area decision, with the net reference-count
-/// changes its commit applies.
-struct ExactChoice {
-    ci: usize,
-    a: f64,
-    flow: f64,
-    ph: bool,
-    /// `(node index, new count)` pairs — empty for alias refreshes.
-    refs: Vec<(u32, u32)>,
-}
-
-/// Commits one exact-area decision: the overlay-recorded
-/// reference-count changes first, then the node's own slots.
-fn apply_exact(sel: &mut Sel, i: usize, ch: &ExactChoice) {
-    for &(x, v) in &ch.refs {
-        sel.nref[x as usize] = v;
-    }
-    sel.choice[i] = ch.ci;
-    sel.arr[i] = ch.a;
-    sel.aflow[i] = ch.flow;
-    sel.phase[i] = ch.ph;
-}
-
-/// The full [`Mode::Exact`] decision for node `i`, evaluated against
-/// the selection state `sel` with reference counts read and written
-/// through the overlay `vr` (the caller begins a fresh generation
-/// first). With `foot` set, records the index of every node whose
-/// mutable state — choice, arrival/flow/phase, reference count — the
-/// decision read; a speculation stays valid exactly while those slots
-/// hold the values it saw.
-fn exact_eval(
-    ctx: &Ctx<'_>,
-    cands: &[Vec<Cand>],
-    sel: &Sel,
-    vr: &mut RefOverlay,
-    i: usize,
-    obj: Objective,
-    foot: &mut Option<&mut Vec<u32>>,
-) -> ExactChoice {
-    touch(foot, i);
-    let cur = &cands[i][sel.choice[i]];
-    if cur.cell == ALIAS {
-        // Alias choices stay fixed during exact recovery: they are
-        // free, and consumers already resolve through them — see
-        // the reference-count invariant in `compute_refs`. Their
-        // mirrored state must still be refreshed, though: the
-        // chain's base may just have been re-chosen, and consumers
-        // (and the final delay report) read the alias's arrival.
-        touch(foot, cur.pins[0].0.index());
-        let (a, flow, ph) = eval_cand(ctx, sel, cur);
-        return ExactChoice { ci: sel.choice[i], a, flow, ph, refs: Vec::new() };
-    }
-    let was_ref = vr.get(&sel.nref, i) > 0;
-    if was_ref {
-        let c = &cands[i][sel.choice[i]];
-        deref_cover_v(ctx, cands, sel, vr, foot, c);
-    }
-    let mut best: Option<(usize, f64, f64, bool)> = None;
-    let mut best_cost = f64::INFINITY;
-    for (ci, c) in cands[i].iter().enumerate() {
-        if c.cell == ALIAS {
             continue;
         }
-        for &(leaf, _) in &c.pins {
-            touch(foot, leaf.index());
+        let was_ref = mode == Mode::Exact && sel.nref[i] > 0;
+        if was_ref {
+            let cur = &cands[i][sel.choice[i]];
+            deref_cover(ctx, cands, sel, cur);
         }
-        let (a, flow, ph) = eval_cand(ctx, sel, c);
-        let cost = trial_exact_area_v(ctx, cands, sel, vr, foot, c);
-        let better = match best {
-            None => true,
-            Some((_, ba, _, _)) => {
-                let req = sel.required[i];
-                let fits = a <= req + EPS;
-                let best_fits = ba <= req + EPS;
-                match (fits, best_fits) {
-                    (true, false) => true,
-                    (false, true) => false,
-                    (false, false) if obj == Objective::Delay => {
-                        // Strict delay mode: when nothing fits,
-                        // chase arrival, not area.
+        let mut best: Option<(usize, f64, f64, bool)> = None;
+        let mut best_cost = f64::INFINITY;
+        for (ci, c) in cands[i].iter().enumerate() {
+            if mode == Mode::Exact && c.cell == ALIAS {
+                continue;
+            }
+            let (a, flow, ph) = eval_cand(ctx, sel, c);
+            let cost = match mode {
+                Mode::Delay | Mode::Flow => flow,
+                Mode::Exact => trial_exact_area(ctx, cands, sel, c),
+            };
+            let better = match best {
+                None => true,
+                Some((_, ba, _, _)) => match mode {
+                    Mode::Delay => {
                         a < ba - EPS || (a < ba + EPS && cost < best_cost - EPS)
                     }
-                    _ => cost < best_cost - EPS || (cost < best_cost + EPS && a < ba - EPS),
-                }
+                    Mode::Flow | Mode::Exact => {
+                        let req = sel.required[i];
+                        let fits = a <= req + EPS;
+                        let best_fits = ba <= req + EPS;
+                        match (fits, best_fits) {
+                            (true, false) => true,
+                            (false, true) => false,
+                            (false, false) if obj == Objective::Delay => {
+                                // Strict delay mode: when nothing fits,
+                                // chase arrival, not area.
+                                a < ba - EPS || (a < ba + EPS && cost < best_cost - EPS)
+                            }
+                            _ => {
+                                cost < best_cost - EPS
+                                    || (cost < best_cost + EPS && a < ba - EPS)
+                            }
+                        }
+                    }
+                },
+            };
+            if better {
+                best = Some((ci, a, flow, ph));
+                best_cost = cost;
             }
-        };
-        if better {
-            best = Some((ci, a, flow, ph));
-            best_cost = cost;
         }
+        let (ci, a, flow, ph) = best.expect("candidates nonempty");
+        if was_ref {
+            ref_cover(ctx, cands, sel, &cands[i][ci]);
+        }
+        sel.choice[i] = ci;
+        sel.arr[i] = a;
+        sel.aflow[i] = flow;
+        sel.phase[i] = ph;
     }
-    let (ci, a, flow, ph) = best.expect("candidates nonempty");
-    if was_ref {
-        ref_cover_v(ctx, cands, sel, vr, foot, &cands[i][ci]);
-    }
-    ExactChoice { ci, a, flow, ph, refs: vr.changes(&sel.nref) }
 }
 
 /// Arrival time of a primary output under the current selection.
@@ -1006,159 +761,46 @@ fn cand_area(ctx: &Ctx<'_>, c: &Cand) -> f64 {
     }
 }
 
-/// Generation-stamped copy-on-write overlay over [`Sel::nref`]:
-/// `get` falls through to the base counts until a `set` shadows the
-/// entry, and `begin` drops every shadow in O(1). Exact-area trials
-/// run entirely inside the overlay, so a speculative evaluation never
-/// mutates the shared selection — and the live (sequential) path uses
-/// the same overlay, then commits its net changes, so both paths run
-/// literally the same code.
-struct RefOverlay {
-    stamp: Vec<u32>,
-    val: Vec<u32>,
-    /// Indices shadowed this generation, in first-write order.
-    log: Vec<u32>,
-    gen: u32,
-}
-
-impl RefOverlay {
-    fn new() -> RefOverlay {
-        RefOverlay { stamp: Vec::new(), val: Vec::new(), log: Vec::new(), gen: 0 }
-    }
-
-    /// Starts a fresh generation sized for `n` nodes.
-    fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.val.resize(n, 0);
-        }
-        self.log.clear();
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.gen = 1;
-        }
-    }
-
-    fn get(&self, base: &[u32], i: usize) -> u32 {
-        if self.stamp[i] == self.gen {
-            self.val[i]
-        } else {
-            base[i]
-        }
-    }
-
-    fn set(&mut self, i: usize, v: u32) {
-        if self.stamp[i] != self.gen {
-            self.stamp[i] = self.gen;
-            self.log.push(i as u32);
-        }
-        self.val[i] = v;
-    }
-
-    /// Net changes of this generation against the base counts
-    /// (entries that returned to their base value are dropped).
-    fn changes(&self, base: &[u32]) -> Vec<(u32, u32)> {
-        self.log
-            .iter()
-            .filter_map(|&i| {
-                let v = self.val[i as usize];
-                (v != base[i as usize]).then_some((i, v))
-            })
-            .collect()
-    }
-}
-
-/// Appends to a speculative read footprint, if one is being recorded.
-fn touch(foot: &mut Option<&mut Vec<u32>>, i: usize) {
-    if let Some(f) = foot.as_deref_mut() {
-        f.push(i as u32);
-    }
-}
-
-/// [`resolve_base`] with footprint recording: every alias link
-/// crossed is a choice read the speculation depends on.
-fn resolve_base_v(
-    ctx: &Ctx<'_>,
-    cands: &[Vec<Cand>],
-    sel: &Sel,
-    foot: &mut Option<&mut Vec<u32>>,
-    mut n: NodeId,
-) -> Option<NodeId> {
-    loop {
-        if !ctx.aig.is_and(n) {
-            return None;
-        }
-        touch(foot, n.index());
-        let c = &cands[n.index()][sel.choice[n.index()]];
-        if c.cell == ALIAS {
-            n = c.pins[0].0;
-        } else {
-            return Some(n);
-        }
-    }
-}
-
 /// References every base gate a candidate's pins resolve to,
 /// cascading into newly-referenced gates; returns the area those new
-/// references pull into the cover. Counts live in the overlay; the
-/// stack traversal (and so the floating-point accumulation order) is
-/// identical however the counts are backed.
-fn ref_cover_v(
-    ctx: &Ctx<'_>,
-    cands: &[Vec<Cand>],
-    sel: &Sel,
-    vr: &mut RefOverlay,
-    foot: &mut Option<&mut Vec<u32>>,
-    c: &Cand,
-) -> f64 {
+/// references pull into the cover.
+fn ref_cover(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, c: &Cand) -> f64 {
     let mut area = 0.0;
     let mut stack: Vec<NodeId> = c
         .pins
         .iter()
-        .filter_map(|&(leaf, _)| resolve_base_v(ctx, cands, sel, foot, leaf))
+        .filter_map(|&(leaf, _)| resolve_base(ctx, cands, sel, leaf))
         .collect();
     while let Some(b) = stack.pop() {
         let i = b.index();
-        touch(foot, i);
-        let r = vr.get(&sel.nref, i) + 1;
-        vr.set(i, r);
-        if r == 1 {
+        sel.nref[i] += 1;
+        if sel.nref[i] == 1 {
             let cc = &cands[i][sel.choice[i]];
             area += cand_area(ctx, cc);
             stack.extend(
-                cc.pins.iter().filter_map(|&(leaf, _)| resolve_base_v(ctx, cands, sel, foot, leaf)),
+                cc.pins.iter().filter_map(|&(leaf, _)| resolve_base(ctx, cands, sel, leaf)),
             );
         }
     }
     area
 }
 
-/// Inverse of [`ref_cover_v`]: releases the references a candidate's
+/// Inverse of [`ref_cover`]: releases the references a candidate's
 /// pins hold on the cover.
-fn deref_cover_v(
-    ctx: &Ctx<'_>,
-    cands: &[Vec<Cand>],
-    sel: &Sel,
-    vr: &mut RefOverlay,
-    foot: &mut Option<&mut Vec<u32>>,
-    c: &Cand,
-) {
+fn deref_cover(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, c: &Cand) {
     let mut stack: Vec<NodeId> = c
         .pins
         .iter()
-        .filter_map(|&(leaf, _)| resolve_base_v(ctx, cands, sel, foot, leaf))
+        .filter_map(|&(leaf, _)| resolve_base(ctx, cands, sel, leaf))
         .collect();
     while let Some(b) = stack.pop() {
         let bi = b.index();
-        touch(foot, bi);
-        let r = vr.get(&sel.nref, bi);
-        debug_assert!(r > 0, "dereferencing an unreferenced gate");
-        vr.set(bi, r - 1);
-        if r == 1 {
+        debug_assert!(sel.nref[bi] > 0, "dereferencing an unreferenced gate");
+        sel.nref[bi] -= 1;
+        if sel.nref[bi] == 0 {
             let cc = &cands[bi][sel.choice[bi]];
             stack.extend(
-                cc.pins.iter().filter_map(|&(leaf, _)| resolve_base_v(ctx, cands, sel, foot, leaf)),
+                cc.pins.iter().filter_map(|&(leaf, _)| resolve_base(ctx, cands, sel, leaf)),
             );
         }
     }
@@ -1169,16 +811,9 @@ fn deref_cover_v(
 /// evaluated by a reference/dereference trial that leaves the counts
 /// untouched. CMOS polarity fixes are charged as amortized inverter
 /// area per mismatched pin.
-fn trial_exact_area_v(
-    ctx: &Ctx<'_>,
-    cands: &[Vec<Cand>],
-    sel: &Sel,
-    vr: &mut RefOverlay,
-    foot: &mut Option<&mut Vec<u32>>,
-    c: &Cand,
-) -> f64 {
-    let mut ex = cand_area(ctx, c) + ref_cover_v(ctx, cands, sel, vr, foot, c);
-    deref_cover_v(ctx, cands, sel, vr, foot, c);
+fn trial_exact_area(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, c: &Cand) -> f64 {
+    let mut ex = cand_area(ctx, c) + ref_cover(ctx, cands, sel, c);
+    deref_cover(ctx, cands, sel, c);
     if !ctx.free_pol {
         for &(leaf, compl) in &c.pins {
             if sel.phase[leaf.index()] ^ compl {
@@ -1570,11 +1205,9 @@ mod tests {
 
     #[test]
     fn parallel_mapping_matches_sequential_cover() {
-        // The whole parallel story hangs on this: sharded enumeration
-        // (both the initial Size-ranked pass and the arrival-ranked
-        // delay rounds with per-worker matchers) must select the exact
-        // cover the sequential engine does — gate for gate, not just
-        // stat for stat.
+        // Sharded initial cut enumeration must select the exact cover
+        // the sequential engine does — gate for gate, not just stat
+        // for stat.
         let src = full_adder_chain(10);
         for family in [LogicFamily::TgStatic, LogicFamily::TgPseudo, LogicFamily::CmosStatic] {
             let lib = Library::new(family);

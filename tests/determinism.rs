@@ -1,11 +1,16 @@
-//! Workspace determinism tests: every parallel engine must produce
-//! results identical to its sequential counterpart — same mapped
-//! covers, same sweep verdicts and solver statistics, same suite
-//! reports — for every worker count. Parallelism is allowed to change
-//! wall time and nothing else.
+//! Workspace determinism tests: every result is identical at every
+//! worker count — same synthesized graphs, same mapped covers, same
+//! sweep reports, same suite reports. Three layers use the pool:
+//! chunked simulation, sharded cut enumeration (and its incremental
+//! update) and the suite/batch fan-out; the tests below pin the
+//! engines built on them. Parallelism is allowed to change wall time
+//! and nothing else.
 
-use cntfet_aig::{check_equivalence_sweeping_report, equivalent, Aig, CecResult, SweepOptions};
+use cntfet_aig::{
+    check_equivalence_sweeping_report, clear_cec_cache, equivalent, Aig, CecResult, SweepOptions,
+};
 use cntfet_bench::run_suite_with;
+use cntfet_circuits::{array_multiplier, cla_adder, ripple_adder, shift_add_multiplier};
 use cntfet_core::{Library, LogicFamily};
 use cntfet_synth::{resyn2rs, Script};
 use cntfet_techmap::{map, verify_mapping_report, MapOptions, Objective};
@@ -53,8 +58,8 @@ fn suite_report_identical_across_worker_counts() {
 }
 
 /// A deterministic pseudo-random op script for the larger determinism
-/// fixtures (big enough that the partition-parallel passes actually
-/// take their parallel path).
+/// fixtures (big enough that cut enumeration shards over several
+/// topological ranks per worker).
 fn big_script(len: usize, mut seed: u64) -> Vec<(u8, u16, u16)> {
     (0..len)
         .map(|_| {
@@ -64,10 +69,10 @@ fn big_script(len: usize, mut seed: u64) -> Vec<(u8, u16, u16)> {
         .collect()
 }
 
-/// Partition-parallel rewriting/refactoring commits the exact same
-/// replacement sequence the sequential sweep does: the synthesized
-/// graph is bit-identical (stats + structural fingerprint) at every
-/// worker count, and stays equivalent to its source. Drives the
+/// Synthesis over sharded cut enumeration and sharded arena updates
+/// commits the same replacement sequence at every worker count: the
+/// synthesized graph is bit-identical (stats + structural
+/// fingerprint), and stays equivalent to its source. Drives the
 /// `Script` runner directly so no result cache can short-circuit the
 /// comparison.
 #[test]
@@ -101,12 +106,12 @@ fn synth_identical_across_worker_counts() {
     }
 }
 
-/// Parallel covering — rank-parallel forward/area-flow passes plus
-/// windowed speculate/validate exact-area recovery — selects the
-/// exact cover the sequential engine does, gate for gate, on graphs
-/// large enough that every parallel covering path actually fans out
-/// (the [`Objective::Area`] cases drive multiple exact-area
-/// speculation windows; the CMOS case drives phase tracking).
+/// Mapping over sharded initial cut enumeration selects the exact
+/// cover the sequential enumerator leads to, gate for gate, on graphs
+/// large enough that the enumeration's topological ranks split across
+/// workers — through every covering pass (the [`Objective::Area`] cases run
+/// exact-area recovery, the [`Objective::Delay`] case the
+/// arrival-aware rounds, the CMOS case phase tracking).
 #[test]
 fn cover_identical_across_worker_counts() {
     let cases = [
@@ -163,6 +168,41 @@ fn synth_result_cache_jobs_free_key_is_sound() {
     }
 }
 
+/// SAT sweeping returns the same full [`cntfet_aig::CecReport`] —
+/// verdict, internal proofs, refinements and every solver counter — at
+/// one and at two workers. The ripple/carry-lookahead pair has 17
+/// inputs, so the default options sweep it; the 5-bit multipliers run
+/// the sweep with the exhaustive tier switched off and need
+/// counterexample refinement. The CEC result cache is cleared before
+/// every run so each report is computed, not replayed.
+#[test]
+fn sweep_report_identical_across_worker_counts() {
+    let no_exhaustive = SweepOptions { exhaustive_pis: 0, ..SweepOptions::default() };
+    let cases = [
+        (ripple_adder(8), cla_adder(8), SweepOptions::default()),
+        (array_multiplier(5), shift_add_multiplier(5), no_exhaustive),
+    ];
+    for (a, b, opts) in &cases {
+        let run = |jobs: usize| {
+            threadpool::Jobs::set(jobs);
+            clear_cec_cache();
+            let r = check_equivalence_sweeping_report(a, b, opts);
+            threadpool::Jobs::set(0);
+            r
+        };
+        let seq = run(1);
+        assert_eq!(seq.result, CecResult::Equivalent, "{} vs {}", a.name(), b.name());
+        assert!(!seq.exhaustive && seq.internal_proofs > 0, "the SAT sweep must run");
+        assert_eq!(
+            format!("{seq:?}"),
+            format!("{:?}", run(2)),
+            "{} vs {}: sweep report diverged at jobs=2",
+            a.name(),
+            b.name()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -186,40 +226,5 @@ proptest! {
         );
         let report = verify_mapping_report(&g, &par, &lib);
         prop_assert_eq!(report.result, CecResult::Equivalent);
-    }
-
-    /// SAT sweeping proves candidate pairs on cloned solvers without
-    /// changing a single verdict: result, internal proofs and
-    /// refinements are identical at every worker count (exhaustive
-    /// simulation disabled so the SAT path itself is what runs), and
-    /// the *full* report — solver counters included — is reproducible
-    /// run-to-run at each fixed worker count. Raw counters may differ
-    /// *between* worker counts: the sequential sweep reuses one
-    /// incrementally-learning solver, workers prove on clones.
-    #[test]
-    fn prop_parallel_sweep_matches_sequential(
-        script in proptest::collection::vec((0u8..5, 0u16..300, 0u16..300), 20..80),
-    ) {
-        let g = random_aig(7, &script);
-        let o = resyn2rs(&g);
-        let base = SweepOptions { exhaustive_pis: 0, jobs: 1, ..SweepOptions::default() };
-        let seq = check_equivalence_sweeping_report(&g, &o, &base);
-        prop_assert_eq!(seq.result, CecResult::Equivalent);
-        for jobs in [2usize, 5] {
-            let opts = SweepOptions { jobs, ..base };
-            let par = check_equivalence_sweeping_report(&g, &o, &opts);
-            prop_assert_eq!(seq.result, par.result, "verdict diverged at jobs={}", jobs);
-            prop_assert_eq!(
-                (seq.internal_proofs, seq.refinements, seq.exhaustive),
-                (par.internal_proofs, par.refinements, par.exhaustive),
-                "sweep outcome diverged at jobs={}", jobs
-            );
-            let rerun = check_equivalence_sweeping_report(&g, &o, &opts);
-            prop_assert_eq!(
-                format!("{par:?}"),
-                format!("{rerun:?}"),
-                "report not reproducible at jobs={}", jobs
-            );
-        }
     }
 }
