@@ -22,6 +22,12 @@ fn bench_characterization(c: &mut Criterion) {
         let f05 = cntfet_core::GateId::new(43).function().to_tt(6);
         b.iter(|| cntfet_boolfn::npn_canonical(black_box(&f05)))
     });
+    // A DES-chain cut function on which every variable ties on every
+    // cofactor count: the search visits all 64 × 720 transforms.
+    c.bench_function("npn_canonical/6var_all_ties", |b| {
+        let f = cntfet_boolfn::TruthTable::from_bits(6, 0x5a5a_1248_1248_5a5a);
+        b.iter(|| cntfet_boolfn::npn_canonical(black_box(&f)))
+    });
 }
 
 criterion_group! {

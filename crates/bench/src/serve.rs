@@ -155,10 +155,11 @@ impl ServeOutcome {
 }
 
 /// Everything that identifies a service-cache entry: the circuit's
-/// structural fingerprint plus the resolved worker count (the engine
-/// options and the library family are fixed per service instance, so
-/// they need no spot in the key).
-type ServeKey = (u128, usize);
+/// structural fingerprint. The engine options and the library family
+/// are fixed per service instance, and every stage returns the same
+/// result at every worker count, so none of them needs a spot in the
+/// key.
+type ServeKey = u128;
 
 /// A persistent batch synthesis driver: one immutable [`Library`],
 /// warmed rewriting tables, fixed engine options, and a
@@ -222,7 +223,7 @@ impl SynthService {
         if req.limits.cancel.is_cancelled() {
             return ServeOutcome::Cancelled { stage: Stage::Synth };
         }
-        let key: ServeKey = (req.aig.fingerprint(), threadpool::Jobs::resolve(0));
+        let key: ServeKey = req.aig.fingerprint();
         if let Some(stats) = self.cache.get(&key) {
             return ServeOutcome::Done { stats, cached: true, ms: ms_since(t0) };
         }

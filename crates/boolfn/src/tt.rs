@@ -307,18 +307,10 @@ impl TruthTable {
             return self.clone();
         }
         let (u, v) = (u.min(v), u.max(v));
-        // Generic delta-swap over minterms: exchange the bit values of
-        // positions that differ exactly in coordinates u and v.
         let mut t = self.clone();
         if v < 6 {
-            let mu = WORD_VAR_MASKS[u];
-            let mv = WORD_VAR_MASKS[v];
-            let shift = (1u32 << v) - (1u32 << u);
             for w in &mut t.words {
-                let keep = (*w & (mu | !mv)) & (!mu | mv);
-                let up = (*w & (mu & !mv)) << shift;
-                let down = (*w & (!mu & mv)) >> shift;
-                *w = keep | up | down;
+                *w = crate::word::swap_vars(*w, u, v);
             }
         } else {
             // Fall back to an explicit minterm permutation.

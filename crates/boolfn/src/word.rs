@@ -67,6 +67,26 @@ pub fn flip_var(tt: u64, v: usize) -> u64 {
     ((tt & m) >> s) | ((tt & !m) << s)
 }
 
+/// Exchanges variables `u` and `v` of the function (a delta swap of
+/// the minterm pairs that differ in exactly those two coordinates).
+/// The word analogue of [`crate::TruthTable::swap_vars`].
+///
+/// # Panics
+///
+/// Panics if `u` or `v` is `>= MAX_WORD_VARS`.
+pub fn swap_vars(tt: u64, u: usize, v: usize) -> u64 {
+    let (u, v) = (u.min(v), u.max(v));
+    if u == v {
+        return tt;
+    }
+    // Minterms with x_u = 1, x_v = 0 trade places with their partners
+    // `shift` positions up, where x_u = 0, x_v = 1.
+    let low = VAR_MASKS[u] & !VAR_MASKS[v];
+    let shift = (1u32 << v) - (1u32 << u);
+    let delta = ((tt >> shift) ^ tt) & low;
+    tt ^ delta ^ (delta << shift)
+}
+
 /// True iff the function depends on variable `v < MAX_WORD_VARS`.
 pub fn depends_on(tt: u64, v: usize) -> bool {
     let m = VAR_MASKS[v];
@@ -136,7 +156,8 @@ pub fn expand(tt: u64, pos: &[usize], to_nvars: usize) -> u64 {
 /// (`perm` a permutation of `0..perm.len()`, in any order — the
 /// general-permutation counterpart of [`expand`]'s ascending
 /// embedding). Used when a cut's leaves are re-sorted under a new id
-/// order and the stored function word must follow them.
+/// order and the stored function word must follow them, and by NPN
+/// transforms.
 pub fn permute(tt: u64, perm: &[usize]) -> u64 {
     let k = perm.len();
     debug_assert!(k <= MAX_WORD_VARS);
@@ -144,17 +165,23 @@ pub fn permute(tt: u64, perm: &[usize]) -> u64 {
     if perm.iter().enumerate().all(|(i, &p)| i == p) {
         return tt;
     }
-    let mut out = 0u64;
-    for m in 0..(1u64 << k) {
-        let mut to = 0u64;
-        for (i, &p) in perm.iter().enumerate() {
-            to |= (m >> i & 1) << p;
-        }
-        if tt >> m & 1 == 1 {
-            out |= 1 << to;
+    // `at[p]` = source variable now at position `p`, `pos` its
+    // inverse. Each swap moves source variable `i` to its target and
+    // never disturbs the variables placed before it.
+    let mut at = [0, 1, 2, 3, 4, 5];
+    let mut pos = at;
+    let mut w = tt;
+    for (i, &to) in perm.iter().enumerate() {
+        let from = pos[i];
+        if from != to {
+            w = swap_vars(w, from, to);
+            let displaced = at[to];
+            at.swap(from, to);
+            pos[displaced] = from;
+            pos[i] = to;
         }
     }
-    replicate(k, out)
+    replicate(k, w)
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@ use cntfet_aig::{
     check_equivalence_sweeping_report, clear_cec_cache, equivalent, Aig, CecResult, SweepOptions,
 };
 use cntfet_bench::run_suite_with;
+use cntfet_bench::serve::{ServeOutcome, SynthRequest, SynthService};
 use cntfet_circuits::{array_multiplier, cla_adder, ripple_adder, shift_add_multiplier};
 use cntfet_core::{Library, LogicFamily};
 use cntfet_synth::{resyn2rs, Script};
@@ -166,6 +167,32 @@ fn synth_result_cache_jobs_free_key_is_sound() {
     for jobs in [2usize, 4] {
         assert_eq!(seq, run(jobs), "cached synthesis diverged at jobs={jobs}");
     }
+}
+
+/// The service cache keys on the circuit fingerprint alone, so a
+/// request first served at one worker is answered from the cache at
+/// two (unless caching is switched off), with the stats the pipeline
+/// computed.
+#[test]
+fn service_cache_key_ignores_worker_count() {
+    let service = SynthService::new(LogicFamily::TgStatic);
+    let request = SynthRequest::new("mult4", array_multiplier(4));
+    let run = |jobs: usize| {
+        threadpool::Jobs::set(jobs);
+        let outcome = service.run(&request);
+        threadpool::Jobs::set(0);
+        match outcome {
+            ServeOutcome::Done { stats, cached, .. } => (stats, cached),
+            other => panic!("request did not complete at jobs={jobs}: {other:?}"),
+        }
+    };
+    let (cold, cached) = run(1);
+    assert!(!cached, "the first request must run the pipeline");
+    let (warm, cached) = run(2);
+    if cntfet_boolfn::cache::enabled() {
+        assert!(cached, "the jobs=2 request must be answered from the cache");
+    }
+    assert_eq!(cold, warm);
 }
 
 /// SAT sweeping returns the same full [`cntfet_aig::CecReport`] —
