@@ -407,8 +407,8 @@ impl Aig {
     /// The walk is pure id order and never touches the strash table
     /// (whose iteration order is arbitrary), so the fingerprint is
     /// stable across processes, job counts and insertion histories —
-    /// the property the workspace's strash-fingerprint result caches
-    /// rely on to key mapping, synthesis-script and CEC outcomes.
+    /// the property the batch service's result cache relies on to key
+    /// whole requests.
     pub fn fingerprint(&self) -> u128 {
         let mut lo = FpStream { acc: 0x243F_6A88_85A3_08D3, mul: 0xBF58_476D_1CE4_E5B9 };
         let mut hi = FpStream { acc: 0x1319_8A2E_0370_7344, mul: 0xA076_1D64_78BD_642F };

@@ -82,7 +82,6 @@ mod cuts;
 mod edit;
 mod graph;
 pub mod io;
-pub mod rcache;
 mod sim;
 mod sweep;
 
@@ -100,8 +99,7 @@ pub use cuts::{
 };
 pub use edit::EditDelta;
 pub use graph::{Aig, CompactMap, Lit, NodeId};
-pub use rcache::ResultCache;
 pub use sweep::{
-    cec_cache_stats, check_equivalence_sweeping, check_equivalence_sweeping_report,
-    check_equivalence_sweeping_with, clear_cec_cache, SweepOptions,
+    check_equivalence_sweeping, check_equivalence_sweeping_report, check_equivalence_sweeping_with,
+    SweepOptions,
 };

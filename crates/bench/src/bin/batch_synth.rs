@@ -31,6 +31,7 @@
 //! Pass 1 is the cold run; later passes are answered from the result
 //! cache, which is where the warm ≥ 2× cold throughput recorded in
 //! `BENCH_PR9.json` comes from.
+//! The hit/miss counts each pass prints are that service cache's own.
 
 use cntfet_bench::serve::{load_circuit, ServeOutcome, SynthRequest, SynthService};
 use cntfet_core::LogicFamily;
@@ -192,15 +193,15 @@ fn main() {
                 }
             }
         }
-        let agg = service.aggregate_cache_stats();
+        let cache = service.cache_stats();
         println!(
-            "pass {}: {} completed in {:.2}s — {:.1} circuits/sec (caches: {} hits / {} misses)",
+            "pass {}: {} completed in {:.2}s — {:.1} circuits/sec (cache: {} hits / {} misses)",
             pass + 1,
             report.completed(),
             report.elapsed_s,
             report.circuits_per_sec(),
-            agg.hits,
-            agg.misses,
+            cache.hits,
+            cache.misses,
         );
     }
     if !all_ok {

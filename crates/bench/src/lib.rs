@@ -51,49 +51,6 @@ impl Table3Row {
     }
 }
 
-/// Drops every process-wide result cache — synthesis outcomes
-/// ([`cntfet_synth::clear_synth_cache`]), mappings
-/// ([`cntfet_techmap::clear_map_cache`]) and CEC verdicts
-/// ([`cntfet_aig::clear_cec_cache`]) — so the next pipeline run is
-/// cold. Hit/miss counters keep accumulating; the per-thread NPN
-/// canonicalization memo is left alone (its entries are cheap to
-/// recompute and clearing it would not make a run meaningfully
-/// "cold"). Benchmarks call this between timed passes to measure
-/// cold-vs-warm behaviour honestly.
-pub fn clear_result_caches() {
-    cntfet_synth::clear_synth_cache();
-    cntfet_techmap::clear_map_cache();
-    cntfet_aig::clear_cec_cache();
-}
-
-/// Runs the full Table 3 pipeline on one benchmark with default
-/// (balanced) mapper options.
-///
-/// `verify` enables SAT equivalence checking of every mapping (adds
-/// runtime on the large circuits).
-pub fn run_benchmark(b: &Benchmark, verify: bool) -> Table3Row {
-    run_benchmark_with(b, verify, MapOptions::default())
-}
-
-/// [`run_benchmark`] with explicit mapper options — the hook behind
-/// `table3 --objective area|delay`, which reports the two corners of
-/// the multi-objective coverer.
-pub fn run_benchmark_with(b: &Benchmark, verify: bool, opts: MapOptions) -> Table3Row {
-    run_benchmark_full(b, verify, opts, &SynthOptions::default())
-}
-
-/// [`run_benchmark_with`] with explicit synthesis options too — the
-/// hook behind `table3 --synth seed` and `full_repro`'s old-vs-new
-/// synthesis comparison.
-pub fn run_benchmark_full(
-    b: &Benchmark,
-    verify: bool,
-    opts: MapOptions,
-    synth: &SynthOptions,
-) -> Table3Row {
-    run_benchmark_libs(b, verify, opts, synth, &suite_libraries())
-}
-
 /// The three Table 3 libraries, in column order (TG static, TG
 /// pseudo, CMOS). Built once per suite run and shared (immutably)
 /// across all suite workers; `table3 --input` builds them once per
@@ -104,18 +61,6 @@ pub fn suite_libraries() -> [Library; 3] {
         Library::new(LogicFamily::TgPseudo),
         Library::new(LogicFamily::CmosStatic),
     ]
-}
-
-/// [`run_benchmark_full`] against prebuilt libraries — the per-worker
-/// body of the parallel suite.
-fn run_benchmark_libs(
-    b: &Benchmark,
-    verify: bool,
-    opts: MapOptions,
-    synth: &SynthOptions,
-    libs: &[Library; 3],
-) -> Table3Row {
-    run_circuit(b.name, b.function, &b.aig, verify, opts, synth, libs)
 }
 
 /// Runs the full Table 3 pipeline (synth → map × 3 families →
@@ -159,8 +104,10 @@ pub fn run_circuit(
     }
 }
 
-/// Runs the whole suite (all 15 benchmarks). `verify` as in
-/// [`run_benchmark`]; `subset` optionally restricts by name.
+/// Runs the whole suite (all 15 benchmarks) with default (balanced)
+/// mapper options. `verify` enables SAT equivalence checking of every
+/// mapping (adds runtime on the large circuits); `subset` optionally
+/// restricts by name.
 pub fn run_suite(verify: bool, subset: Option<&[&str]>) -> Vec<Table3Row> {
     run_suite_with(verify, subset, MapOptions::default())
 }
@@ -193,7 +140,8 @@ pub fn run_suite_full(
     let libs = suite_libraries();
     let _ = cntfet_boolfn::RwrLibrary::global();
     threadpool::par_map(0, benches.len(), |i| {
-        run_benchmark_libs(&benches[i], verify, opts, synth, &libs)
+        let b = &benches[i];
+        run_circuit(b.name, b.function, &b.aig, verify, opts, synth, &libs)
     })
 }
 

@@ -9,10 +9,11 @@
 //!   [`Library`] once and warms the global [`cntfet_boolfn::RwrLibrary`]
 //!   in its constructor; both are then shared read-only across all
 //!   thread-pool workers of every batch.
-//! * **Request deduplication** — outcomes are memoized in a
-//!   fingerprint-keyed [`ResultCache`] *on top of* the process-wide
-//!   engine caches, so a repeated circuit costs one hash lookup and
-//!   the whole batch reports an honest cold-vs-warm throughput split.
+//! * **Request deduplication** — completed outcomes are memoized
+//!   under the circuit's [`Aig::fingerprint`], so a repeated circuit
+//!   costs one hash lookup and the whole batch reports an honest
+//!   cold-vs-warm throughput split. This is the workspace's only
+//!   whole-result cache: the engines themselves always recompute.
 //! * **Cancellation & admission budgets** — every request carries a
 //!   [`CancelToken`] (checked cooperatively at stage boundaries) and
 //!   an optional AND-count budget rejected before any work; neither
@@ -22,14 +23,17 @@
 //! N input files (via [`load_circuit`]), streams them through
 //! [`SynthService::process_batch`] and reports circuits/sec.
 
-use cntfet_aig::{Aig, IoError, ResultCache};
+use cntfet_aig::{Aig, IoError};
+use cntfet_boolfn::CacheStats;
 use cntfet_core::{Library, LogicFamily};
 use cntfet_synth::{resyn2rs_with, SynthOptions};
 use cntfet_techmap::{map, verify_mapping_report, MapOptions, MapStats};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A shared cancellation flag: clone it, hand one copy to the request
 /// and keep the other; [`CancelToken::cancel`] makes every pipeline
@@ -262,24 +266,12 @@ impl SynthService {
     }
 
     /// Hit/miss counters of the service-level result cache.
-    pub fn cache_stats(&self) -> cntfet_boolfn::CacheStats {
+    pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
-    /// Combined hit/miss counters of the service cache and the three
-    /// process-wide engine caches (synthesis, mapping, CEC) — the
-    /// single figure `perfsnap` and `batch_synth` report.
-    pub fn aggregate_cache_stats(&self) -> cntfet_boolfn::CacheStats {
-        let mut s = self.cache.stats();
-        s.absorb(&cntfet_synth::synth_cache_stats());
-        s.absorb(&cntfet_techmap::map_cache_stats());
-        s.absorb(&cntfet_aig::cec_cache_stats());
-        s
-    }
-
     /// Drops the service-level cache entries (counters keep
-    /// accumulating). The engine caches are separate — see
-    /// [`crate::clear_result_caches`].
+    /// accumulating).
     pub fn clear_cache(&self) {
         self.cache.clear();
     }
@@ -287,6 +279,89 @@ impl SynthService {
 
 fn ms_since(t0: std::time::Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// A bounded, thread-safe memo table from result-determining keys to
+/// cloned outcomes, with `SolverStats`-style hit/miss counters.
+///
+/// When an insertion would exceed the capacity the whole table is
+/// cleared (the same wholesale-eviction idiom as the factoring cache):
+/// the map stays bounded without per-entry bookkeeping, and a
+/// pathological workload degrades to recomputing, never to unbounded
+/// memory.
+///
+/// The table honours the workspace-wide cache policy
+/// ([`cntfet_boolfn::cache::enabled`]): with `CNTFET_NO_CACHE=1` set,
+/// every lookup misses, nothing is stored and nothing is counted, so
+/// cached and uncached runs are bitwise comparable.
+#[derive(Debug)]
+struct ResultCache<K, V> {
+    map: Mutex<HashMap<K, V>>,
+    cap: usize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<K: Eq + Hash, V: Clone> ResultCache<K, V> {
+    /// An empty cache holding at most `cap` entries (`cap ≥ 1`).
+    fn new(cap: usize) -> ResultCache<K, V> {
+        ResultCache {
+            map: Mutex::new(HashMap::new()),
+            cap: cap.max(1),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// Looks `key` up without computing, counting a hit or a miss.
+    /// Always `None` (and uncounted) with caching disabled. Paired
+    /// with [`ResultCache::insert`], so a request abandoned midway
+    /// (cancelled, rejected) never stores a partial outcome.
+    fn get(&self, key: &K) -> Option<V> {
+        if !cntfet_boolfn::cache::enabled() {
+            return None;
+        }
+        let map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
+        match map.get(key) {
+            Some(v) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(v.clone())
+            }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Stores `v` under `key` (no counter effect; no-op with caching
+    /// disabled), clearing the whole table first when it is full.
+    fn insert(&self, key: K, v: V) {
+        if !cntfet_boolfn::cache::enabled() {
+            return;
+        }
+        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
+        if map.len() >= self.cap && !map.contains_key(&key) {
+            map.clear();
+        }
+        map.insert(key, v);
+    }
+
+    /// Hit/miss counters accumulated so far. Monotonic: [`clear`]
+    /// drops entries, never history.
+    ///
+    /// [`clear`]: ResultCache::clear
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Drops every stored entry (counters keep accumulating).
+    fn clear(&self) {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner).clear();
+    }
 }
 
 /// The outcome of one [`SynthService::process_batch`] call.
@@ -385,6 +460,73 @@ mod tests {
 
     fn adder() -> Aig {
         cntfet_circuits::ripple_adder(8)
+    }
+
+    /// The service's lookup pattern: `get`, and on a miss compute and
+    /// `insert`.
+    fn lookup(c: &ResultCache<u64, u64>, key: u64, computed: &mut usize) -> u64 {
+        c.get(&key).unwrap_or_else(|| {
+            *computed += 1;
+            c.insert(key, key * 2);
+            key * 2
+        })
+    }
+
+    #[test]
+    fn result_cache_caches_and_counts() {
+        let c: ResultCache<u64, u64> = ResultCache::new(16);
+        let mut computed = 0;
+        for _ in 0..3 {
+            assert_eq!(lookup(&c, 7, &mut computed), 14);
+        }
+        if cntfet_boolfn::cache::enabled() {
+            assert_eq!(computed, 1);
+            assert_eq!(c.stats(), CacheStats { hits: 2, misses: 1 });
+        } else {
+            assert_eq!(computed, 3);
+            assert_eq!(c.stats(), CacheStats::default());
+        }
+    }
+
+    #[test]
+    fn result_cache_clear_keeps_counters() {
+        let c: ResultCache<u64, u64> = ResultCache::new(16);
+        let mut computed = 0;
+        let _ = lookup(&c, 1, &mut computed);
+        c.clear();
+        let before = c.stats();
+        assert_eq!(lookup(&c, 1, &mut computed), 2);
+        assert_eq!(computed, 2, "a cleared entry must be recomputed");
+        if cntfet_boolfn::cache::enabled() {
+            assert_eq!(c.stats(), CacheStats { hits: 0, misses: before.misses + 1 });
+        }
+    }
+
+    #[test]
+    fn result_cache_get_insert_pair() {
+        let c: ResultCache<u64, u64> = ResultCache::new(4);
+        assert_eq!(c.get(&9), None);
+        c.insert(9, 81);
+        if cntfet_boolfn::cache::enabled() {
+            assert_eq!(c.get(&9), Some(81));
+            assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1 });
+        } else {
+            assert_eq!(c.get(&9), None);
+            assert_eq!(c.stats(), CacheStats::default());
+        }
+    }
+
+    #[test]
+    fn result_cache_capacity_bounds_entries() {
+        let c: ResultCache<u64, u64> = ResultCache::new(4);
+        for k in 0..64 {
+            c.insert(k, k * 2);
+        }
+        let stored = (0..64).filter(|k| c.get(k).is_some()).count();
+        assert!(stored <= 4, "{stored} entries stored under a cap of 4");
+        if cntfet_boolfn::cache::enabled() {
+            assert_eq!(c.get(&63), Some(126), "the newest entry survives eviction");
+        }
     }
 
     #[test]

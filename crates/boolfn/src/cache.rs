@@ -3,12 +3,12 @@
 //! Three caching layers share this module as their single policy
 //! switch: the NPN canonicalization memo ([`crate::CanonCache`]), the
 //! dirty-region incremental cut enumeration in `cntfet-aig`, and the
-//! strash-fingerprint result caches wrapping mapping, synthesis and
-//! CEC. Setting the environment variable `CNTFET_NO_CACHE=1` before
-//! the process starts disables all of them at once — every consumer
-//! falls back to its from-scratch path, which is the escape hatch CI
-//! uses to prove that cached and uncached runs produce bitwise
-//! identical results.
+//! batch service's fingerprint-keyed result cache in `cntfet-bench`.
+//! Setting the environment variable `CNTFET_NO_CACHE=1` before the
+//! process starts disables all of them at once — every consumer falls
+//! back to its from-scratch path, which is the escape hatch CI uses to
+//! prove that cached and uncached runs produce bitwise identical
+//! results.
 //!
 //! The variable is read once per process; changing it afterwards has
 //! no effect (the engines must never observe the policy flipping
@@ -53,15 +53,6 @@ impl CacheStats {
             self.hits as f64 / (self.hits + self.misses) as f64
         }
     }
-
-    /// Accumulates another layer's counters into this one — the same
-    /// aggregation idiom as `SolverStats::absorb`, used to report one
-    /// combined figure across the synthesis, mapping, CEC and service
-    /// caches.
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
 }
 
 #[cfg(test)]
@@ -74,13 +65,6 @@ mod tests {
         assert_eq!(s.lookups(), 4);
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn absorb_accumulates() {
-        let mut a = CacheStats { hits: 3, misses: 1 };
-        a.absorb(&CacheStats { hits: 2, misses: 5 });
-        assert_eq!(a, CacheStats { hits: 5, misses: 6 });
     }
 
     #[test]

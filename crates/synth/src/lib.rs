@@ -84,10 +84,7 @@ pub use balance::{balance_inplace, Balance};
 pub use pass::{AigStats, Pass, PassCtx, PassStats, Script, ScriptReport};
 pub use refactor::{refactor_inplace, Refactor};
 pub use rewrite::{rewrite_inplace, Rewrite};
-pub use script::{
-    clear_synth_cache, quick_opt, quick_opt_with, resyn2rs, resyn2rs_with, synth_cache_stats,
-    SynthEngine, SynthOptions,
-};
+pub use script::{quick_opt, quick_opt_with, resyn2rs, resyn2rs_with, SynthEngine, SynthOptions};
 
 use cntfet_aig::Aig;
 

@@ -61,37 +61,6 @@ impl Default for SynthOptions {
     }
 }
 
-/// Everything that determines a synthesis outcome: the input's
-/// structural fingerprint, the full options and the script kind
-/// (`0` = resyn2rs, `1` = quick). The worker count is deliberately
-/// *not* part of the key: the passes themselves run on the calling
-/// thread, and the cut enumeration and arena updates they shard over
-/// the pool produce bit-identical cut lists at every worker count, so
-/// the synthesized graph is too (asserted by the workspace
-/// `determinism` tests) — one cached result serves every `jobs`
-/// setting.
-type SynthKey = (u128, SynthOptions, u8);
-
-/// The process-wide synthesis result cache: optimized graphs keyed by
-/// [`SynthKey`].
-fn synth_cache() -> &'static cntfet_aig::ResultCache<SynthKey, Aig> {
-    static CACHE: std::sync::OnceLock<cntfet_aig::ResultCache<SynthKey, Aig>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(|| cntfet_aig::ResultCache::new(256))
-}
-
-/// Hit/miss counters of the process-wide synthesis result cache.
-pub fn synth_cache_stats() -> cntfet_boolfn::CacheStats {
-    synth_cache().stats()
-}
-
-/// Drops every entry of the process-wide synthesis result cache
-/// (counters keep accumulating) — used by benchmarks to measure cold
-/// runs.
-pub fn clear_synth_cache() {
-    synth_cache().clear();
-}
-
 /// Runs the `resyn2rs`-flavoured optimization script with default
 /// options (in-place engine, 4 rounds).
 ///
@@ -103,15 +72,11 @@ pub fn resyn2rs(aig: &Aig) -> Aig {
 }
 
 /// [`resyn2rs`] with explicit [`SynthOptions`].
-///
-/// Results are memoized process-wide under the input's structural
-/// fingerprint and the options ([`synth_cache_stats`] reads the
-/// counters; `CNTFET_NO_CACHE=1` disables the memo).
 pub fn resyn2rs_with(aig: &Aig, opts: &SynthOptions) -> Aig {
-    synth_cache().get_or_insert_with((aig.fingerprint(), *opts, 0), || match opts.engine {
+    match opts.engine {
         SynthEngine::Seed => seed::resyn2rs(aig),
         SynthEngine::InPlace => run_rounds(aig, opts, Script::resyn2rs),
-    })
+    }
 }
 
 /// A light script for quick optimization (one balance + rewrite).
@@ -119,13 +84,12 @@ pub fn quick_opt(aig: &Aig) -> Aig {
     quick_opt_with(aig, &SynthOptions { rounds: 1, ..Default::default() })
 }
 
-/// [`quick_opt`] with explicit [`SynthOptions`] (memoized like
-/// [`resyn2rs_with`], under its own script-kind tag).
+/// [`quick_opt`] with explicit [`SynthOptions`].
 pub fn quick_opt_with(aig: &Aig, opts: &SynthOptions) -> Aig {
-    synth_cache().get_or_insert_with((aig.fingerprint(), *opts, 1), || match opts.engine {
+    match opts.engine {
         SynthEngine::Seed => seed::quick_opt(aig),
         SynthEngine::InPlace => run_rounds(aig, opts, Script::quick),
-    })
+    }
 }
 
 /// Round loop with the never-worse guard: keeps the best `(ands,

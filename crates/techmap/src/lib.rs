@@ -91,10 +91,7 @@ mod verify;
 
 pub use cntfet_aig::CutRank;
 pub use check::{check_mapping, MapCheckError};
-pub use mapper::{
-    clear_map_cache, map, map_cache_stats, MapOptions, MapStats, MappedGate, Mapping, Objective,
-    PoBinding, Source,
-};
+pub use mapper::{map, MapOptions, MapStats, MappedGate, Mapping, Objective, PoBinding, Source};
 pub use matcher::{match_is_valid, CellMatch, Matcher};
 pub use power::{estimate_energy, EnergyReport};
 pub use verify::{mapping_to_aig, verify_mapping, verify_mapping_report};

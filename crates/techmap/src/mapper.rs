@@ -26,10 +26,9 @@
 use crate::matcher::Matcher;
 use cntfet_aig::{
     enumerate_cuts_custom, enumerate_cuts_with_jobs, Aig, CutArena, CutParams, CutRank, NodeId,
-    ResultCache,
 };
 use cntfet_boolfn::word;
-use cntfet_core::{Library, LogicFamily};
+use cntfet_core::Library;
 
 /// Where a mapped-gate pin comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +136,7 @@ pub struct MapOptions {
     /// Covering objective.
     pub objective: Objective,
     /// Worker threads of the initial cut enumeration (`0` resolves
-    /// through the workspace [`threadpool::Jobs`] default, `1` forces
+    /// through the workspace `threadpool::Jobs` default, `1` forces
     /// the sequential enumerator). Enumeration shards over a fixed
     /// topological-rank grid, so the mapped result is bit-identical
     /// for every value. Covering and the arrival-aware rounds always
@@ -239,59 +238,13 @@ enum Mode {
     Exact,
 }
 
-/// Everything that determines a mapping outcome: the graph's
-/// structural fingerprint, the library (fully identified by its
-/// [`LogicFamily`] — [`Library::new`] is the only constructor), the
-/// effective option fields and the resolved job count.
-type MapKey = (u128, LogicFamily, usize, usize, usize, usize, CutRank, Objective, usize);
-
-/// The process-wide mapping result cache. The mapper is deterministic
-/// in its [`MapKey`], so a hit returns exactly the [`Mapping`] a
-/// recomputation would produce.
-fn map_cache() -> &'static ResultCache<MapKey, Mapping> {
-    static CACHE: std::sync::OnceLock<ResultCache<MapKey, Mapping>> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| ResultCache::new(512))
-}
-
-/// Hit/miss counters of the process-wide mapping result cache.
-pub fn map_cache_stats() -> cntfet_boolfn::CacheStats {
-    map_cache().stats()
-}
-
-/// Drops every entry of the process-wide mapping result cache
-/// (counters keep accumulating) — used by benchmarks to measure cold
-/// runs.
-pub fn clear_map_cache() {
-    map_cache().clear();
-}
-
 /// Maps an AIG onto a library.
-///
-/// Results are memoized process-wide under the graph's structural
-/// fingerprint, the library family and the effective options
-/// ([`map_cache_stats`] reads the counters; `CNTFET_NO_CACHE=1`
-/// disables the memo).
 ///
 /// # Panics
 ///
 /// Panics if some node cannot be matched (cannot occur with the
 /// built-in libraries: every 2-input cut matches the AND/OR cells).
 pub fn map(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
-    let key = (
-        aig.fingerprint(),
-        library.family(),
-        opts.cut_size.clamp(2, 6),
-        opts.cuts_per_node,
-        opts.area_rounds,
-        opts.delay_rounds,
-        opts.cut_rank,
-        opts.objective,
-        threadpool::Jobs::resolve(opts.jobs),
-    );
-    map_cache().get_or_insert_with(key, || map_uncached(aig, library, opts))
-}
-
-fn map_uncached(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
     let mut matcher = Matcher::new(library);
     let cut_size = opts.cut_size.clamp(2, 6);
     // The first enumeration has no mapped arrivals to rank by, so

@@ -6,9 +6,7 @@
 //! engines built on them. Parallelism is allowed to change wall time
 //! and nothing else.
 
-use cntfet_aig::{
-    check_equivalence_sweeping_report, clear_cec_cache, equivalent, Aig, CecResult, SweepOptions,
-};
+use cntfet_aig::{check_equivalence_sweeping_report, equivalent, Aig, CecResult, SweepOptions};
 use cntfet_bench::run_suite_with;
 use cntfet_bench::serve::{ServeOutcome, SynthRequest, SynthService};
 use cntfet_circuits::{array_multiplier, cla_adder, ripple_adder, shift_add_multiplier};
@@ -73,9 +71,7 @@ fn big_script(len: usize, mut seed: u64) -> Vec<(u8, u16, u16)> {
 /// Synthesis over sharded cut enumeration and sharded arena updates
 /// commits the same replacement sequence at every worker count: the
 /// synthesized graph is bit-identical (stats + structural
-/// fingerprint), and stays equivalent to its source. Drives the
-/// `Script` runner directly so no result cache can short-circuit the
-/// comparison.
+/// fingerprint), and stays equivalent to its source.
 #[test]
 fn synth_identical_across_worker_counts() {
     for seed in [0x5EED_0001u64, 0x5EED_0002] {
@@ -147,17 +143,12 @@ fn cover_identical_across_worker_counts() {
     }
 }
 
-/// The `resyn2rs`/`quick_opt` result cache keys on the graph
-/// fingerprint and options but *not* on the worker count — justified
-/// exactly because synthesis is deterministic across worker counts.
-/// This asserts that justification directly: cold runs (cache cleared
-/// in between) at different worker counts produce identical
-/// fingerprints, so a jobs-free key can never serve a wrong result.
+/// The library's `resyn2rs` round loop, never-worse guard included,
+/// returns the bit-identical graph at one, two and four workers.
 #[test]
-fn synth_result_cache_jobs_free_key_is_sound() {
+fn resyn2rs_identical_across_worker_counts() {
     let g = random_aig(7, &big_script(250, 0xCAFE_F00D));
     let run = |jobs: usize| {
-        cntfet_synth::clear_synth_cache();
         threadpool::Jobs::set(jobs);
         let o = resyn2rs(&g);
         threadpool::Jobs::set(0);
@@ -165,7 +156,7 @@ fn synth_result_cache_jobs_free_key_is_sound() {
     };
     let seq = run(1);
     for jobs in [2usize, 4] {
-        assert_eq!(seq, run(jobs), "cached synthesis diverged at jobs={jobs}");
+        assert_eq!(seq, run(jobs), "resyn2rs diverged at jobs={jobs}");
     }
 }
 
@@ -200,8 +191,7 @@ fn service_cache_key_ignores_worker_count() {
 /// one and at two workers. The ripple/carry-lookahead pair has 17
 /// inputs, so the default options sweep it; the 5-bit multipliers run
 /// the sweep with the exhaustive tier switched off and need
-/// counterexample refinement. The CEC result cache is cleared before
-/// every run so each report is computed, not replayed.
+/// counterexample refinement.
 #[test]
 fn sweep_report_identical_across_worker_counts() {
     let no_exhaustive = SweepOptions { exhaustive_pis: 0, ..SweepOptions::default() };
@@ -212,7 +202,6 @@ fn sweep_report_identical_across_worker_counts() {
     for (a, b, opts) in &cases {
         let run = |jobs: usize| {
             threadpool::Jobs::set(jobs);
-            clear_cec_cache();
             let r = check_equivalence_sweeping_report(a, b, opts);
             threadpool::Jobs::set(0);
             r
