@@ -67,6 +67,11 @@ pub struct CecReport {
     pub refinements: u64,
     /// True when exhaustive simulation decided the check without SAT.
     pub exhaustive: bool,
+    /// True when a structural certificate decided the check without
+    /// simulation or SAT (see `cntfet_techmap::verify_mapping_report`,
+    /// which proves a mapping gate by gate over its cut truth tables).
+    /// Every check in this crate leaves it false.
+    pub certified: bool,
 }
 
 impl CecReport {
@@ -77,6 +82,7 @@ impl CecReport {
             internal_proofs: 0,
             refinements: 0,
             exhaustive: true,
+            certified: false,
         }
     }
 }
@@ -149,6 +155,7 @@ pub fn check_equivalence_report(a: &Aig, b: &Aig) -> CecReport {
                     internal_proofs: 0,
                     refinements: 0,
                     exhaustive: false,
+                    certified: false,
                 };
             }
         }
@@ -191,6 +198,7 @@ pub fn check_equivalence_report(a: &Aig, b: &Aig) -> CecReport {
         internal_proofs: 0,
         refinements: 0,
         exhaustive: false,
+        certified: false,
     }
 }
 

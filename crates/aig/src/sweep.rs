@@ -94,6 +94,7 @@ pub fn check_equivalence_sweeping_report(a: &Aig, b: &Aig, opts: &SweepOptions) 
             internal_proofs: 0,
             refinements: 0,
             exhaustive: true,
+            certified: false,
         };
     }
 
@@ -157,6 +158,7 @@ pub fn check_equivalence_sweeping_report(a: &Aig, b: &Aig, opts: &SweepOptions) 
         internal_proofs,
         refinements,
         exhaustive: false,
+        certified: false,
     }
 }
 

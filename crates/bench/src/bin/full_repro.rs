@@ -11,7 +11,7 @@
 
 use cntfet_aig::{
     check_equivalence_sweeping, enumerate_cuts, enumerate_cuts_with, parse_aiger,
-    write_aiger_ascii, write_aiger_binary, CecResult, CutArena, CutParams, CutRank, NodeId,
+    write_aiger_ascii, write_aiger_binary, Aig, CecResult, CutArena, CutParams, CutRank, NodeId,
 };
 use cntfet_bench::serve::load_circuit;
 use cntfet_bench::{
@@ -22,7 +22,9 @@ use cntfet_circuits::paper_benchmarks;
 use cntfet_core::{characterize_family, enumerate_gates, family_averages, Library, LogicFamily};
 use cntfet_sat::Solver;
 use cntfet_synth::{resyn2rs, SynthOptions};
-use cntfet_techmap::{check_mapping, map, MapOptions, MapStats, Objective};
+use cntfet_techmap::{
+    check_mapping, map, mapping_to_aig, verify_mapping_report, MapOptions, MapStats, Objective,
+};
 
 struct Check {
     what: &'static str,
@@ -104,19 +106,20 @@ fn main() {
         checks.push(Check { what, paper, measured, tolerance_pct: 7.0 });
     }
 
-    // Table 3 + Fig. 6 (with SAT verification).
+    // Table 3 + Fig. 6 (verified).
     println!("running the 15-benchmark synthesis+mapping suite (verified)...");
     let t_suite = std::time::Instant::now();
     let rows = run_suite(true, None);
     let suite_secs = t_suite.elapsed().as_secs_f64();
-    let all_verified = rows.iter().all(|r| r.verified);
-    // Verification-engine cost, so solver regressions show up in repro
-    // runs rather than only in the criterion benches.
-    let (vstats, exhaustive) = suite_verification_stats(&rows);
+    // What decided the checks, and what SAT cost, so solver
+    // regressions show up in repro runs rather than only in the
+    // criterion benches.
+    let (vstats, certified, exhaustive) = suite_verification_stats(&rows);
+    let sat_checks = 3 * rows.len() as u32 - certified - exhaustive;
     println!(
-        "verification: {exhaustive} checks by exhaustive simulation; SAT: \
-         {} conflicts, {} propagations, {} learnts kept, {} restarts, \
-         {} reductions, {} GCs ({suite_secs:.1}s suite)",
+        "verification: {certified} checks by certificate, {exhaustive} by exhaustive \
+         simulation, {sat_checks} by SAT ({} conflicts, {} propagations, {} learnts kept, \
+         {} restarts, {} reductions, {} GCs) ({suite_secs:.1}s suite)",
         vstats.conflicts,
         vstats.propagations,
         vstats.learnts,
@@ -124,9 +127,21 @@ fn main() {
         vstats.reduces,
         vstats.gcs,
     );
+    // The delay-objective engines compared below (single enumeration
+    // vs arrival-aware rounds) are verified too.
+    let with_rounds = |delay_rounds| {
+        run_suite_with(
+            true,
+            None,
+            MapOptions { objective: Objective::Delay, delay_rounds, ..Default::default() },
+        )
+    };
+    let single = with_rounds(0);
+    let iterated = with_rounds(MapOptions::default().delay_rounds);
+    let all_verified = rows.iter().chain(&single).chain(&iterated).all(|r| r.verified);
     let a = suite_averages(&rows);
     checks.push(Check {
-        what: "Table 3: all mappings SAT-equivalent",
+        what: "Table 3: all mappings verified equivalent",
         paper: 1.0,
         measured: all_verified as u8 as f64,
         tolerance_pct: 0.0,
@@ -151,15 +166,6 @@ fn main() {
     // under Objective::Delay the re-enumeration rounds must never
     // lengthen any critical path, and the area they pay is reported.
     println!("\ncomparing delay-objective engines (single enumeration vs arrival-aware)...");
-    let with_rounds = |delay_rounds| {
-        run_suite_with(
-            false,
-            None,
-            MapOptions { objective: Objective::Delay, delay_rounds, ..Default::default() },
-        )
-    };
-    let single = with_rounds(0);
-    let iterated = with_rounds(MapOptions::default().delay_rounds);
     let pick = |r: &cntfet_bench::Table3Row, fam: usize| -> MapStats {
         match fam {
             0 => r.tg_static,
@@ -251,6 +257,10 @@ fn main() {
     // family, and a solver after solving with forced DB reductions.
     println!("\nauditing structural invariants (graph / cuts / cover / solver checkers)...");
     let mut invariant_violations = 0usize;
+    // The same mappings (plus t481 under the delay objective, whose
+    // covers resolve pins through wire aliases) feed the certificate
+    // vs SAT cross-check below.
+    let mut certificate_audit: Vec<(String, Aig, MapOptions)> = Vec::new();
     for b in paper_benchmarks().iter().filter(|b| ["C1908", "add-16", "C6288"].contains(&b.name))
     {
         let opt = resyn2rs(&b.aig);
@@ -271,6 +281,7 @@ fn main() {
                 println!("  VIOLATION {}/{family:?}: cover: {e}", b.name);
             }
         }
+        certificate_audit.push((b.name.to_string(), opt, MapOptions::default()));
     }
     {
         // Pigeonhole (5 into 4): UNSAT with enough conflicts to learn
@@ -303,6 +314,48 @@ fn main() {
         what: "Checkers: structural invariants hold",
         paper: 0.0,
         measured: invariant_violations as f64,
+        tolerance_pct: 0.0,
+    });
+
+    // Mapping certificate vs SAT: SAT sweeping on the rebuilt netlist
+    // stays the independent cross-check of every certified verdict,
+    // and the certificate must decide every mapper cover.
+    println!("\ncross-checking the mapping certificate against SAT CEC...");
+    if let Some(b) = paper_benchmarks().into_iter().find(|b| b.name == "t481") {
+        let delay = MapOptions { objective: Objective::Delay, ..Default::default() };
+        certificate_audit.push(("t481 (delay)".to_string(), resyn2rs(&b.aig), delay));
+    }
+    let (mut mappings, mut disagreements) = (0usize, 0usize);
+    let (mut cert_ms, mut sat_ms) = (0.0f64, 0.0f64);
+    for (name, opt, opts) in &certificate_audit {
+        for family in [LogicFamily::TgStatic, LogicFamily::TgPseudo, LogicFamily::CmosStatic] {
+            let lib = Library::new(family);
+            let m = map(opt, &lib, *opts);
+            let t = std::time::Instant::now();
+            let certified = verify_mapping_report(opt, &m, &lib).certified;
+            cert_ms += t.elapsed().as_secs_f64() * 1e3;
+            let t = std::time::Instant::now();
+            let rebuilt = mapping_to_aig(&m, &lib, opt.num_pis());
+            let sat_equivalent = check_equivalence_sweeping(opt, &rebuilt) == CecResult::Equivalent;
+            sat_ms += t.elapsed().as_secs_f64() * 1e3;
+            mappings += 1;
+            if certified != sat_equivalent {
+                disagreements += 1;
+                println!(
+                    "  DISAGREE {name}/{family:?}: certified {certified}, SAT equivalent \
+                     {sat_equivalent}"
+                );
+            }
+        }
+    }
+    println!(
+        "  {mappings} mappings, {disagreements} disagreements (certificate {cert_ms:.1} ms, \
+         SAT {sat_ms:.0} ms)"
+    );
+    checks.push(Check {
+        what: "Mapping: certificate agrees with SAT CEC",
+        paper: 0.0,
+        measured: disagreements as f64,
         tolerance_pct: 0.0,
     });
 

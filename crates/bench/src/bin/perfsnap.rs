@@ -1,6 +1,7 @@
 //! Performance snapshot: measures the workspace's hot paths —
 //! synthesis (in-place engine vs the seed rebuild engine), technology
-//! mapping, CEC verification, the parallel suite at several worker
+//! mapping, verification (the per-gate mapping certificate vs SAT, and
+//! SAT CEC), the parallel suite at several worker
 //! counts, the incrementality substrate (dirty-region
 //! cut-enumeration updates vs from-scratch re-enumeration), the batch
 //! synthesis service (cold vs warm throughput), synthesis and
@@ -32,7 +33,7 @@ use cntfet_boolfn::{canon_cache_stats, CacheStats};
 use cntfet_circuits::{array_multiplier, c1908_like, cla_adder, ripple_adder, shift_add_multiplier};
 use cntfet_core::{Library, LogicFamily};
 use cntfet_synth::{resyn2rs, resyn2rs_with, SynthEngine, SynthOptions};
-use cntfet_techmap::{map, MapOptions, Objective};
+use cntfet_techmap::{map, mapping_to_aig, verify_mapping_report, MapOptions, Objective};
 use std::time::Instant;
 
 /// Best-of-`n` wall time of `f`, in milliseconds.
@@ -272,6 +273,26 @@ fn main() {
     let cover_scaling_identical = cover1 == cover2 && cover1 == cover4 && cover1 == cover_all;
     assert!(cover_scaling_identical, "covering diverged across worker counts");
 
+    // --- mapping verification: certificate vs SAT ---
+    // The des-like TG-static cover, proven by the per-gate certificate
+    // that `verify_mapping_report` runs first, and by SAT sweeping on
+    // the rebuilt netlist, its fallback. The certificate must decide
+    // and be at least 10x faster.
+    println!("perfsnap: mapping verification (certificate vs SAT) on des-like...");
+    let des_map = map(&des_opt, &lib, MapOptions::default());
+    let verify_des_cert_ms = best_ms(5, || {
+        assert!(verify_mapping_report(&des_opt, &des_map, &lib).certified);
+    });
+    let verify_des_sat_ms = best_ms(3, || {
+        let rebuilt = mapping_to_aig(&des_map, &lib, des_opt.num_pis());
+        let r = check_equivalence_sweeping_report(&des_opt, &rebuilt, &SweepOptions::default());
+        assert_eq!(r.result, CecResult::Equivalent);
+    });
+    assert!(
+        verify_des_cert_ms * 10.0 <= verify_des_sat_ms,
+        "mapping certificate below 10x SAT: {verify_des_cert_ms:.3}ms vs {verify_des_sat_ms:.1}ms"
+    );
+
     // --- batch synthesis service (PR 9): cold vs warm throughput ---
     // The full 15-circuit suite through `SynthService::process_batch`,
     // once on a fresh service (cold — the real pipeline runs) and once
@@ -413,7 +434,9 @@ fn main() {
   }},
   "cec_ms": {{
     "mult8_shift_add_vs_columns_default": {cec_mult8_default_ms:.3},
-    "ripple_vs_cla_32_sweep": {cec_adder32_sweep_ms:.3}
+    "ripple_vs_cla_32_sweep": {cec_adder32_sweep_ms:.3},
+    "des_tg_static_mapping_certificate": {verify_des_cert_ms:.3},
+    "des_tg_static_mapping_sat": {verify_des_sat_ms:.1}
   }}
 }}
 "#,

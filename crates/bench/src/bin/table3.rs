@@ -3,8 +3,9 @@
 //! all 15 benchmarks in the CNTFET static, CNTFET pseudo and CMOS
 //! libraries, including the Average and Improvement rows.
 //!
-//! Every mapping is SAT-verified against the optimized netlist unless
-//! `--fast` is given. `--objective area` / `--objective delay` report
+//! Every mapping is verified against the optimized netlist (by the
+//! per-gate certificate, with SAT as its fallback) unless `--fast` is
+//! given. `--objective area` / `--objective delay` report
 //! the area- and delay-pressed corners of the multi-objective coverer
 //! instead of the default balanced covering; `--delay-rounds N`
 //! overrides the arrival-aware re-enumeration round bound (`0`

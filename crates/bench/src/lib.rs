@@ -30,11 +30,14 @@ pub struct Table3Row {
     pub tg_pseudo: MapStats,
     /// CMOS result.
     pub cmos: MapStats,
-    /// Whether each mapping passed SAT equivalence checking.
+    /// Whether each mapping was proven equivalent to the optimized
+    /// netlist.
     pub verified: bool,
     /// Aggregated SAT-solver statistics of the three verification runs
-    /// (all-zero when `verify` was off or simulation decided alone).
+    /// (all-zero when `verify` was off or no check reached SAT).
     pub sat_stats: SolverStats,
+    /// Verification checks decided by the per-gate mapping certificate.
+    pub certified_checks: u32,
     /// Verification checks decided purely by exhaustive simulation.
     pub exhaustive_checks: u32,
 }
@@ -64,7 +67,7 @@ pub fn suite_libraries() -> [Library; 3] {
 }
 
 /// Runs the full Table 3 pipeline (synth → map × 3 families →
-/// optional CEC) on an arbitrary circuit — the entry point behind
+/// optional verification) on an arbitrary circuit — the entry point behind
 /// `table3 --input` and `full_repro --input`, where the circuit came
 /// from an AIGER or BLIF file instead of the built-in generators.
 pub fn run_circuit(
@@ -80,6 +83,7 @@ pub fn run_circuit(
     let mut stats = Vec::with_capacity(3);
     let mut verified = true;
     let mut sat_stats = SolverStats::default();
+    let mut certified_checks = 0;
     let mut exhaustive_checks = 0;
     for lib in libs {
         let m = map(&optimized, lib, opts);
@@ -87,6 +91,7 @@ pub fn run_circuit(
             let report = verify_mapping_report(&optimized, &m, lib);
             verified &= report.result == cntfet_aig::CecResult::Equivalent;
             sat_stats.absorb(&report.sat_stats);
+            certified_checks += u32::from(report.certified);
             exhaustive_checks += u32::from(report.exhaustive);
         }
         stats.push(m.stats);
@@ -100,13 +105,15 @@ pub fn run_circuit(
         cmos: stats[2],
         verified,
         sat_stats,
+        certified_checks,
         exhaustive_checks,
     }
 }
 
 /// Runs the whole suite (all 15 benchmarks) with default (balanced)
-/// mapper options. `verify` enables SAT equivalence checking of every
-/// mapping (adds runtime on the large circuits); `subset` optionally
+/// mapper options. `verify` checks every mapping with
+/// [`cntfet_techmap::verify_mapping_report`] (the per-gate
+/// certificate, SAT when it cannot decide); `subset` optionally
 /// restricts by name.
 pub fn run_suite(verify: bool, subset: Option<&[&str]>) -> Vec<Table3Row> {
     run_suite_with(verify, subset, MapOptions::default())
@@ -237,16 +244,17 @@ fn avg(rows: &[Table3Row], pick: impl Fn(&Table3Row) -> MapStats) -> (f64, f64, 
 }
 
 /// Aggregates the verification-engine statistics across rows: total
-/// SAT-solver counters and how many checks exhaustive simulation
-/// decided without SAT.
-pub fn suite_verification_stats(rows: &[Table3Row]) -> (SolverStats, u32) {
+/// SAT-solver counters, and how many checks the mapping certificate
+/// and exhaustive simulation decided without SAT, in that order.
+pub fn suite_verification_stats(rows: &[Table3Row]) -> (SolverStats, u32, u32) {
     let mut stats = SolverStats::default();
-    let mut exhaustive = 0;
+    let (mut certified, mut exhaustive) = (0, 0);
     for r in rows {
         stats.absorb(&r.sat_stats);
+        certified += r.certified_checks;
         exhaustive += r.exhaustive_checks;
     }
-    (stats, exhaustive)
+    (stats, certified, exhaustive)
 }
 
 /// Computes suite averages.

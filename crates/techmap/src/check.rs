@@ -182,7 +182,7 @@ pub fn check_mapping(
     let mut area = 0.0f64;
     for (pos, g) in mapping.gates.iter().enumerate() {
         let root = g.root.index() as u32;
-        if !aig.is_and(g.root) {
+        if g.root.index() >= aig.num_nodes() || !aig.is_and(g.root) {
             return Err(MapCheckError::RootNotLive { root });
         }
         if arr.contains_key(&root) {

@@ -25,8 +25,14 @@
 //!   [`MapOptions::cut_size`] — recovery effort and cut budget.
 //!
 //! Every mapping can be certified against its source with
-//! [`verify_mapping`] (or [`verify_mapping_report`], which also
-//! returns verification-engine statistics).
+//! [`verify_mapping`] (or [`verify_mapping_report`], which also says
+//! what decided the check and what it cost). The mapper records each
+//! gate's cut leaves ([`MappedGate::leaves`]) and the wire aliases the
+//! cover resolves through ([`Mapping::wires`]), so the check is a
+//! per-gate truth-table certificate — one ≤6-input comparison per
+//! gate, equivalence by induction over the gates — with SAT sweeping
+//! of the netlist rebuilt by [`mapping_to_aig`] only as the fallback
+//! that yields a counterexample.
 //!
 //! # Examples
 //!

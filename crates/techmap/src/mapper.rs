@@ -51,6 +51,13 @@ pub struct MappedGate {
     pub pins: Vec<(Source, bool)>,
     /// The node value equals the cell function complemented iff set.
     pub out_compl: bool,
+    /// Leaves of the cut the cell was matched on (at most 6 AIG nodes,
+    /// sorted). They can be more than the pins name: the matcher drops
+    /// leaves the cut function does not depend on. A pin's source is
+    /// one of these leaves, possibly reached through wires (see
+    /// [`Mapping::wires`]). [`crate::verify_mapping`] proves the gate
+    /// by comparing truth tables over them.
+    pub leaves: Vec<NodeId>,
 }
 
 /// Binding of a primary output.
@@ -86,6 +93,13 @@ pub struct Mapping {
     pub gates: Vec<MappedGate>,
     /// Primary-output bindings.
     pub pos: Vec<PoBinding>,
+    /// The wire aliases the cover resolves through, in node order: an
+    /// AIG node whose chosen cut computes a single leaf or its
+    /// complement, so pins and outputs that reach it bind to that
+    /// leaf's source instead of a gate. Each entry is the alias node
+    /// and its cut's leaves; [`crate::verify_mapping`] proves each one
+    /// before trusting a binding that goes through it.
+    pub wires: Vec<(NodeId, Vec<NodeId>)>,
     /// Statistics.
     pub stats: MapStats,
 }
@@ -170,6 +184,9 @@ struct Cand {
     pins: Vec<(NodeId, bool)>,
     /// Node = cell output ⊕ out_compl.
     out_compl: bool,
+    /// Position of the matched cut in the node's cut list (saturating;
+    /// [`extract`] copies that cut's leaves into the netlist).
+    cut: u8,
 }
 
 /// Library-dependent constants of one mapping run.
@@ -273,7 +290,7 @@ pub fn map(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
 
     let cands = generate_cands(&ctx, &cuts, &mut matcher);
     let mut sel = run_cover(&ctx, &cands, &opts);
-    let mut best = extract(&ctx, &cands, &sel);
+    let mut best = extract(&ctx, &cuts, &cands, &sel);
     #[cfg(feature = "paranoid")]
     {
         let r = crate::check::check_mapping(aig, &best, library);
@@ -307,7 +324,7 @@ pub fn map(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
         });
         let new_cands = generate_cands(&ctx, &cuts, &mut matcher);
         let new_sel = run_cover(&ctx, &new_cands, &opts);
-        let m = extract(&ctx, &new_cands, &new_sel);
+        let m = extract(&ctx, &cuts, &new_cands, &new_sel);
         #[cfg(feature = "paranoid")]
         {
             let r = crate::check::check_mapping(aig, &m, library);
@@ -349,10 +366,11 @@ fn generate_cands(ctx: &Ctx<'_>, cuts: &CutArena, matcher: &mut Matcher<'_>) -> 
     let mut support: Vec<usize> = Vec::with_capacity(6);
     for id in aig.and_ids() {
         let mut list = Vec::new();
-        for cut in cuts.of(id) {
+        for (pos, cut) in cuts.of(id).enumerate() {
             if cut.size() < 2 {
                 continue;
             }
+            let pos = u8::try_from(pos).unwrap_or(u8::MAX);
             let w = cut.function_word().expect("mapping cuts stay within one word");
             // Compact onto the true support.
             word::support(w, cut.size(), &mut support);
@@ -365,6 +383,7 @@ fn generate_cands(ctx: &Ctx<'_>, cuts: &CutArena, matcher: &mut Matcher<'_>) -> 
                         cell: ALIAS,
                         pins: vec![(cut.leaves()[support[0]], compl)],
                         out_compl: false,
+                        cut: pos,
                     });
                 }
                 k => {
@@ -383,6 +402,7 @@ fn generate_cands(ctx: &Ctx<'_>, cuts: &CutArena, matcher: &mut Matcher<'_>) -> 
                             cell: m.cell,
                             pins,
                             out_compl: m.transform.output_flipped(),
+                            cut: pos,
                         });
                     }
                 }
@@ -806,8 +826,9 @@ fn compute_refs(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel) {
     }
 }
 
-/// Extracts the final cover as a netlist with statistics.
-fn extract(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &Sel) -> Mapping {
+/// Extracts the final cover as a netlist with statistics. `cuts` is
+/// the arena `cands` was generated from.
+fn extract(ctx: &Ctx<'_>, cuts: &CutArena, cands: &[Vec<Cand>], sel: &Sel) -> Mapping {
     let aig = ctx.aig;
     let library = ctx.library;
     let n = aig.num_nodes();
@@ -817,9 +838,7 @@ fn extract(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &Sel) -> Mapping {
     let pi_index: std::collections::HashMap<NodeId, usize> =
         aig.pis().iter().enumerate().map(|(i, &p)| (p, i)).collect();
 
-    let resolve = |node: NodeId,
-                   resolved: &mut Vec<Option<(Source, bool)>>,
-                   needed: &mut Vec<bool>| {
+    let resolve = |node: NodeId, resolved: &mut Vec<Option<(Source, bool)>>| {
         // Iterative resolution following alias chains.
         let mut stack = vec![node];
         while let Some(cur) = stack.pop() {
@@ -844,7 +863,6 @@ fn extract(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &Sel) -> Mapping {
                 }
             } else {
                 resolved[cur.index()] = Some((Source::Node(cur), false));
-                needed[cur.index()] = true;
                 for &(leaf, _) in &c.pins {
                     stack.push(leaf);
                 }
@@ -852,16 +870,21 @@ fn extract(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &Sel) -> Mapping {
         }
     };
 
-    let mut needed = vec![false; n];
     for po in aig.pos() {
         let node = po.node();
         if node != NodeId::CONST {
-            resolve(node, &mut resolved, &mut needed);
+            resolve(node, &mut resolved);
         }
     }
+    let cut_leaves = |id: NodeId, c: &Cand| -> Vec<NodeId> {
+        let cut = cuts.of(id).nth(usize::from(c.cut));
+        cut.map(|cut| cut.leaves().to_vec()).unwrap_or_default()
+    };
 
     // Emit gates in topological order; rewrite pins through aliases.
+    // Every AND node the outputs reach resolved to a gate or a wire.
     let mut gates = Vec::new();
+    let mut wires = Vec::new();
     let mut area = 0.0f64;
     // Track, per physical driver, whether an inverter is consumed
     // (CMOS only): key = Source, value = inverter needed.
@@ -871,10 +894,14 @@ fn extract(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &Sel) -> Mapping {
     let pi_level = vec![0u32; aig.num_pis()];
 
     for id in aig.and_ids() {
-        if !needed[id.index()] {
+        if resolved[id.index()].is_none() {
             continue;
         }
         let c = &cands[id.index()][sel.choice[id.index()]];
+        if c.cell == ALIAS {
+            wires.push((id, cut_leaves(id, c)));
+            continue;
+        }
         let cell = &library.cells()[c.cell];
         let mut pins = Vec::with_capacity(c.pins.len());
         let mut lvl = 0u32;
@@ -899,7 +926,13 @@ fn extract(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &Sel) -> Mapping {
         }
         level[id.index()] = lvl + 1;
         area += cell.area;
-        gates.push(MappedGate { root: id, cell: c.cell, pins, out_compl: c.out_compl });
+        gates.push(MappedGate {
+            root: id,
+            cell: c.cell,
+            pins,
+            out_compl: c.out_compl,
+            leaves: cut_leaves(id, c),
+        });
     }
 
     // Primary outputs.
@@ -941,7 +974,7 @@ fn extract(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &Sel) -> Mapping {
         delay_norm,
         delay_ps: delay_norm * library.tau_ps(),
     };
-    Mapping { gates, pos, stats }
+    Mapping { gates, pos, wires, stats }
 }
 
 /// Hashable key for [`Source`].

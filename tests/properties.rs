@@ -126,6 +126,29 @@ proptest! {
         prop_assert_eq!(verify_mapping(&g, &m, &lib), CecResult::Equivalent);
     }
 
+    /// The per-gate certificate decides every cover the mapper emits
+    /// for a random network under every objective (including the
+    /// delay objective's wire aliases), and a plain SAT miter on the
+    /// rebuilt netlist agrees.
+    #[test]
+    fn prop_mapping_certificate_agrees_with_sat(
+        script in proptest::collection::vec((0u8..6, 0u16..300, 0u16..300), 10..80),
+        family_idx in 0usize..3,
+        objective_idx in 0usize..3
+    ) {
+        let g = random_aig(6, &script);
+        let family = [LogicFamily::TgStatic, LogicFamily::TgPseudo, LogicFamily::CmosStatic][family_idx];
+        let objective =
+            [Objective::Area, Objective::Delay, Objective::Balanced][objective_idx];
+        let lib = Library::new(family);
+        let m = map(&g, &lib, MapOptions { objective, ..Default::default() });
+        let r = cntfet_techmap::verify_mapping_report(&g, &m, &lib);
+        prop_assert!(r.certified, "certificate rejected a {family:?}/{objective:?} cover");
+        prop_assert_eq!(r.result, CecResult::Equivalent);
+        let rebuilt = cntfet_techmap::mapping_to_aig(&m, &lib, g.num_pis());
+        prop_assert!(equivalent(&g, &rebuilt), "SAT refutes a certified cover");
+    }
+
     /// Under Objective::Delay, area recovery must not worsen the
     /// critical path the delay pass established.
     #[test]
