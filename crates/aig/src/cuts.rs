@@ -763,9 +763,10 @@ pub fn enumerate_cuts_with(aig: &Aig, params: CutParams) -> CutArena {
 }
 
 /// [`enumerate_cuts_with`] under an external ranking oracle: `cost` is
-/// called once per surviving (non-dominated, non-unit) cut with the
-/// cut's root, sorted leaves and — when `k ≤ 6` — its function word,
-/// and must return the `(primary, secondary)` ranking cost (smaller is
+/// called once per surviving (non-dominated, non-unit) cut, after all
+/// of the node's merges and in discovery order, with the cut's root,
+/// sorted leaves and — when `k ≤ 6` — its function word, and must
+/// return the `(primary, secondary)` ranking cost (smaller is
 /// better). This is the entry point behind [`CutRank::Arrival`]:
 /// technology mapping re-enumerates cuts between covering passes with
 /// an oracle that resolves each cut against the library's NPN index
@@ -934,15 +935,20 @@ fn compute_node_cuts(
                     s.alive = false;
                 }
             }
-            let cost = coster(id, merged, tt);
-            sc.scuts.push(ScratchCut { off, len, sig, tt, cost, alive: true });
+            sc.scuts.push(ScratchCut { off, len, sig, tt, cost: (0, 0), alive: true });
         }
     }
 
-    // Rank survivors (stable) and keep the best max_cuts - 1.
+    // Cost the survivors in discovery order. Dominance never reads a
+    // cost, so a cut that a later merge kills is never costed.
     sc.order.clear();
+    for (i, s) in sc.scuts.iter_mut().enumerate().filter(|(_, s)| s.alive) {
+        s.cost = coster(id, &sc.sleaves[s.off as usize..(s.off + s.len as u32) as usize], s.tt);
+        sc.order.push(i);
+    }
+
+    // Rank survivors (stable) and keep the best max_cuts - 1.
     let scuts = &sc.scuts;
-    sc.order.extend((0..scuts.len()).filter(|&i| scuts[i].alive));
     sc.order.sort_by_key(|&i| scuts[i].cost);
     sc.order.truncate(max_cuts.saturating_sub(1));
     // The direct fanin-pair cut (the very first merge: unit ×
@@ -1433,6 +1439,29 @@ mod tests {
             if let Some(&first) = costs.first() {
                 assert!(costs[..costs.len() - 1].iter().all(|&c| first <= c));
             }
+        }
+    }
+
+    #[test]
+    fn oracle_costs_only_surviving_cuts() {
+        // n = f0 & (f0 & r) with f0 = p & q. Ranked widest first, f1
+        // lists {p, q, r} before {f0, r}, so at n the merge
+        // {f0, p, q, r} comes before the merge {f0, r} that kills it.
+        let mut kill = Aig::new("kill");
+        let pis = kill.add_pis(3);
+        let f0 = kill.and(pis[0], pis[1]);
+        let f1 = kill.and(f0, pis[2]);
+        let n = kill.and(f0, f1);
+        kill.add_po(n);
+        for (g, k) in [(kill, 6), (reconvergent_aig(), 4)] {
+            // Nothing is truncated, so every survivor is kept.
+            let params = CutParams { k, max_cuts: 1000, rank: CutRank::Arrival };
+            let mut calls = 0usize;
+            let arena = enumerate_cuts_custom(&g, params, |_, leaves, _| {
+                calls += 1;
+                (u32::MAX - leaves.len() as u32, 0)
+            });
+            assert_eq!(calls, arena.num_cuts() - g.num_nodes(), "{}", g.name());
         }
     }
 

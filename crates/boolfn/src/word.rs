@@ -106,31 +106,36 @@ pub fn support(tt: u64, nvars: usize, out: &mut Vec<usize>) {
 
 /// Compacts `tt` onto the (ascending) variable subset `vars`: the
 /// result is a function of `vars.len()` variables where new variable
-/// `i` stands for old variable `vars[i]`. Only meaningful when `tt`
-/// does not depend on any variable outside `vars`.
+/// `i` stands for old variable `vars[i]`, in normal form. Only
+/// meaningful when `tt` does not depend on any variable outside
+/// `vars`.
+///
+/// At most `vars.len()` delta swaps: ascending, each moves `vars[i]`
+/// down to position `i`, which no later swap touches.
 pub fn shrink_to(tt: u64, vars: &[usize]) -> u64 {
     let k = vars.len();
     debug_assert!(k <= MAX_WORD_VARS);
-    if vars.iter().enumerate().all(|(i, &v)| i == v) {
-        return replicate(k, tt);
-    }
-    let mut out = 0u64;
-    for m in 0..(1u64 << k) {
-        let mut full = 0u64;
-        for (i, &v) in vars.iter().enumerate() {
-            full |= (m >> i & 1) << v;
-        }
-        if tt >> full & 1 == 1 {
-            out |= 1 << m;
+    debug_assert!(vars.windows(2).all(|w| w[0] < w[1]));
+    let mut w = tt;
+    for (i, &v) in vars.iter().enumerate() {
+        if v != i {
+            w = swap_vars(w, i, v);
         }
     }
-    replicate(k, out)
+    replicate(k, w)
 }
 
-/// Re-expresses `tt`, a function of `pos.len()` variables, over a
+/// Re-expresses `tt`, a function of `k = pos.len()` variables, over a
 /// wider space of `to_nvars` variables: source variable `i` becomes
 /// target variable `pos[i]` (`pos` strictly ascending). The inverse
-/// direction of [`shrink_to`].
+/// direction of [`shrink_to`]. Only the low `2^k` bits of `tt` are
+/// read, and the result is in normal form over `to_nvars`; when `pos`
+/// fills the whole space, `tt` comes back unchanged.
+///
+/// The input is put in normal form over `k` variables, then at most
+/// `k` delta swaps follow: descending, each moves source variable `i`
+/// up onto `pos[i]`, which by then holds a variable the word does not
+/// depend on.
 pub fn expand(tt: u64, pos: &[usize], to_nvars: usize) -> u64 {
     debug_assert!(to_nvars <= MAX_WORD_VARS);
     debug_assert!(pos.windows(2).all(|w| w[0] < w[1]));
@@ -138,17 +143,13 @@ pub fn expand(tt: u64, pos: &[usize], to_nvars: usize) -> u64 {
         // Ascending positions filling the whole space ⇒ identity.
         return tt;
     }
-    let mut out = 0u64;
-    for m in 0..(1u64 << to_nvars) {
-        let mut sub = 0u64;
-        for (i, &p) in pos.iter().enumerate() {
-            sub |= (m >> p & 1) << i;
-        }
-        if tt >> sub & 1 == 1 {
-            out |= 1 << m;
+    let mut w = replicate(pos.len(), tt);
+    for (i, &p) in pos.iter().enumerate().rev() {
+        if p != i {
+            w = swap_vars(w, i, p);
         }
     }
-    replicate(to_nvars, out)
+    w
 }
 
 /// Reorders the variables of `tt`, a function of `perm.len()`
@@ -244,6 +245,85 @@ mod tests {
         let small = shrink_to(f, &[1, 3]);
         assert_eq!(small, replicate(2, var_word(0) ^ var_word(1)));
         assert_eq!(expand(small, &[1, 3], 4), f);
+    }
+
+    /// The bit-serial `shrink_to` the delta swaps replaced: every
+    /// minterm of the result reads its source bit through a loop over
+    /// the variables.
+    fn shrink_to_reference(tt: u64, vars: &[usize]) -> u64 {
+        let k = vars.len();
+        if vars.iter().enumerate().all(|(i, &v)| i == v) {
+            return replicate(k, tt);
+        }
+        let mut out = 0u64;
+        for m in 0..(1u64 << k) {
+            let mut full = 0u64;
+            for (i, &v) in vars.iter().enumerate() {
+                full |= (m >> i & 1) << v;
+            }
+            if tt >> full & 1 == 1 {
+                out |= 1 << m;
+            }
+        }
+        replicate(k, out)
+    }
+
+    /// The bit-serial `expand` the delta swaps replaced.
+    fn expand_reference(tt: u64, pos: &[usize], to_nvars: usize) -> u64 {
+        if pos.len() == to_nvars {
+            return tt;
+        }
+        let mut out = 0u64;
+        for m in 0..(1u64 << to_nvars) {
+            let mut sub = 0u64;
+            for (i, &p) in pos.iter().enumerate() {
+                sub |= (m >> p & 1) << i;
+            }
+            if tt >> sub & 1 == 1 {
+                out |= 1 << m;
+            }
+        }
+        replicate(to_nvars, out)
+    }
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    #[test]
+    fn delta_swap_kernels_match_bit_serial_reference() {
+        // Every ascending position set of every arity: all words of up
+        // to 3 variables, 500 random normalized words above that.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for n in 0..=MAX_WORD_VARS {
+            for set in 0u32..(1 << n) {
+                let pos: Vec<usize> = (0..n).filter(|&v| set >> v & 1 == 1).collect();
+                let k = pos.len();
+                let words: Vec<u64> = if k <= 3 {
+                    (0..1u64 << (1u32 << k)).map(|bits| replicate(k, bits)).collect()
+                } else {
+                    (0..500).map(|_| replicate(k, xorshift(&mut x))).collect()
+                };
+                for f in words {
+                    let wide = expand(f, &pos, n);
+                    assert_eq!(wide, expand_reference(f, &pos, n), "expand({f:#x}, {pos:?}, {n})");
+                    assert_eq!(shrink_to(wide, &pos), f, "round trip of {f:#x} via {pos:?}");
+                    assert_eq!(shrink_to(wide, &pos), shrink_to_reference(wide, &pos));
+                    // Unnormalized input: only the low 2^k bits count,
+                    // unless `pos` is the identity and the word passes
+                    // through unchanged — in both versions.
+                    let raw = xorshift(&mut x);
+                    assert_eq!(
+                        expand(raw, &pos, n),
+                        expand_reference(raw, &pos, n),
+                        "expand({raw:#x}, {pos:?}, {n})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

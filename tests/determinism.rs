@@ -6,10 +6,15 @@
 //! engines built on them. Parallelism is allowed to change wall time
 //! and nothing else.
 
-use cntfet_aig::{check_equivalence_sweeping_report, equivalent, Aig, CecResult, SweepOptions};
+use cntfet_aig::{
+    check_equivalence_sweeping_report, enumerate_cuts_custom, enumerate_cuts_with_jobs,
+    equivalent, Aig, CecResult, CutArena, CutParams, CutRank, SweepOptions,
+};
 use cntfet_bench::run_suite_with;
 use cntfet_bench::serve::{ServeOutcome, SynthRequest, SynthService};
-use cntfet_circuits::{array_multiplier, cla_adder, ripple_adder, shift_add_multiplier};
+use cntfet_circuits::{
+    array_multiplier, cla_adder, paper_benchmarks, ripple_adder, shift_add_multiplier,
+};
 use cntfet_core::{Library, LogicFamily};
 use cntfet_synth::{resyn2rs, Script};
 use cntfet_techmap::{map, verify_mapping_report, MapOptions, Objective};
@@ -54,6 +59,59 @@ fn suite_report_identical_across_worker_counts() {
     for jobs in [2, 4] {
         assert_eq!(sequential, run(jobs), "suite report diverged at jobs={jobs}");
     }
+}
+
+/// One SplitMix64 finalizer step folding `x` into the digest `h`.
+fn mix(h: u64, x: u64) -> u64 {
+    let mut z = (h ^ x).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Folds every node's cut list — leaves, function word and rank cost,
+/// in list order — into `h`.
+fn fold_cut_lists(mut h: u64, g: &Aig, arena: &CutArena) -> u64 {
+    for id in g.node_ids() {
+        let cuts = arena.of(id);
+        h = mix(h, cuts.len() as u64);
+        for cut in cuts {
+            h = mix(h, cut.size() as u64);
+            for l in cut.leaves() {
+                h = mix(h, l.index() as u64);
+            }
+            let (primary, secondary) = cut.rank_cost();
+            h = mix(h, cut.function_word().unwrap_or(0));
+            h = mix(h, u64::from(primary) << 32 | u64::from(secondary));
+        }
+    }
+    h
+}
+
+/// Every per-node cut list of the 15 suite circuits is pinned by one
+/// digest: under the size and depth ranks at k = 6, the size rank at
+/// k = 4, and an external oracle that ranks on the function word. The
+/// builtin ranks enumerate at the default worker count, so a run with
+/// `CNTFET_JOBS=2` pins the sharded enumerator to the same lists. Cut
+/// lists decide covers, Table 3 and the rewriting candidates; the
+/// digest changes only together with them.
+#[test]
+fn cut_lists_are_pinned() {
+    let size6 = CutParams { k: 6, max_cuts: 10, rank: CutRank::Size };
+    let depth6 = CutParams { rank: CutRank::Depth, ..size6 };
+    let size4 = CutParams { k: 4, max_cuts: 8, rank: CutRank::Size };
+    let arrival6 = CutParams { rank: CutRank::Arrival, ..size6 };
+    let mut h = 0u64;
+    for b in paper_benchmarks() {
+        for params in [size6, depth6, size4] {
+            h = fold_cut_lists(h, &b.aig, &enumerate_cuts_with_jobs(&b.aig, params, 0));
+        }
+        let by_word = enumerate_cuts_custom(&b.aig, arrival6, |_, leaves, tt| {
+            (tt.count_ones(), leaves.len() as u32)
+        });
+        h = fold_cut_lists(h, &b.aig, &by_word);
+    }
+    assert_eq!(h, 0x7fa1_ffc1_e96c_89f7, "a cut list changed");
 }
 
 /// A deterministic pseudo-random op script for the larger determinism
