@@ -88,12 +88,11 @@ impl CecReport {
 }
 
 /// Decides equivalence of two narrow-input networks by complete
-/// simulation (sharded over the global [`threadpool::Jobs`] budget).
-/// Returns the first differing output (scanning in output order) with
-/// a distinguishing assignment.
+/// simulation. Returns the first differing output (scanning in output
+/// order) with a distinguishing assignment.
 pub(crate) fn exhaustive_cec(a: &Aig, b: &Aig) -> CecResult {
-    let ma = SimMatrix::exhaustive_jobs(a, 0);
-    let mb = SimMatrix::exhaustive_jobs(b, 0);
+    let ma = SimMatrix::exhaustive(a);
+    let mb = SimMatrix::exhaustive(b);
     for (o, (&la, &lb)) in a.pos().iter().zip(b.pos().iter()).enumerate() {
         for w in 0..ma.words() {
             let d = ma.lit_word(la, w) ^ mb.lit_word(lb, w);

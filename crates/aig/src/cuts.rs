@@ -14,7 +14,6 @@
 use crate::edit::EditDelta;
 use crate::graph::{Aig, NodeId};
 use cntfet_boolfn::{word, TruthTable};
-use std::sync::{Mutex, PoisonError, RwLock};
 
 /// Cost used to rank a node's cuts before truncating to the priority
 /// list. Smaller is better; ranking is stable, so ties keep discovery
@@ -216,158 +215,6 @@ impl CutArena {
             }
             changed[i] = true;
             self.splice(id, &tmp_cuts, &tmp_leaves);
-        }
-    }
-
-    /// [`CutArena::update`] with the per-level recomputation sharded
-    /// across `jobs` worker threads (`0` resolves through
-    /// [`threadpool::Jobs`]; `1` is exactly the sequential engine).
-    ///
-    /// Dirty nodes are grouped by topological level; within a level no
-    /// node's cuts depend on another's, so workers recompute disjoint
-    /// chunks against the shared arena and the caller compares and
-    /// splices the results back in ascending node order — the same
-    /// guarantee shape as [`enumerate_cuts_with_jobs`]: per-node cut
-    /// lists are identical to the sequential engine's (and therefore
-    /// to from-scratch enumeration) for any job count. Falls back to
-    /// the sequential engine when the edited graph is no longer
-    /// topological in id order.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`CutArena::update`].
-    pub fn update_jobs(&mut self, aig: &Aig, delta: &EditDelta, params: CutParams, jobs: usize) {
-        assert!(
-            params.rank != CutRank::Arrival,
-            "CutRank::Arrival needs a cost oracle; incremental update supports builtin ranks"
-        );
-        let jobs = threadpool::Jobs::resolve(jobs);
-        if jobs <= 1 || !cntfet_boolfn::cache::enabled() {
-            return self.update(aig, delta, params);
-        }
-        let n = aig.num_nodes();
-
-        // Rank nodes so every AND sits strictly above both fanins; the
-        // level shards below only run nodes of equal rank concurrently.
-        // An edited graph may reference later-appended fanins — fall
-        // back to the sequential engine then (it emulates the
-        // from-scratch empty-span convention those graphs need).
-        let mut rank = vec![0u32; n];
-        for id in aig.node_ids() {
-            if !aig.is_and(id) {
-                continue;
-            }
-            let (f0, f1) = aig.fanins(id);
-            let (i0, i1) = (f0.node().index(), f1.node().index());
-            if i0 >= id.index() || i1 >= id.index() {
-                return self.update(aig, delta, params);
-            }
-            rank[id.index()] = 1 + rank[i0].max(rank[i1]);
-        }
-        self.update_prepare(aig, delta, params);
-        let levels = match params.rank {
-            CutRank::Depth => aig.levels(),
-            _ => Vec::new(),
-        };
-        let mut seed = vec![false; n];
-        for d in delta.dirty() {
-            seed[d.index()] = true;
-        }
-        let mut changed = vec![false; n];
-
-        // (rank, id)-sorted node list; each rank is one contiguous
-        // segment and ids stay ascending inside it.
-        let mut sorted: Vec<NodeId> = aig.node_ids().collect();
-        sorted.sort_by_key(|id| (rank[id.index()], id.index()));
-        let mut segments: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut seg_start = 0;
-        for i in 1..=sorted.len() {
-            if i == sorted.len() || rank[sorted[i].index()] != rank[sorted[seg_start].index()] {
-                segments.push(seg_start..i);
-                seg_start = i;
-            }
-        }
-
-        let rank_kind = params.rank;
-        let levels_ref = &levels;
-        let make_coster = move || {
-            move |_root: NodeId, leaves: &[NodeId], _tt: u64| match rank_kind {
-                CutRank::Size => (leaves.len() as u32, 0),
-                CutRank::Depth => {
-                    let depth = leaves.iter().map(|l| levels_ref[l.index()]).max().unwrap_or(0);
-                    (depth, leaves.len() as u32)
-                }
-                CutRank::Arrival => unreachable!(),
-            }
-        };
-
-        for seg in &segments {
-            let cand: Vec<NodeId> = sorted[seg.clone()]
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    seed[id.index()]
-                        || (aig.is_and(id) && {
-                            let (f0, f1) = aig.fanins(id);
-                            changed[f0.node().index()] || changed[f1.node().index()]
-                        })
-                })
-                .collect();
-            if cand.is_empty() {
-                continue;
-            }
-            let outbox: Mutex<Vec<(usize, NodeRes)>> = Mutex::new(Vec::new());
-            {
-                let arena = &*self;
-                let (cand, outbox, make_coster) = (&cand, &outbox, &make_coster);
-                threadpool::scope(jobs, |s| {
-                    for r in threadpool::split_even(cand.len(), jobs) {
-                        if r.is_empty() {
-                            continue;
-                        }
-                        let base = r.start;
-                        let ids = &cand[r];
-                        s.spawn(move || {
-                            let mut coster = make_coster();
-                            let mut sc = NodeScratch::default();
-                            let mut local: Vec<(usize, NodeRes)> = Vec::new();
-                            for (di, &id) in ids.iter().enumerate() {
-                                if !aig.is_and(id) {
-                                    continue;
-                                }
-                                compute_node_cuts(
-                                    arena,
-                                    aig,
-                                    id,
-                                    params.max_cuts,
-                                    &mut coster,
-                                    &mut sc,
-                                );
-                                let (mut leaves, mut cuts) = (Vec::new(), Vec::new());
-                                rebase_scratch(&sc, &mut leaves, &mut cuts);
-                                local.push((base + di, NodeRes { leaves, cuts }));
-                            }
-                            outbox.lock().unwrap_or_else(PoisonError::into_inner).extend(local);
-                        });
-                    }
-                });
-            }
-            // Compare and splice in ascending node order — the only
-            // arena mutation, after every worker has finished reading.
-            let mut batch = outbox.into_inner().unwrap_or_else(PoisonError::into_inner);
-            batch.sort_by_key(|(p, _)| *p);
-            let mut results = batch.into_iter().peekable();
-            for (pos, &id) in cand.iter().enumerate() {
-                let (cuts, leaves) = match results.next_if(|&(p, _)| p == pos) {
-                    Some((_, res)) => (res.cuts, res.leaves),
-                    None => (Vec::new(), Vec::new()),
-                };
-                if self.stored_equals(id, &cuts, &leaves) {
-                    continue;
-                }
-                changed[id.index()] = true;
-                self.splice(id, &cuts, &leaves);
-            }
         }
     }
 
@@ -787,54 +634,26 @@ where
     enumerate_impl(aig, params, &mut cost)
 }
 
-/// [`enumerate_cuts_with`] sharded across `jobs` worker threads (`0`
-/// resolves through [`threadpool::Jobs`]; `1` is exactly the
-/// sequential engine).
+/// [`enumerate_cuts_with`]; the worker count is ignored.
 ///
-/// Nodes are grouped by topological level; within a level no node's
-/// cuts depend on another's, so workers enumerate disjoint node chunks
-/// against a read-locked snapshot of the arena and the caller splices
-/// the results back in ascending node order. Every node's cut list —
-/// leaves, functions, costs, rank order — is identical to the
-/// sequential engine's for any job count, so consumers (mapping,
-/// rewriting) produce the same result either way; only the arena's
-/// internal storage order may differ.
+/// Cut enumeration runs on the calling thread only. This forwarder and
+/// its worker-count argument stay only until the benchmark under
+/// `flowbench/` stops calling it; new code calls
+/// [`enumerate_cuts_with`].
 ///
 /// # Panics
 ///
 /// Same contract as [`enumerate_cuts_with`].
-pub fn enumerate_cuts_with_jobs(aig: &Aig, params: CutParams, jobs: usize) -> CutArena {
-    assert!(
-        params.rank != CutRank::Arrival,
-        "CutRank::Arrival needs a cost oracle; use enumerate_cuts_custom"
-    );
-    let jobs = threadpool::Jobs::resolve(jobs);
-    if jobs <= 1 {
-        return enumerate_cuts_with(aig, params);
-    }
-    let levels = match params.rank {
-        CutRank::Depth => aig.levels(),
-        _ => Vec::new(),
-    };
-    let (levels, rank) = (&levels, params.rank);
-    enumerate_impl_par(aig, params, jobs, &move || {
-        move |_root: NodeId, leaves: &[NodeId], _tt: u64| match rank {
-            CutRank::Size => (leaves.len() as u32, 0),
-            CutRank::Depth => {
-                let depth = leaves.iter().map(|l| levels[l.index()]).max().unwrap_or(0);
-                (depth, leaves.len() as u32)
-            }
-            CutRank::Arrival => unreachable!(),
-        }
-    })
+pub fn enumerate_cuts_with_jobs(aig: &Aig, params: CutParams, _jobs: usize) -> CutArena {
+    enumerate_cuts_with(aig, params)
 }
 
 /// A cut-ranking oracle: `(root, sorted leaves, function word) →
 /// (primary, secondary)` cost, smaller is better.
 type CutCost<'a> = dyn FnMut(NodeId, &[NodeId], u64) -> (u32, u32) + 'a;
 
-/// Node-local scratch recycled across the nodes one enumeration worker
-/// processes.
+/// Node-local scratch recycled across the nodes of one enumeration
+/// pass.
 #[derive(Default)]
 struct NodeScratch {
     /// Shared leaf buffer the scratch cuts slice into.
@@ -862,9 +681,9 @@ fn fresh_arena(aig: &Aig, k: usize, max_cuts: usize) -> CutArena {
 
 /// Computes the ranked non-unit cuts of AND node `id` from its fanins'
 /// cut lists in `arena`, leaving the winners in `sc.order` (indices
-/// into `sc.scuts`, rank order). Reads the arena only — callers splice
-/// the results in themselves, which is what lets level-sharded workers
-/// run this concurrently against a shared arena snapshot.
+/// into `sc.scuts`, rank order). Reads the arena only — callers store
+/// the results themselves: the from-scratch pass appends them, and
+/// [`CutArena::update`] first compares them with the stored list.
 fn compute_node_cuts(
     arena: &CutArena,
     aig: &Aig,
@@ -1013,129 +832,6 @@ fn enumerate_impl(aig: &Aig, params: CutParams, coster: &mut CutCost<'_>) -> Cut
         emit_node(&mut arena, id, &sc);
     }
     arena
-}
-
-/// One node's kept cuts as computed by a parallel worker: leaf slices
-/// rebased into a node-local buffer so the caller can splice them into
-/// the shared arena in deterministic (ascending node) order.
-struct NodeRes {
-    leaves: Vec<NodeId>,
-    cuts: Vec<CutData>,
-}
-
-fn enumerate_impl_par<C, F>(aig: &Aig, params: CutParams, jobs: usize, make_coster: &C) -> CutArena
-where
-    C: Fn() -> F + Sync,
-    F: FnMut(NodeId, &[NodeId], u64) -> (u32, u32),
-{
-    let CutParams { k, max_cuts, .. } = params;
-    assert!(k >= 2, "cut size must be at least 2");
-    let n = aig.num_nodes();
-
-    // Rank nodes so every AND sits strictly above both fanins; the
-    // level shards below only run nodes of equal rank concurrently.
-    // The one-pass computation needs fanin ids below the node id (true
-    // for every strash-built graph); fall back to the sequential
-    // engine if an imported graph violates it.
-    let mut rank = vec![0u32; n];
-    for id in aig.node_ids() {
-        if !aig.is_and(id) {
-            continue;
-        }
-        let (f0, f1) = aig.fanins(id);
-        let (i0, i1) = (f0.node().index(), f1.node().index());
-        if i0 >= id.index() || i1 >= id.index() {
-            let mut coster = make_coster();
-            return enumerate_impl(aig, params, &mut coster);
-        }
-        rank[id.index()] = 1 + rank[i0].max(rank[i1]);
-    }
-
-    // (rank, id)-sorted node list; each rank is one contiguous segment
-    // and ids stay ascending inside it, fixing the emission order.
-    let mut sorted: Vec<NodeId> = aig.node_ids().collect();
-    sorted.sort_by_key(|id| (rank[id.index()], id.index()));
-    let mut segments: Vec<std::ops::Range<usize>> = Vec::new();
-    let mut seg_start = 0;
-    for i in 1..=sorted.len() {
-        if i == sorted.len() || rank[sorted[i].index()] != rank[sorted[seg_start].index()] {
-            segments.push(seg_start..i);
-            seg_start = i;
-        }
-    }
-
-    let shared_lock = RwLock::new(fresh_arena(aig, k, max_cuts));
-    let outbox_store: Mutex<Vec<(usize, NodeRes)>> = Mutex::new(Vec::new());
-    let (sorted, shared, outbox) = (&sorted, &shared_lock, &outbox_store);
-    threadpool::scope(jobs, |s| {
-        for seg in &segments {
-            for r in threadpool::split_even(seg.len(), jobs) {
-                if r.is_empty() {
-                    continue;
-                }
-                let base = seg.start + r.start;
-                let ids = &sorted[base..seg.start + r.end];
-                s.spawn(move || {
-                    let guard = shared.read().unwrap_or_else(PoisonError::into_inner);
-                    let arena = &*guard;
-                    let mut coster = make_coster();
-                    let mut sc = NodeScratch::default();
-                    let mut local: Vec<(usize, NodeRes)> = Vec::new();
-                    for (di, &id) in ids.iter().enumerate() {
-                        if !aig.is_and(id) {
-                            continue;
-                        }
-                        compute_node_cuts(arena, aig, id, max_cuts, &mut coster, &mut sc);
-                        let mut leaves = Vec::new();
-                        let mut cuts = Vec::with_capacity(sc.order.len());
-                        for &i in &sc.order {
-                            let s = sc.scuts[i];
-                            let off = leaves.len() as u32;
-                            leaves.extend_from_slice(
-                                &sc.sleaves[s.off as usize..(s.off + s.len as u32) as usize],
-                            );
-                            cuts.push(CutData {
-                                off,
-                                len: s.len,
-                                sig: s.sig,
-                                tt: s.tt,
-                                cost: s.cost,
-                            });
-                        }
-                        local.push((base + di, NodeRes { leaves, cuts }));
-                    }
-                    drop(guard);
-                    outbox.lock().unwrap_or_else(PoisonError::into_inner).extend(local);
-                });
-            }
-            s.wait();
-
-            // Splice the level back in ascending node order — the only
-            // arena mutation, done on the calling thread while no
-            // worker holds the read lock.
-            let mut batch =
-                std::mem::take(&mut *outbox.lock().unwrap_or_else(PoisonError::into_inner));
-            batch.sort_by_key(|(p, _)| *p);
-            let mut results = batch.into_iter().peekable();
-            let mut arena = shared.write().unwrap_or_else(PoisonError::into_inner);
-            for pos in seg.clone() {
-                let id = sorted[pos];
-                let start = arena.cuts.len() as u32;
-                push_unit(&mut arena, id);
-                if let Some((_, res)) = results.next_if(|&(p, _)| p == pos) {
-                    for c in &res.cuts {
-                        let off = arena.leaves.len() as u32;
-                        arena.leaves.extend_from_slice(
-                            &res.leaves[c.off as usize..(c.off + c.len as u32) as usize],
-                        );
-                        arena.cuts.push(CutData { off, ..*c });
-                    }
-                }
-                arena.spans[id.index()] = (start, arena.cuts.len() as u32);
-            }
-        }
-    });
-    shared_lock.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn flip(c: bool) -> u64 {
@@ -1465,8 +1161,8 @@ mod tests {
         }
     }
 
-    /// A reconvergent multi-level circuit wide enough that level
-    /// shards actually split across several workers.
+    /// A reconvergent multi-level circuit: every carry feeds both the
+    /// next sum and the next carry.
     fn reconvergent_aig() -> Aig {
         let mut g = Aig::new("reconv");
         let pis = g.add_pis(10);
@@ -1498,19 +1194,6 @@ mod tests {
                 .map(|c| (c.leaves().to_vec(), c.function_word(), c.rank_cost()))
                 .collect();
             assert_eq!(ca, cb, "cut lists diverge at node {id:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_enumeration_matches_sequential_per_node() {
-        let g = reconvergent_aig();
-        for rank in [CutRank::Size, CutRank::Depth] {
-            let params = CutParams { k: 4, max_cuts: 6, rank };
-            let seq = enumerate_cuts_with(&g, params);
-            for jobs in [2, 3, 7] {
-                let par = enumerate_cuts_with_jobs(&g, params, jobs);
-                assert_same_per_node(&g, &seq, &par);
-            }
         }
     }
 
@@ -1583,10 +1266,10 @@ mod tests {
     }
 
     #[test]
-    fn update_jobs_matches_scratch_on_topological_edit() {
+    fn update_matches_scratch_on_topological_edit() {
         // Replacing by an already-present lower-id node keeps the
-        // graph topological in id order, so the sharded path runs
-        // (rather than falling back to the sequential engine).
+        // graph topological in id order: no fanin reads as an empty
+        // list, unlike the re-association edits above.
         let params = CutParams { k: 4, max_cuts: 6, rank: CutRank::Size };
         let mut g = Aig::new("t");
         let p = g.add_pis(3);
@@ -1596,16 +1279,12 @@ mod tests {
         let top2 = g.and(a2, p[2]);
         g.add_po(top1);
         g.add_po(top2);
-        let pre = enumerate_cuts_with(&g, params);
+        let mut arena = enumerate_cuts_with(&g, params);
         g.begin_edit();
         g.replace_node(a2.node(), a1);
         let delta = g.end_edit();
-        let scratch = enumerate_cuts_with(&g, params);
-        for jobs in [1, 2, 4] {
-            let mut arena = pre.clone();
-            arena.update_jobs(&g, &delta, params, jobs);
-            assert_same_per_node(&g, &scratch, &arena);
-        }
+        arena.update(&g, &delta, params);
+        assert_same_per_node(&g, &enumerate_cuts_with(&g, params), &arena);
     }
 
     #[test]
@@ -1613,11 +1292,11 @@ mod tests {
         // Several re-associations in one session over a reconvergent
         // graph: cascades may merge or kill nodes collected earlier,
         // and the delta must still drive the arena to the from-scratch
-        // fixpoint — sequentially and sharded.
+        // fixpoint.
         for rank in [CutRank::Size, CutRank::Depth] {
             let params = CutParams { k: 4, max_cuts: 6, rank };
             let mut g = reconvergent_aig();
-            let pre = enumerate_cuts_with(&g, params);
+            let mut arena = enumerate_cuts_with(&g, params);
             g.begin_edit();
             let ands: Vec<NodeId> = g.and_ids().collect();
             let mut done = 0;
@@ -1641,15 +1320,8 @@ mod tests {
             }
             assert!(done > 0, "expected at least one re-association");
             let delta = g.end_edit();
-            let scratch = enumerate_cuts_with(&g, params);
-            let mut seq = pre.clone();
-            seq.update(&g, &delta, params);
-            assert_same_per_node(&g, &scratch, &seq);
-            for jobs in [2, 4] {
-                let mut par = pre.clone();
-                par.update_jobs(&g, &delta, params, jobs);
-                assert_same_per_node(&g, &scratch, &par);
-            }
+            arena.update(&g, &delta, params);
+            assert_same_per_node(&g, &enumerate_cuts_with(&g, params), &arena);
         }
     }
 

@@ -66,17 +66,10 @@ pub(crate) struct SimMatrix {
     source: Patterns,
 }
 
-/// Word width of one parallel simulation shard. Fixed (never derived
-/// from the worker count) so the chunk decomposition — and therefore
-/// every computed word — is identical for any `jobs` value; matrices
-/// narrower than two chunks take the sequential path outright.
-const SIM_CHUNK_WORDS: usize = 64;
-
 impl SimMatrix {
     /// Signatures covering every input assignment of `aig`
-    /// (requires `num_pis ≤ EXHAUSTIVE_MAX_PIS`), simulated on up to
-    /// `jobs` workers (`0` defers to the global [`threadpool::Jobs`]).
-    pub fn exhaustive_jobs(aig: &Aig, jobs: usize) -> SimMatrix {
+    /// (requires `num_pis ≤ EXHAUSTIVE_MAX_PIS`).
+    pub fn exhaustive(aig: &Aig) -> SimMatrix {
         let n = aig.num_pis();
         debug_assert!(n as u32 <= EXHAUSTIVE_MAX_PIS);
         let words = 1usize << n.saturating_sub(6);
@@ -99,10 +92,9 @@ impl SimMatrix {
             rounds,
             source: Patterns::Exhaustive,
         };
-        m.resimulate(aig, jobs);
+        m.resimulate(aig);
         m
     }
-
 
     /// `words` rounds of seeded pseudo-random patterns.
     pub fn random(aig: &Aig, words: usize, seed: u64) -> SimMatrix {
@@ -116,8 +108,7 @@ impl SimMatrix {
         for _ in 0..words.max(1) {
             m.push_round(None);
         }
-        // Random matrices are a handful of words — always sequential.
-        m.resimulate(aig, 1);
+        m.resimulate(aig);
         m
     }
 
@@ -174,16 +165,9 @@ impl SimMatrix {
         self.words += 1;
     }
 
-    /// One topological pass computing all words of every node, sharded
-    /// over word chunks when `jobs > 1` and the matrix is wide enough
-    /// (`0` defers to the global [`threadpool::Jobs`]).
-    fn resimulate(&mut self, aig: &Aig, jobs: usize) {
+    /// One topological pass computing all words of every node.
+    fn resimulate(&mut self, aig: &Aig) {
         let words = self.words;
-        let jobs = threadpool::Jobs::resolve(jobs);
-        if jobs > 1 && words >= 2 * SIM_CHUNK_WORDS {
-            self.resimulate_parallel(aig, jobs);
-            return;
-        }
         self.data.clear();
         self.data.resize(aig.num_nodes() * words, 0);
         for (i, pi) in aig.pis().iter().enumerate() {
@@ -201,39 +185,6 @@ impl SimMatrix {
             let b1 = f1.node().index() * words;
             for w in 0..words {
                 self.data[base + w] = (self.data[b0 + w] ^ m0) & (self.data[b1 + w] ^ m1);
-            }
-        }
-    }
-
-    /// Parallel resimulation: every [`SIM_CHUNK_WORDS`]-wide word
-    /// chunk is an independent simulation (each pattern column is a
-    /// pure function of its PI words), computed into a local
-    /// node-major buffer and merged on the calling thread. Chunks run
-    /// in waves of `jobs` so transient buffers stay bounded by
-    /// `jobs × nodes × SIM_CHUNK_WORDS` words. The chunk grid is fixed
-    /// by [`SIM_CHUNK_WORDS`] alone, so the result is bit-identical to
-    /// the sequential pass for every worker count.
-    fn resimulate_parallel(&mut self, aig: &Aig, jobs: usize) {
-        let words = self.words;
-        let n = aig.num_nodes();
-        self.data.clear();
-        self.data.resize(n * words, 0);
-        let starts: Vec<usize> = (0..words).step_by(SIM_CHUNK_WORDS).collect();
-        let rounds = &self.rounds;
-        let num_pis = self.num_pis;
-        for wave in starts.chunks(jobs) {
-            let bufs = threadpool::par_map(jobs, wave.len(), |k| {
-                let w0 = wave[k];
-                let cw = SIM_CHUNK_WORDS.min(words - w0);
-                simulate_chunk(aig, rounds, num_pis, w0, cw)
-            });
-            for (k, buf) in bufs.iter().enumerate() {
-                let w0 = wave[k];
-                let cw = SIM_CHUNK_WORDS.min(words - w0);
-                for i in 0..n {
-                    self.data[i * words + w0..i * words + w0 + cw]
-                        .copy_from_slice(&buf[i * cw..(i + 1) * cw]);
-                }
             }
         }
     }
@@ -270,32 +221,6 @@ impl SimMatrix {
 
 }
 
-/// Simulates words `[w0, w0 + cw)` of every node into a fresh
-/// node-major chunk buffer (`buf[node * cw ..]`). A pure function of
-/// the PI round words, so any chunk decomposition yields bit-identical
-/// results.
-fn simulate_chunk(aig: &Aig, rounds: &[u64], num_pis: usize, w0: usize, cw: usize) -> Vec<u64> {
-    let mut buf = vec![0u64; aig.num_nodes() * cw];
-    for (i, pi) in aig.pis().iter().enumerate() {
-        let base = pi.index() * cw;
-        for k in 0..cw {
-            buf[base + k] = rounds[(w0 + k) * num_pis + i];
-        }
-    }
-    for id in aig.and_ids() {
-        let (f0, f1) = aig.fanins(id);
-        let m0 = if f0.is_complement() { !0u64 } else { 0 };
-        let m1 = if f1.is_complement() { !0u64 } else { 0 };
-        let base = id.index() * cw;
-        let b0 = f0.node().index() * cw;
-        let b1 = f1.node().index() * cw;
-        for k in 0..cw {
-            buf[base + k] = (buf[b0 + k] ^ m0) & (buf[b1 + k] ^ m1);
-        }
-    }
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,7 +233,7 @@ mod tests {
         let y = g.and_many(&p[..3]);
         let o = g.or(x, y.negate());
         g.add_po(o);
-        let m = SimMatrix::exhaustive_jobs(&g, 1);
+        let m = SimMatrix::exhaustive(&g);
         assert_eq!(m.words(), 2);
         for pattern in 0..(1u32 << 7) {
             let inputs: Vec<bool> = (0..7).map(|i| pattern >> i & 1 == 1).collect();
@@ -335,31 +260,5 @@ mod tests {
         let w = m.words() - 1;
         assert_eq!(m.lit_word(g.pos()[1], w) & 1, 1);
         assert_eq!(m.lit_word(g.pos()[0], w) & 1, 0);
-    }
-
-    /// A 13-PI circuit: 128 exhaustive words, i.e. two parallel chunks.
-    fn wide_circuit() -> Aig {
-        let mut g = Aig::new("wide");
-        let p = g.add_pis(13);
-        let x = g.xor_many(&p);
-        let a = g.and_many(&p[..5]);
-        let b = g.and_many(&p[5..]);
-        let ab = g.and(a, b.negate());
-        let o = g.or(x, ab);
-        g.add_po(o);
-        g.add_po(a);
-        g
-    }
-
-    #[test]
-    fn chunked_resimulation_equals_whole() {
-        let g = wide_circuit();
-        let whole = SimMatrix::exhaustive_jobs(&g, 1);
-        assert!(whole.words() >= 2 * SIM_CHUNK_WORDS, "test circuit too narrow");
-        for jobs in [2, 3, 4, 7] {
-            let chunked = SimMatrix::exhaustive_jobs(&g, jobs);
-            assert_eq!(whole.data, chunked.data, "jobs={jobs}");
-            assert_eq!(whole.rounds, chunked.rounds);
-        }
     }
 }

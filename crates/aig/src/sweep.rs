@@ -22,10 +22,9 @@ use std::collections::HashMap;
 /// stress specific paths (e.g. `node_budget: 0` disables internal
 /// sweeping entirely, forcing the pure output-miter fallback).
 ///
-/// The sweep itself runs on the calling thread, so its report — solver
+/// Every tier runs on the calling thread, so the report — solver
 /// counters included — is a function of the two graphs and these
-/// options alone. Only the exhaustive tier's simulation shards over
-/// the global [`threadpool::Jobs`] budget, with bit-identical results.
+/// options alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SweepOptions {
     /// Conflict budget per internal equivalence proof; `0` skips the
@@ -356,6 +355,7 @@ mod tests {
         let r = check_equivalence_sweeping_report(&m1, &m2, &opts);
         assert_eq!(r.result, CecResult::Equivalent);
         assert!(!r.exhaustive);
+        assert!(r.internal_proofs > 0, "internal equivalences must be proven");
         assert!(r.sat_stats.propagations > 0, "SAT must have run");
 
         // And an inequivalent pair through the same machinery.

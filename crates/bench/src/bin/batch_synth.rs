@@ -11,22 +11,11 @@
 //!     --family tg-static|tg-pseudo|cmos   library to map onto (default tg-static)
 //!     --objective area|delay|balanced     covering objective (default balanced)
 //!     --no-verify                         skip CEC of every mapping
-//!     --jobs N                            batch-level worker threads (default CNTFET_JOBS/cores)
-//!     --inner-jobs N                      per-circuit engine threads (default: same as --jobs)
+//!     --jobs N                            circuits processed at once (default CNTFET_JOBS/cores)
 //!     --repeat N                          passes over the batch (default 2: cold+warm)
 //!     --max-ands N                        admission budget per request
 //!     --export-suite DIR                  write the suite as .aag/.aig into DIR, exit
 //! ```
-//!
-//! The two job knobs compose: `--jobs` fans circuits over the batch
-//! pool, while each circuit's own engines (synthesis sweeps, cut
-//! enumeration, covering, SAT sweeping) spawn their *own* workers.
-//! Without a bound that nests to `jobs × jobs` threads; `--inner-jobs`
-//! caps the per-circuit engine count so a wide batch can pin
-//! `--inner-jobs 1` and stay at exactly `--jobs` threads. Results are
-//! bit-identical for every combination — the engines are
-//! deterministic at any worker count — so the knobs trade nothing but
-//! scheduling.
 //!
 //! Pass 1 is the cold run; later passes are answered from the result
 //! cache, which is where the warm ≥ 2× cold throughput recorded in
@@ -46,7 +35,6 @@ fn main() {
     let mut objective = Objective::Balanced;
     let mut verify = true;
     let mut jobs = 0usize;
-    let mut inner_jobs = 0usize;
     let mut repeat = 2usize;
     let mut max_ands: Option<usize> = None;
     let mut export: Option<PathBuf> = None;
@@ -86,7 +74,6 @@ fn main() {
             }
             "--no-verify" => verify = false,
             "--jobs" => jobs = parse_count(&value("a positive integer"), arg, 1),
-            "--inner-jobs" => inner_jobs = parse_count(&value("a positive integer"), arg, 1),
             "--repeat" => repeat = parse_count(&value("a positive integer"), arg, 1),
             "--max-ands" => max_ands = Some(parse_count(&value("an integer"), arg, 0)),
             "--export-suite" => export = Some(PathBuf::from(value("a directory"))),
@@ -98,17 +85,6 @@ fn main() {
         }
         i += 1;
     }
-    // The batch fan-out count is pinned before the workspace default
-    // is overridden, so `--inner-jobs` bounds only the per-circuit
-    // engines (which resolve through the default); without it the
-    // engines inherit `--jobs`, the historical behavior.
-    let outer = threadpool::Jobs::resolve(jobs);
-    if inner_jobs > 0 {
-        threadpool::Jobs::set(inner_jobs);
-    } else if jobs > 0 {
-        threadpool::Jobs::set(jobs);
-    }
-
     if let Some(dir) = export {
         match cntfet_circuits::export_suite(&dir) {
             Ok(paths) => {
@@ -150,16 +126,16 @@ fn main() {
         SynthService::with_options(family, MapOptions { objective, ..Default::default() }, SynthOptions::default(), verify);
     println!(
         "== batch_synth: {} circuit(s), {family:?} library, {objective:?} covering, \
-         {outer} batch worker(s) x {} engine worker(s), verification {} ==",
+         {} batch worker(s), verification {} ==",
         requests.len(),
-        threadpool::Jobs::get(),
+        threadpool::Jobs::resolve(jobs),
         if verify { "ON" } else { "OFF (--no-verify)" },
     );
 
     let mut all_ok = true;
     for pass in 0..repeat {
         let label = if pass == 0 { "cold" } else { "warm" };
-        let report = service.process_batch(&requests, outer);
+        let report = service.process_batch(&requests, jobs);
         println!("\n-- pass {} ({label}) --", pass + 1);
         println!(
             "{:<10} {:>8} {:>8} {:>6} {:>9} {:>9} {:>6} {:>9}",

@@ -1,25 +1,24 @@
 //! Performance snapshot: measures the workspace's hot paths —
 //! synthesis (in-place engine vs the seed rebuild engine), technology
 //! mapping, verification (the per-gate mapping certificate vs SAT, and
-//! SAT CEC), the parallel suite at several worker
-//! counts, the incrementality substrate (dirty-region
-//! cut-enumeration updates vs from-scratch re-enumeration), the batch
-//! synthesis service (cold vs warm throughput), synthesis and
-//! covering scaling rows at several worker counts, and the persistent
-//! cut arena carried across a compaction (`rebase` vs
-//! re-enumeration) — and writes the numbers to `BENCH_PR10.json` in
-//! the current directory. Its ratio assertions run in CI at the
-//! default worker count. The JSON continues the bench trajectory the
-//! ROADMAP asks for: `BENCH_PR3.json` records the verification
-//! rebuild, `BENCH_PR4.json` the arrival-aware mapper,
+//! SAT CEC), the suite fan-out at several worker counts, the
+//! incrementality substrate (dirty-region cut-enumeration updates vs
+//! from-scratch re-enumeration), the batch synthesis service (cold vs
+//! warm throughput), and the persistent cut arena carried across a
+//! compaction (`rebase` vs re-enumeration) — and writes the numbers to
+//! `BENCH_PR10.json` in the current directory (run it from a scratch
+//! directory to keep the committed snapshot). Its ratio assertions
+//! run in CI at the default worker count. The JSON continues the bench
+//! trajectory the ROADMAP asks for: `BENCH_PR3.json` records the
+//! verification rebuild, `BENCH_PR4.json` the arrival-aware mapper,
 //! `BENCH_PR5.json` the synthesis rebuild, `BENCH_PR7.json` the
-//! work-stealing thread pool, `BENCH_PR8.json` the caches,
-//! `BENCH_PR9.json` the service, this file the covering and
-//! synthesis scaling rows. The engines keep no result cache, so every
-//! engine timing row recomputes on every iteration; the service's
-//! cold/warm row is where its fingerprint cache is allowed to shine.
-//! Scaling rows are honest measurements of the machine the snapshot
-//! ran on: `available_parallelism` is recorded next to them, and on a
+//! thread pool, `BENCH_PR8.json` the caches, `BENCH_PR9.json` the
+//! service, this file the arena carried across compaction. The engines
+//! keep no result cache, so every engine timing row recomputes on
+//! every iteration; the service's cold/warm row is where its
+//! fingerprint cache is allowed to shine. The suite scaling row is an
+//! honest measurement of the machine the snapshot ran on:
+//! `available_parallelism` is recorded next to it, and on a
 //! single-core container the jobs>1 rows will not (and must not
 //! pretend to) beat jobs=1.
 
@@ -233,52 +232,13 @@ fn main() {
     let deterministic = report1 == report2 && report1 == report4 && report1 == report_all;
     assert!(deterministic, "suite reports diverged across worker counts");
 
-    // --- synthesis scaling ---
-    // One `resyn2rs` of the suite's biggest graph per worker
-    // count. Only cut enumeration and its incremental update shard
-    // over the pool; the graph must be bit-identical at every count,
-    // and the wall times say whatever this machine's cores let them
-    // say.
-    println!("perfsnap: synthesis scaling on des-like...");
-    let synth_at = |jobs: usize| {
-        threadpool::Jobs::set(jobs);
-        let t = Instant::now();
-        let o = resyn2rs(&des_src);
-        (t.elapsed().as_secs_f64() * 1e3, o.fingerprint())
-    };
-    let (synth_des_j1_ms, synth_fp1) = synth_at(1);
-    let (synth_des_j2_ms, synth_fp2) = synth_at(2);
-    let (synth_des_j4_ms, synth_fp4) = synth_at(4);
-    let (synth_des_jall_ms, synth_fp_all) = synth_at(0);
-    threadpool::Jobs::set(0);
-    let synth_scaling_identical =
-        synth_fp1 == synth_fp2 && synth_fp1 == synth_fp4 && synth_fp1 == synth_fp_all;
-    assert!(synth_scaling_identical, "synthesis diverged across worker counts");
-
-    // --- covering scaling ---
-    // One technology mapping of the synthesized des-like graph
-    // per `MapOptions::jobs` value: only the initial cut enumeration
-    // shards, and the cover must be identical, gate for gate.
-    println!("perfsnap: covering scaling on des-like...");
-    let des_opt = resyn2rs(&des_src);
-    let map_at = |jobs: usize| {
-        let t = Instant::now();
-        let m = map(&des_opt, &lib, MapOptions { jobs, ..MapOptions::default() });
-        (t.elapsed().as_secs_f64() * 1e3, format!("{:?} {:?} {:?}", m.gates, m.pos, m.stats))
-    };
-    let (map_des_j1_ms, cover1) = map_at(1);
-    let (map_des_j2_ms, cover2) = map_at(2);
-    let (map_des_j4_ms, cover4) = map_at(4);
-    let (map_des_jall_ms, cover_all) = map_at(0);
-    let cover_scaling_identical = cover1 == cover2 && cover1 == cover4 && cover1 == cover_all;
-    assert!(cover_scaling_identical, "covering diverged across worker counts");
-
     // --- mapping verification: certificate vs SAT ---
     // The des-like TG-static cover, proven by the per-gate certificate
     // that `verify_mapping_report` runs first, and by SAT sweeping on
     // the rebuilt netlist, its fallback. The certificate must decide
     // and be at least 10x faster.
     println!("perfsnap: mapping verification (certificate vs SAT) on des-like...");
+    let des_opt = resyn2rs(&des_src);
     let des_map = map(&des_opt, &lib, MapOptions::default());
     let verify_des_cert_ms = best_ms(5, || {
         assert!(verify_mapping_report(&des_opt, &des_map, &lib).certified);
@@ -344,7 +304,7 @@ fn main() {
     let json = format!(
         r#"{{
   "pr": 10,
-  "description": "Synthesis and covering scaling rows at several worker counts over sharded cut enumeration, and Script-owned arenas rebased across compaction — all bit-identical at every worker count",
+  "description": "Script-owned cut arenas rebased across compaction instead of re-enumerated, next to the hot-path rows; the suite report is identical at every worker count",
   "service": {{
     "requests": {n_requests},
     "verify": false,
@@ -390,21 +350,7 @@ fn main() {
       "jobs_4": {suite_jobs4_s:.2},
       "jobs_all": {suite_all_s:.2}
     }},
-    "identical_reports_across_worker_counts": {deterministic},
-    "synth_des_ms": {{
-      "jobs_1": {synth_des_j1_ms:.1},
-      "jobs_2": {synth_des_j2_ms:.1},
-      "jobs_4": {synth_des_j4_ms:.1},
-      "jobs_all": {synth_des_jall_ms:.1},
-      "identical_fingerprints": {synth_scaling_identical}
-    }},
-    "covering_des_ms": {{
-      "jobs_1": {map_des_j1_ms:.1},
-      "jobs_2": {map_des_j2_ms:.1},
-      "jobs_4": {map_des_j4_ms:.1},
-      "jobs_all": {map_des_jall_ms:.1},
-      "identical_covers": {cover_scaling_identical}
-    }}
+    "identical_reports_across_worker_counts": {deterministic}
   }},
   "synth_ms": {{
     "mult8_seed": {synth_mult8_seed_ms:.3},

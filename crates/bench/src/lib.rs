@@ -127,10 +127,10 @@ pub fn run_suite_with(verify: bool, subset: Option<&[&str]>, opts: MapOptions) -
 /// [`run_suite_with`] with explicit synthesis options too.
 ///
 /// Benchmarks run in parallel across the workspace worker budget
-/// ([`threadpool::Jobs`]; `CNTFET_JOBS=1` forces sequential). Each
-/// worker owns its whole synth→map→verify chain and writes into a
-/// pre-assigned row, so the report is identical for every worker
-/// count.
+/// ([`threadpool::Jobs`]; `CNTFET_JOBS=1` forces sequential), one
+/// benchmark per task. Each task owns its whole synth→map→verify chain
+/// and [`threadpool::par_map`] returns the rows in suite order, so the
+/// report is identical for every worker count.
 pub fn run_suite_full(
     verify: bool,
     subset: Option<&[&str]>,

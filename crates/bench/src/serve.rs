@@ -254,9 +254,10 @@ impl SynthService {
         ServeOutcome::Done { stats, cached: false, ms: ms_since(t0) }
     }
 
-    /// Streams a batch through the thread pool (`jobs = 0` resolves
-    /// the workspace default; `CNTFET_JOBS` overrides). Outcomes come
-    /// back in request order regardless of worker count.
+    /// Runs a batch on up to `jobs` workers, one request per task
+    /// (`jobs = 0` resolves the workspace default; `CNTFET_JOBS`
+    /// overrides). Outcomes come back in request order regardless of
+    /// worker count.
     pub fn process_batch(&self, requests: &[SynthRequest], jobs: usize) -> BatchReport {
         let t0 = std::time::Instant::now();
         let outcomes = threadpool::par_map(jobs, requests.len(), |i| {

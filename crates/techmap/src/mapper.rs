@@ -25,7 +25,7 @@
 
 use crate::matcher::Matcher;
 use cntfet_aig::{
-    enumerate_cuts_custom, enumerate_cuts_with_jobs, Aig, CutArena, CutParams, CutRank, NodeId,
+    enumerate_cuts_custom, enumerate_cuts_with, Aig, CutArena, CutParams, CutRank, NodeId,
 };
 use cntfet_boolfn::word;
 use cntfet_core::Library;
@@ -149,12 +149,9 @@ pub struct MapOptions {
     pub cut_rank: CutRank,
     /// Covering objective.
     pub objective: Objective,
-    /// Worker threads of the initial cut enumeration (`0` resolves
-    /// through the workspace `threadpool::Jobs` default, `1` forces
-    /// the sequential enumerator). Enumeration shards over a fixed
-    /// topological-rank grid, so the mapped result is bit-identical
-    /// for every value. Covering and the arrival-aware rounds always
-    /// run on the calling thread.
+    /// Ignored: mapping runs on the calling thread only. The field
+    /// stays only until the benchmark under `flowbench/` stops
+    /// setting it; leave it at its default.
     pub jobs: usize,
 }
 
@@ -274,10 +271,9 @@ pub fn map(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
         CutRank::Arrival => CutRank::Size,
         rank => rank,
     };
-    let cuts = enumerate_cuts_with_jobs(
+    let cuts = enumerate_cuts_with(
         aig,
         CutParams { k: cut_size, max_cuts: opts.cuts_per_node, rank: initial_rank },
-        opts.jobs,
     );
     let ctx = Ctx {
         aig,
@@ -1187,33 +1183,5 @@ mod tests {
         assert_eq!(a.stats.gates, b.stats.gates);
         assert_eq!(a.stats.area, b.stats.area);
         assert_eq!(a.stats.delay_norm, b.stats.delay_norm);
-    }
-
-    #[test]
-    fn parallel_mapping_matches_sequential_cover() {
-        // Sharded initial cut enumeration must select the exact cover
-        // the sequential engine does — gate for gate, not just stat
-        // for stat.
-        let src = full_adder_chain(10);
-        for family in [LogicFamily::TgStatic, LogicFamily::TgPseudo, LogicFamily::CmosStatic] {
-            let lib = Library::new(family);
-            for objective in [Objective::Area, Objective::Delay, Objective::Balanced] {
-                let opts = MapOptions { objective, jobs: 1, ..MapOptions::default() };
-                let seq = map(&src, &lib, opts);
-                for jobs in [2, 4] {
-                    let par = map(&src, &lib, MapOptions { jobs, ..opts });
-                    assert_eq!(
-                        format!("{:?} {:?}", seq.gates, seq.pos),
-                        format!("{:?} {:?}", par.gates, par.pos),
-                        "{family:?}/{objective:?} cover diverged at jobs={jobs}"
-                    );
-                    assert_eq!(
-                        format!("{:?}", seq.stats),
-                        format!("{:?}", par.stats),
-                        "{family:?}/{objective:?} stats diverged at jobs={jobs}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -2,8 +2,8 @@
 //! DAGs and the full 15-circuit benchmark suite must survive a
 //! write → parse round trip in BOTH formats (ASCII `aag` and binary
 //! `aig`) with identical structural statistics and CEC-proven
-//! equivalence at several worker counts — and the BLIF and AIGER
-//! writers must describe the same circuit (differential check).
+//! equivalence — and the BLIF and AIGER writers must describe the same
+//! circuit (differential check).
 
 use ambipolar_cntfet::prelude::*;
 use cntfet_aig::{parse_aiger, parse_blif, write_aiger_ascii, write_aiger_binary, write_blif, Aig};
@@ -40,8 +40,8 @@ fn random_aig(num_pis: usize, script: &[(u8, u16, u16)]) -> Aig {
 /// round-trip contract: identical structural statistics (ands, depth,
 /// PI/PO counts — and the strash fingerprint, since both writers emit
 /// the construction sequence in replayable order) plus CEC-proven
-/// equivalence at every requested worker count.
-fn assert_roundtrips(g: &Aig, jobs: &[usize]) {
+/// equivalence.
+fn assert_roundtrips(g: &Aig) {
     let encodings = [
         ("ascii", write_aiger_ascii(g).into_bytes()),
         ("binary", write_aiger_binary(g)),
@@ -54,28 +54,22 @@ fn assert_roundtrips(g: &Aig, jobs: &[usize]) {
         assert_eq!(back.num_ands(), g.num_ands(), "{}/{fmt}: AND count", g.name());
         assert_eq!(back.depth(), g.depth(), "{}/{fmt}: depth", g.name());
         assert_eq!(back.fingerprint(), g.fingerprint(), "{}/{fmt}: fingerprint", g.name());
-        for &j in jobs {
-            threadpool::Jobs::set(j);
-            let verdict = check_equivalence_sweeping(g, &back);
-            threadpool::Jobs::set(0);
-            assert_eq!(
-                verdict,
-                CecResult::Equivalent,
-                "{}/{fmt}: CEC failed at jobs={j}",
-                g.name()
-            );
-        }
+        assert_eq!(
+            check_equivalence_sweeping(g, &back),
+            CecResult::Equivalent,
+            "{}/{fmt}: CEC failed",
+            g.name()
+        );
     }
 }
 
 /// Every circuit of the paper's 15-benchmark suite survives the round
-/// trip through both formats, CEC-checked sequentially and with 4
-/// workers. This is the same contract `full_repro` re-audits in its
-/// scoreboard.
+/// trip through both formats, CEC-checked. This is the same contract
+/// `full_repro` re-audits in its scoreboard.
 #[test]
 fn suite_circuits_roundtrip_both_formats() {
     for b in cntfet_circuits::paper_benchmarks() {
-        assert_roundtrips(&b.aig, &[1, 4]);
+        assert_roundtrips(&b.aig);
     }
 }
 
@@ -113,15 +107,14 @@ proptest! {
 
     /// Arbitrary random DAGs — dangling cones, complemented edges,
     /// constant outputs and all — survive the round trip through both
-    /// formats with identical stats and CEC equivalence at 1 and 4
-    /// workers.
+    /// formats with identical stats and CEC equivalence.
     #[test]
     fn prop_aiger_roundtrip_random_dags(
         script in proptest::collection::vec((0u8..6, 0u16..400, 0u16..400), 10..80),
         num_pis in 2usize..8
     ) {
         let g = random_aig(num_pis, &script);
-        assert_roundtrips(&g, &[1, 4]);
+        assert_roundtrips(&g);
     }
 
     /// Differential: the BLIF path and the AIGER path agree on random

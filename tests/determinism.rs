@@ -1,47 +1,23 @@
-//! Workspace determinism tests: every result is identical at every
-//! worker count — same synthesized graphs, same mapped covers, same
-//! sweep reports, same suite reports. Three layers use the pool:
-//! chunked simulation, sharded cut enumeration (and its incremental
-//! update) and the suite/batch fan-out; the tests below pin the
-//! engines built on them. Parallelism is allowed to change wall time
-//! and nothing else.
+//! Workspace determinism tests: the fan-out across circuits — the
+//! benchmark suite and the batch service, one circuit per task —
+//! returns the same results, in the same order, at every worker count,
+//! and every per-node cut list of the suite is pinned. The engines
+//! inside a circuit run on its task's thread; parallelism is allowed
+//! to change wall time and nothing else.
+//!
+//! The tests of one binary run concurrently, so only
+//! `suite_report_identical_across_worker_counts` sets the process-wide
+//! `threadpool::Jobs` budget; every other test passes its worker count
+//! explicitly.
 
-use cntfet_aig::{
-    check_equivalence_sweeping_report, enumerate_cuts_custom, enumerate_cuts_with_jobs,
-    equivalent, Aig, CecResult, CutArena, CutParams, CutRank, SweepOptions,
-};
+use cntfet_aig::{enumerate_cuts_custom, enumerate_cuts_with, Aig, CutArena, CutParams, CutRank};
 use cntfet_bench::run_suite_with;
-use cntfet_bench::serve::{ServeOutcome, SynthRequest, SynthService};
+use cntfet_bench::serve::{BatchReport, ServeOutcome, ServeStats, SynthRequest, SynthService};
 use cntfet_circuits::{
     array_multiplier, cla_adder, paper_benchmarks, ripple_adder, shift_add_multiplier,
 };
-use cntfet_core::{Library, LogicFamily};
-use cntfet_synth::{resyn2rs, Script};
-use cntfet_techmap::{map, verify_mapping_report, MapOptions, Objective};
-use proptest::prelude::*;
-
-/// Builds a random DAG from a script of (op, operand indices) choices.
-fn random_aig(num_pis: usize, script: &[(u8, u16, u16)]) -> Aig {
-    let mut g = Aig::new("det");
-    let pis = g.add_pis(num_pis);
-    let mut pool: Vec<cntfet_aig::Lit> = pis;
-    for &(op, ai, bi) in script {
-        let a = pool[ai as usize % pool.len()];
-        let b = pool[bi as usize % pool.len()];
-        let l = match op % 5 {
-            0 => g.and(a, b),
-            1 => g.or(a, b),
-            2 => g.xor(a, b),
-            3 => g.and(a.negate(), b),
-            _ => g.or(a, b.negate()),
-        };
-        pool.push(l);
-    }
-    for i in 0..4.min(pool.len()) {
-        g.add_po(pool[pool.len() - 1 - i]);
-    }
-    g
-}
+use cntfet_core::LogicFamily;
+use cntfet_techmap::MapOptions;
 
 /// The benchmark suite (a verified subset, to keep the test fast)
 /// produces the same report — stats, verdicts, SAT counters — whether
@@ -90,9 +66,7 @@ fn fold_cut_lists(mut h: u64, g: &Aig, arena: &CutArena) -> u64 {
 
 /// Every per-node cut list of the 15 suite circuits is pinned by one
 /// digest: under the size and depth ranks at k = 6, the size rank at
-/// k = 4, and an external oracle that ranks on the function word. The
-/// builtin ranks enumerate at the default worker count, so a run with
-/// `CNTFET_JOBS=2` pins the sharded enumerator to the same lists. Cut
+/// k = 4, and an external oracle that ranks on the function word. Cut
 /// lists decide covers, Table 3 and the rewriting candidates; the
 /// digest changes only together with them.
 #[test]
@@ -104,7 +78,7 @@ fn cut_lists_are_pinned() {
     let mut h = 0u64;
     for b in paper_benchmarks() {
         for params in [size6, depth6, size4] {
-            h = fold_cut_lists(h, &b.aig, &enumerate_cuts_with_jobs(&b.aig, params, 0));
+            h = fold_cut_lists(h, &b.aig, &enumerate_cuts_with(&b.aig, params));
         }
         let by_word = enumerate_cuts_custom(&b.aig, arrival6, |_, leaves, tt| {
             (tt.count_ones(), leaves.len() as u32)
@@ -114,191 +88,74 @@ fn cut_lists_are_pinned() {
     assert_eq!(h, 0x7fa1_ffc1_e96c_89f7, "a cut list changed");
 }
 
-/// A deterministic pseudo-random op script for the larger determinism
-/// fixtures (big enough that cut enumeration shards over several
-/// topological ranks per worker).
-fn big_script(len: usize, mut seed: u64) -> Vec<(u8, u16, u16)> {
-    (0..len)
-        .map(|_| {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((seed >> 60) as u8, (seed >> 16) as u16, (seed >> 32) as u16)
+/// A batch of distinct small circuits: no two requests share a
+/// fingerprint, so within one batch no request can hit the service
+/// cache, whatever order the workers claim them in.
+fn batch_requests() -> Vec<SynthRequest> {
+    [
+        ("mult4", array_multiplier(4)),
+        ("shift-add4", shift_add_multiplier(4)),
+        ("add-8", ripple_adder(8)),
+        ("cla-8", cla_adder(8)),
+        ("add-12", ripple_adder(12)),
+    ]
+    .into_iter()
+    .map(|(name, g)| SynthRequest::new(name, g))
+    .collect()
+}
+
+/// A batch's outcomes without their wall times: name, stats and
+/// whether the service cache answered.
+fn outcomes(report: &BatchReport) -> Vec<(String, ServeStats, bool)> {
+    report
+        .outcomes
+        .iter()
+        .map(|(name, outcome)| match outcome {
+            ServeOutcome::Done { stats, cached, .. } => (name.clone(), stats.clone(), *cached),
+            other => panic!("{name} did not complete: {other:?}"),
         })
         .collect()
 }
 
-/// Synthesis over sharded cut enumeration and sharded arena updates
-/// commits the same replacement sequence at every worker count: the
-/// synthesized graph is bit-identical (stats + structural
-/// fingerprint), and stays equivalent to its source.
+/// `process_batch` returns every outcome in request order, identical
+/// at one, two and four workers. Each width starts from a fresh
+/// service, so every request runs the whole pipeline, verification
+/// included.
 #[test]
-fn synth_identical_across_worker_counts() {
-    for seed in [0x5EED_0001u64, 0x5EED_0002] {
-        let g = random_aig(8, &big_script(400, seed));
-        let run = |jobs: usize| {
-            threadpool::Jobs::set(jobs);
-            let mut o = g.clone();
-            let mut script = Script::resyn2rs();
-            script.run(&mut o);
-            script.run(&mut o); // second round reuses the persistent arenas
-            threadpool::Jobs::set(0);
-            o
-        };
-        let seq = run(1);
-        assert!(equivalent(&g, &seq), "sequential synthesis broke equivalence");
-        for jobs in [2usize, 4] {
-            let par = run(jobs);
-            assert_eq!(
-                (seq.num_ands(), seq.depth()),
-                (par.num_ands(), par.depth()),
-                "synth stats diverged at jobs={jobs}"
-            );
-            assert_eq!(
-                seq.fingerprint(),
-                par.fingerprint(),
-                "synth result not bit-identical at jobs={jobs}"
-            );
-        }
-    }
-}
-
-/// Mapping over sharded initial cut enumeration selects the exact
-/// cover the sequential enumerator leads to, gate for gate, on graphs
-/// large enough that the enumeration's topological ranks split across
-/// workers — through every covering pass (the [`Objective::Area`] cases run
-/// exact-area recovery, the [`Objective::Delay`] case the
-/// arrival-aware rounds, the CMOS case phase tracking).
-#[test]
-fn cover_identical_across_worker_counts() {
-    let cases = [
-        (LogicFamily::TgStatic, Objective::Area, 0xC0FE_0001u64),
-        (LogicFamily::TgStatic, Objective::Delay, 0xC0FE_0002),
-        (LogicFamily::TgPseudo, Objective::Area, 0xC0FE_0003),
-        (LogicFamily::CmosStatic, Objective::Balanced, 0xC0FE_0004),
-    ];
-    for (family, objective, seed) in cases {
-        let g = random_aig(8, &big_script(500, seed));
-        let lib = Library::new(family);
-        let opts = MapOptions { objective, jobs: 1, ..MapOptions::default() };
-        let seq = map(&g, &lib, opts);
-        assert_eq!(
-            verify_mapping_report(&g, &seq, &lib).result,
-            CecResult::Equivalent,
-            "{family:?}/{objective:?} sequential cover broke equivalence"
-        );
-        for jobs in [2usize, 4] {
-            let par = map(&g, &lib, MapOptions { jobs, ..opts });
-            assert_eq!(
-                format!("{:?} {:?}", seq.gates, seq.pos),
-                format!("{:?} {:?}", par.gates, par.pos),
-                "{family:?}/{objective:?} cover diverged at jobs={jobs}"
-            );
-            assert_eq!(
-                format!("{:?}", seq.stats),
-                format!("{:?}", par.stats),
-                "{family:?}/{objective:?} stats diverged at jobs={jobs}"
-            );
-        }
-    }
-}
-
-/// The library's `resyn2rs` round loop, never-worse guard included,
-/// returns the bit-identical graph at one, two and four workers.
-#[test]
-fn resyn2rs_identical_across_worker_counts() {
-    let g = random_aig(7, &big_script(250, 0xCAFE_F00D));
+fn batch_outcomes_identical_across_worker_counts() {
+    let requests = batch_requests();
     let run = |jobs: usize| {
-        threadpool::Jobs::set(jobs);
-        let o = resyn2rs(&g);
-        threadpool::Jobs::set(0);
-        o.fingerprint()
+        outcomes(&SynthService::new(LogicFamily::TgStatic).process_batch(&requests, jobs))
     };
-    let seq = run(1);
-    for jobs in [2usize, 4] {
-        assert_eq!(seq, run(jobs), "resyn2rs diverged at jobs={jobs}");
+    let sequential = run(1);
+    let names: Vec<&str> = sequential.iter().map(|(name, ..)| name.as_str()).collect();
+    let want: Vec<&str> = requests.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(names, want, "outcomes out of request order");
+    assert!(sequential.iter().all(|(_, stats, _)| stats.verified == Some(true)));
+    for jobs in [2, 4] {
+        assert_eq!(sequential, run(jobs), "batch outcomes diverged at jobs={jobs}");
     }
 }
 
-/// The service cache keys on the circuit fingerprint alone, so a
-/// request first served at one worker is answered from the cache at
-/// two (unless caching is switched off), with the stats the pipeline
+/// The service cache keys on the circuit fingerprint alone, so a batch
+/// first served at one worker is answered from the cache at four
+/// (unless caching is switched off), with the stats the pipeline
 /// computed.
 #[test]
 fn service_cache_key_ignores_worker_count() {
     let service = SynthService::new(LogicFamily::TgStatic);
-    let request = SynthRequest::new("mult4", array_multiplier(4));
-    let run = |jobs: usize| {
-        threadpool::Jobs::set(jobs);
-        let outcome = service.run(&request);
-        threadpool::Jobs::set(0);
-        match outcome {
-            ServeOutcome::Done { stats, cached, .. } => (stats, cached),
-            other => panic!("request did not complete at jobs={jobs}: {other:?}"),
-        }
-    };
-    let (cold, cached) = run(1);
-    assert!(!cached, "the first request must run the pipeline");
-    let (warm, cached) = run(2);
+    let requests = batch_requests();
+    let cold = outcomes(&service.process_batch(&requests, 1));
+    let warm = outcomes(&service.process_batch(&requests, 4));
+    assert!(cold.iter().all(|(.., cached)| !cached), "the first batch must run the pipeline");
     if cntfet_boolfn::cache::enabled() {
-        assert!(cached, "the jobs=2 request must be answered from the cache");
-    }
-    assert_eq!(cold, warm);
-}
-
-/// SAT sweeping returns the same full [`cntfet_aig::CecReport`] —
-/// verdict, internal proofs, refinements and every solver counter — at
-/// one and at two workers. The ripple/carry-lookahead pair has 17
-/// inputs, so the default options sweep it; the 5-bit multipliers run
-/// the sweep with the exhaustive tier switched off and need
-/// counterexample refinement.
-#[test]
-fn sweep_report_identical_across_worker_counts() {
-    let no_exhaustive = SweepOptions { exhaustive_pis: 0, ..SweepOptions::default() };
-    let cases = [
-        (ripple_adder(8), cla_adder(8), SweepOptions::default()),
-        (array_multiplier(5), shift_add_multiplier(5), no_exhaustive),
-    ];
-    for (a, b, opts) in &cases {
-        let run = |jobs: usize| {
-            threadpool::Jobs::set(jobs);
-            let r = check_equivalence_sweeping_report(a, b, opts);
-            threadpool::Jobs::set(0);
-            r
-        };
-        let seq = run(1);
-        assert_eq!(seq.result, CecResult::Equivalent, "{} vs {}", a.name(), b.name());
-        assert!(!seq.exhaustive && seq.internal_proofs > 0, "the SAT sweep must run");
-        assert_eq!(
-            format!("{seq:?}"),
-            format!("{:?}", run(2)),
-            "{} vs {}: sweep report diverged at jobs=2",
-            a.name(),
-            b.name()
+        assert!(
+            warm.iter().all(|(.., cached)| *cached),
+            "the jobs=4 batch must be answered from the cache"
         );
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Technology mapping with sharded cut enumeration selects the
-    /// exact cover the sequential engine does on arbitrary random
-    /// networks — and that cover is SAT-equivalent to its source.
-    #[test]
-    fn prop_parallel_mapping_matches_sequential(
-        script in proptest::collection::vec((0u8..5, 0u16..300, 0u16..300), 20..90),
-        delay in 0u8..2,
-    ) {
-        let g = random_aig(6, &script);
-        let lib = Library::new(LogicFamily::TgStatic);
-        let objective = if delay == 1 { Objective::Delay } else { Objective::Balanced };
-        let opts = MapOptions { objective, jobs: 1, ..MapOptions::default() };
-        let seq = map(&g, &lib, opts);
-        let par = map(&g, &lib, MapOptions { jobs: 3, ..opts });
-        prop_assert_eq!(
-            format!("{:?} {:?} {:?}", seq.gates, seq.pos, seq.stats),
-            format!("{:?} {:?} {:?}", par.gates, par.pos, par.stats)
-        );
-        let report = verify_mapping_report(&g, &par, &lib);
-        prop_assert_eq!(report.result, CecResult::Equivalent);
-    }
+    let stats = |o: &[(String, ServeStats, bool)]| -> Vec<ServeStats> {
+        o.iter().map(|(_, s, _)| s.clone()).collect()
+    };
+    assert_eq!(stats(&cold), stats(&warm));
 }

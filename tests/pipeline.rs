@@ -79,6 +79,19 @@ fn multiplier_pipeline_with_sweeping_verification() {
 }
 
 #[test]
+fn adder_architectures_agree_under_sat_sweeping() {
+    // 17 inputs put the pair past the exhaustive bound, so the default
+    // options decide it by SAT sweeping, with internal proofs.
+    let r = cntfet_aig::check_equivalence_sweeping_report(
+        &ripple_adder(8),
+        &cntfet_circuits::cla_adder(8),
+        &SweepOptions::default(),
+    );
+    assert_eq!(r.result, CecResult::Equivalent);
+    assert!(!r.exhaustive && r.internal_proofs > 0, "the SAT sweep must run");
+}
+
+#[test]
 fn fabric_round_trip_via_mapping() {
     let circuit = ripple_adder(6);
     let lib = fabric_library();

@@ -33,6 +33,51 @@ fn random_aig(num_pis: usize, script: &[(u8, u16, u16)]) -> Aig {
     g
 }
 
+/// A deterministic pseudo-random op script for the fixed fixtures
+/// below, which run past the sizes the proptest scripts draw.
+fn big_script(len: usize, mut seed: u64) -> Vec<(u8, u16, u16)> {
+    (0..len)
+        .map(|_| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((seed >> 60) as u8, (seed >> 16) as u16, (seed >> 32) as u16)
+        })
+        .collect()
+}
+
+/// Two rounds of one resyn2rs [`Script`] — the second reusing the cut
+/// arenas the first kept up to date — preserve the function of
+/// 400-op random networks.
+#[test]
+fn script_rounds_preserve_function_on_large_networks() {
+    for seed in [0x5EED_0001u64, 0x5EED_0002] {
+        let g = random_aig(8, &big_script(400, seed));
+        let mut o = g.clone();
+        let mut script = Script::resyn2rs();
+        script.run(&mut o);
+        script.run(&mut o);
+        assert!(equivalent(&g, &o), "seed {seed:#x}: two script rounds broke equivalence");
+    }
+}
+
+/// Covers of 500-op random networks verify through every covering
+/// pass: exact-area recovery (the area cases), the arrival-aware
+/// rounds (the delay case) and CMOS phase tracking.
+#[test]
+fn large_covers_verify_across_families() {
+    let cases = [
+        (LogicFamily::TgStatic, Objective::Area, 0xC0FE_0001u64),
+        (LogicFamily::TgStatic, Objective::Delay, 0xC0FE_0002),
+        (LogicFamily::TgPseudo, Objective::Area, 0xC0FE_0003),
+        (LogicFamily::CmosStatic, Objective::Balanced, 0xC0FE_0004),
+    ];
+    for (family, objective, seed) in cases {
+        let g = random_aig(8, &big_script(500, seed));
+        let lib = Library::new(family);
+        let m = map(&g, &lib, MapOptions { objective, ..MapOptions::default() });
+        assert_eq!(verify_mapping(&g, &m, &lib), CecResult::Equivalent, "{family:?}/{objective:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
