@@ -12,9 +12,6 @@ use cntfet_synth::{
 };
 
 fn bench_synth(c: &mut Criterion) {
-    // Warm the per-process rewrite library so its one-time build does
-    // not land inside a sample.
-    let _ = cntfet_boolfn::RwrLibrary::global();
     let seed_opts = SynthOptions { engine: SynthEngine::Seed, ..Default::default() };
 
     for (name, g) in [

@@ -456,7 +456,6 @@ fn main() {
     if !inputs.is_empty() {
         println!("\nrunning {} external input(s) through the verified pipeline...", inputs.len());
         let libs = suite_libraries();
-        let _ = cntfet_boolfn::RwrLibrary::global();
         for f in &inputs {
             match load_circuit(std::path::Path::new(f)) {
                 Ok(aig) => {

@@ -64,8 +64,6 @@ fn main() {
         std::process::exit(2);
     }
     println!("perfsnap: measuring synthesis, mapping, verification and cache hot paths...");
-    // Warm the per-process rewrite library (one-time build).
-    let _ = cntfet_boolfn::RwrLibrary::global();
 
     // --- incremental cut enumeration: update vs from-scratch ---
     // A deterministic edit trace on the suite's biggest graph: every

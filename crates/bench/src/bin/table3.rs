@@ -99,7 +99,6 @@ fn main() {
         run_suite_full(!fast, None, map_opts, &synth_opts)
     } else {
         let libs = suite_libraries();
-        let _ = cntfet_boolfn::RwrLibrary::global();
         inputs
             .iter()
             .map(|f| match load_circuit(std::path::Path::new(f)) {

@@ -141,11 +141,10 @@ pub fn run_suite_full(
         .into_iter()
         .filter(|b| subset.map(|s| s.contains(&b.name)).unwrap_or(true))
         .collect();
-    // Shared read-only state: the three libraries (NPN index included)
-    // and the rewriting structure library, forced ahead of the fan-out
-    // so workers never race to build them lazily.
+    // Shared read-only state: the three libraries (NPN index
+    // included), built ahead of the fan-out so workers never race to
+    // build them lazily.
     let libs = suite_libraries();
-    let _ = cntfet_boolfn::RwrLibrary::global();
     threadpool::par_map(0, benches.len(), |i| {
         let b = &benches[i];
         run_circuit(b.name, b.function, &b.aig, verify, opts, synth, &libs)
@@ -192,7 +191,6 @@ pub fn compare_synth_engines(verify: bool, subset: Option<&[&str]>) -> Vec<Synth
         .into_iter()
         .filter(|b| subset.map(|s| s.contains(&b.name)).unwrap_or(true))
         .collect();
-    let _ = cntfet_boolfn::RwrLibrary::global();
     threadpool::par_map(0, benches.len(), |i| {
         let b = &benches[i];
         let t = std::time::Instant::now();

@@ -6,9 +6,8 @@
 //! benchmark sweep). This module is that seam:
 //!
 //! * **Shared immutable state** — a [`SynthService`] builds its
-//!   [`Library`] once and warms the global [`cntfet_boolfn::RwrLibrary`]
-//!   in its constructor; both are then shared read-only across all
-//!   thread-pool workers of every batch.
+//!   [`Library`] once in its constructor; it is then shared read-only
+//!   across all thread-pool workers of every batch.
 //! * **Request deduplication** — completed outcomes are memoized
 //!   under the circuit's [`Aig::fingerprint`], so a repeated circuit
 //!   costs one hash lookup and the whole batch reports an honest
@@ -187,17 +186,14 @@ impl SynthService {
         SynthService::with_options(family, MapOptions::default(), SynthOptions::default(), true)
     }
 
-    /// A fully configured service. Builds the library eagerly and
-    /// warms the process-wide rewriting structure library, so the
-    /// first request pays no lazy-initialization cost and workers
-    /// never race to build shared state.
+    /// A fully configured service. Builds the library eagerly, so the
+    /// first request pays no lazy-initialization cost.
     pub fn with_options(
         family: LogicFamily,
         map_opts: MapOptions,
         synth_opts: SynthOptions,
         verify: bool,
     ) -> SynthService {
-        let _ = cntfet_boolfn::RwrLibrary::global();
         SynthService {
             library: Library::new(family),
             map_opts,

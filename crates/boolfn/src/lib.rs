@@ -39,6 +39,7 @@ mod factor;
 mod isop;
 mod npn;
 pub mod rwr;
+mod rwr_table;
 mod tt;
 pub mod word;
 

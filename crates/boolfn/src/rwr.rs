@@ -4,7 +4,11 @@
 //! DAG-aware rewriting replaces the logic cone of a 4-feasible cut by
 //! a precomputed structure for the cut function's NPN class, instead
 //! of re-deriving an implementation (ISOP + factoring) per node. The
-//! library is built once per process ([`RwrLibrary::global`]):
+//! structures are a fixed function of the code, so they are derived
+//! once, by the `rwrgen` binary (`src/bin/rwrgen.rs`), and committed
+//! as a table (`src/rwr_table.rs`) that [`RwrLibrary::global`] decodes
+//! on first use. The generator derives each class's structure in two
+//! steps:
 //!
 //! 1. a breadth-first exact enumeration over all 65 536 four-variable
 //!    functions finds minimal AND-tree implementations up to a node
@@ -13,14 +17,17 @@
 //! 2. the few classes beyond the budget fall back to the better of a
 //!    Shannon/XOR-aware decomposition and the two factored-SOP phases.
 //!
-//! Entries are keyed by the same [`npn_canonical`] form the technology
-//! mapper's library index uses, so a lookup is one canonicalization
-//! plus a hash probe; the returned [`NpnTransform`] tells the caller
-//! how to wire cut leaves onto structure inputs.
+//! CI reruns the generator and fails when its output differs from the
+//! committed table.
+//!
+//! Entries are keyed by the same [`npn_canonical`](crate::npn_canonical)
+//! form the technology mapper's library index uses, so a lookup is one
+//! canonicalization plus a hash probe; the returned [`NpnTransform`]
+//! tells the caller how to wire cut leaves onto structure inputs.
 
-use crate::npn::{npn_canonical, NpnTransform};
+use crate::npn::NpnTransform;
+use crate::rwr_table::{NUM_EXACT, TABLE};
 use crate::tt::TruthTable;
-use crate::{factor, isop, Expr};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -96,6 +103,14 @@ impl RwrStructure {
     /// the test-suite; leaves beyond the function's support are
     /// ignored).
     pub fn eval16(&self, leaves: [u16; 4]) -> u16 {
+        Self::eval_steps(&self.steps, self.out, leaves)
+    }
+
+    /// [`eval16`](Self::eval16) for AND steps and an output literal
+    /// that are not (yet) a structure; the `rwrgen` generator checks
+    /// every class with it. Operands of step `i` must reference only
+    /// leaves, constants and steps `< i` (it panics otherwise).
+    pub fn eval_steps(steps: &[(RwrLit, RwrLit)], out: RwrLit, leaves: [u16; 4]) -> u16 {
         let lit_val = |vals: &[u16], l: RwrLit| -> u16 {
             match Self::decode(l) {
                 RwrOperand::Const(b) => {
@@ -109,12 +124,12 @@ impl RwrStructure {
                 RwrOperand::Step(i, c) => vals[i] ^ if c { !0 } else { 0 },
             }
         };
-        let mut vals: Vec<u16> = Vec::with_capacity(self.steps.len());
-        for &(a, b) in &self.steps {
+        let mut vals: Vec<u16> = Vec::with_capacity(steps.len());
+        for &(a, b) in steps {
             let v = lit_val(&vals, a) & lit_val(&vals, b);
             vals.push(v);
         }
-        lit_val(&vals, self.out)
+        lit_val(&vals, out)
     }
 }
 
@@ -132,18 +147,32 @@ pub struct RwrMatch<'a> {
     pub transform: NpnTransform,
 }
 
+/// One row of the committed class table: the class's canonical truth
+/// table, its output literal and its AND steps.
+pub(crate) struct RwrEntry {
+    pub(crate) key: u16,
+    pub(crate) out: RwrLit,
+    pub(crate) steps: &'static [(RwrLit, RwrLit)],
+}
+
 /// The precomputed per-NPN-class structure library (see module docs).
 #[derive(Debug)]
 pub struct RwrLibrary {
     entries: HashMap<u16, RwrStructure>,
-    exact: usize,
 }
 
 impl RwrLibrary {
-    /// The process-wide library, built on first use.
+    /// The process-wide library, decoded on first use from the
+    /// committed table the `rwrgen` binary generates; the search
+    /// behind the table runs only in the generator.
     pub fn global() -> &'static RwrLibrary {
         static LIB: OnceLock<RwrLibrary> = OnceLock::new();
-        LIB.get_or_init(RwrLibrary::build)
+        LIB.get_or_init(|| RwrLibrary {
+            entries: TABLE
+                .iter()
+                .map(|e| (e.key, RwrStructure { steps: e.steps.to_vec(), out: e.out }))
+                .collect(),
+        })
     }
 
     /// Number of NPN classes stored (222 for 4 variables).
@@ -151,10 +180,10 @@ impl RwrLibrary {
         self.entries.len()
     }
 
-    /// Number of classes whose structure came from the exact
-    /// enumeration (the rest use decomposition fallbacks).
+    /// Number of classes whose structure came from the generator's
+    /// exact enumeration (the rest use decomposition fallbacks).
     pub fn num_exact(&self) -> usize {
-        self.exact
+        NUM_EXACT
     }
 
     /// Looks up the structure for a function given as a replicated
@@ -170,325 +199,13 @@ impl RwrLibrary {
             .expect("rewrite library covers every 4-variable NPN class");
         RwrMatch { structure, transform: canon.transform }
     }
-
-    fn build() -> RwrLibrary {
-        let enumeration = enumerate_exact();
-        let mut entries: HashMap<u16, RwrStructure> = HashMap::new();
-        let mut exact = 0usize;
-        let mut visited = vec![false; 1 << 16];
-        let transforms = all_transforms();
-        for t in 0..(1u32 << 16) {
-            if visited[t as usize] {
-                continue;
-            }
-            let tt = TruthTable::from_bits(RWR_VARS, t as u64);
-            // Mark the whole NPN orbit so each class is processed once.
-            for tr in &transforms {
-                let img = (tr.apply(&tt).words()[0] & 0xFFFF) as u16;
-                visited[img as usize] = true;
-            }
-            let canon = npn_canonical(&tt);
-            let key = (canon.table.words()[0] & 0xFFFF) as u16;
-            let (structure, was_exact) = synth_class(key, &enumeration);
-            debug_assert_eq!(
-                structure.eval16([0xAAAA, 0xCCCC, 0xF0F0, 0xFF00]),
-                key,
-                "class {key:#06x} structure is wrong"
-            );
-            exact += usize::from(was_exact);
-            entries.insert(key, structure);
-        }
-        RwrLibrary { entries, exact }
-    }
-}
-
-/// All 768 NPN transforms on 4 variables (24 permutations × 16 input
-/// polarities × 2 output polarities).
-fn all_transforms() -> Vec<NpnTransform> {
-    let mut perms: Vec<[usize; 4]> = Vec::with_capacity(24);
-    let mut p = [0usize, 1, 2, 3];
-    loop {
-        perms.push(p);
-        // next_permutation
-        let mut i = 3;
-        while i > 0 && p[i - 1] >= p[i] {
-            i -= 1;
-        }
-        if i == 0 {
-            break;
-        }
-        let mut j = 3;
-        while p[j] <= p[i - 1] {
-            j -= 1;
-        }
-        p.swap(i - 1, j);
-        p[i..].reverse();
-    }
-    let mut out = Vec::with_capacity(perms.len() * 32);
-    for perm in &perms {
-        for flips in 0u8..16 {
-            for of in [false, true] {
-                out.push(NpnTransform::new(RWR_VARS, perm, flips, of));
-            }
-        }
-    }
-    out
-}
-
-const UNREACHED: u8 = u8::MAX;
-
-/// How a function was first reached during the exact enumeration.
-#[derive(Debug, Clone, Copy)]
-enum Rec {
-    /// A projection (or complemented projection) of one variable.
-    Leaf { var: u8, neg: bool },
-    /// An AND of two previously reached functions, possibly with the
-    /// output complemented.
-    Node { a: u16, b: u16, neg: bool },
-}
-
-struct Enumeration {
-    cost: Vec<u8>,
-    recs: Vec<Option<Rec>>,
-}
-
-/// Breadth-first exact enumeration: finds, for every 4-variable
-/// function reachable within `CAP` AND-tree nodes, a minimal tree.
-/// The function set is closed under complement (an AIG edge
-/// complements for free), so plain pairwise ANDs cover all input
-/// polarities.
-fn enumerate_exact() -> Enumeration {
-    const CAP: usize = 12;
-    let n = 1usize << 16;
-    let mut cost = vec![UNREACHED; n];
-    let mut recs: Vec<Option<Rec>> = vec![None; n];
-    let mut by_cost: Vec<Vec<u16>> = vec![Vec::new(); CAP + 1];
-    for (v, &w) in VAR16.iter().enumerate() {
-        for (t, neg) in [(w, false), (!w, true)] {
-            cost[t as usize] = 0;
-            recs[t as usize] = Some(Rec::Leaf { var: v as u8, neg });
-            by_cost[0].push(t);
-        }
-    }
-    for c in 1..=CAP {
-        for ca in 0..c {
-            let cb = c - 1 - ca;
-            if cb < ca {
-                break;
-            }
-            for ia in 0..by_cost[ca].len() {
-                let fa = by_cost[ca][ia];
-                for ib in 0..by_cost[cb].len() {
-                    let fb = by_cost[cb][ib];
-                    let t = fa & fb;
-                    if t == 0 || t == u16::MAX || cost[t as usize] != UNREACHED {
-                        continue;
-                    }
-                    cost[t as usize] = c as u8;
-                    recs[t as usize] = Some(Rec::Node { a: fa, b: fb, neg: false });
-                    by_cost[c].push(t);
-                    let nt = !t;
-                    if cost[nt as usize] == UNREACHED {
-                        cost[nt as usize] = c as u8;
-                        recs[nt as usize] = Some(Rec::Node { a: fa, b: fb, neg: true });
-                        by_cost[c].push(nt);
-                    }
-                }
-            }
-        }
-    }
-    Enumeration { cost, recs }
-}
-
-/// Structural-hashing mini-builder the structures are compiled with:
-/// steps dedupe by operand pair and the trivial AND rules apply, so
-/// no structure carries constant or duplicated steps.
-struct MiniAig {
-    steps: Vec<(RwrLit, RwrLit)>,
-    strash: HashMap<(RwrLit, RwrLit), RwrLit>,
-}
-
-impl MiniAig {
-    fn new() -> MiniAig {
-        MiniAig { steps: Vec::new(), strash: HashMap::new() }
-    }
-
-    fn and(&mut self, a: RwrLit, b: RwrLit) -> RwrLit {
-        const F: RwrLit = RwrStructure::FALSE;
-        const T: RwrLit = RwrStructure::TRUE;
-        if a == F || b == F {
-            return F;
-        }
-        if a == T {
-            return b;
-        }
-        if b == T || a == b {
-            return a;
-        }
-        if a ^ b == 1 {
-            return F;
-        }
-        let key = if a < b { (a, b) } else { (b, a) };
-        if let Some(&l) = self.strash.get(&key) {
-            return l;
-        }
-        let lit = ((RWR_VARS + self.steps.len()) as u8) << 1;
-        self.steps.push(key);
-        self.strash.insert(key, lit);
-        lit
-    }
-
-    fn or(&mut self, a: RwrLit, b: RwrLit) -> RwrLit {
-        self.and(a ^ 1, b ^ 1) ^ 1
-    }
-
-    fn xor(&mut self, a: RwrLit, b: RwrLit) -> RwrLit {
-        let n0 = self.and(a, b ^ 1);
-        let n1 = self.and(a ^ 1, b);
-        self.or(n0, n1)
-    }
-}
-
-/// Builds the structure of one canonical function.
-fn synth_class(key: u16, e: &Enumeration) -> (RwrStructure, bool) {
-    if key == 0 {
-        return (RwrStructure { steps: Vec::new(), out: RwrStructure::FALSE }, true);
-    }
-    if e.cost[key as usize] != UNREACHED {
-        let mut mini = MiniAig::new();
-        let mut memo = HashMap::new();
-        let out = build_rec(key, e, &mut mini, &mut memo);
-        return (RwrStructure { steps: mini.steps, out }, true);
-    }
-    // Beyond the enumeration budget: best of Shannon/XOR decomposition
-    // and the two factored-SOP phases.
-    let mut best: Option<RwrStructure> = None;
-    let mut consider = |s: RwrStructure| {
-        if best.as_ref().map(|b| s.num_ands() < b.num_ands()).unwrap_or(true) {
-            best = Some(s);
-        }
-    };
-    {
-        let mut mini = MiniAig::new();
-        let mut memo = HashMap::new();
-        let out = decompose(key, e, &mut mini, &mut memo);
-        consider(RwrStructure { steps: mini.steps, out });
-    }
-    let tt = TruthTable::from_bits(RWR_VARS, key as u64);
-    for (expr, out_neg) in [(factor(&isop(&tt)), false), (factor(&isop(&!&tt)), true)] {
-        let mut mini = MiniAig::new();
-        let out = compile_expr(&expr, &mut mini);
-        consider(RwrStructure { steps: mini.steps, out: out ^ out_neg as u8 });
-    }
-    (best.expect("at least one fallback candidate"), false)
-}
-
-/// Replays the enumeration's recipe for `t` into `mini`, sharing
-/// repeated sub-functions through `memo`.
-fn build_rec(t: u16, e: &Enumeration, mini: &mut MiniAig, memo: &mut HashMap<u16, RwrLit>) -> RwrLit {
-    if let Some(&l) = memo.get(&t) {
-        return l;
-    }
-    let lit = match e.recs[t as usize].expect("function reached by enumeration") {
-        Rec::Leaf { var, neg } => (var << 1) | neg as u8,
-        Rec::Node { a, b, neg } => {
-            let la = build_rec(a, e, mini, memo);
-            let lb = build_rec(b, e, mini, memo);
-            mini.and(la, lb) ^ neg as u8
-        }
-    };
-    memo.insert(t, lit);
-    memo.insert(!t, lit ^ 1);
-    lit
-}
-
-const VAR16: [u16; 4] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
-
-fn cof0(t: u16, v: usize) -> u16 {
-    let lo = t & !VAR16[v];
-    lo | (lo << (1 << v))
-}
-
-fn cof1(t: u16, v: usize) -> u16 {
-    let hi = t & VAR16[v];
-    hi | (hi >> (1 << v))
-}
-
-/// Shannon/XOR-aware recursive decomposition for functions beyond the
-/// enumeration budget; reaches back into the enumeration for any
-/// sub-function it already covers.
-fn decompose(t: u16, e: &Enumeration, mini: &mut MiniAig, memo: &mut HashMap<u16, RwrLit>) -> RwrLit {
-    if t == 0 {
-        return RwrStructure::FALSE;
-    }
-    if t == u16::MAX {
-        return RwrStructure::TRUE;
-    }
-    if let Some(&l) = memo.get(&t) {
-        return l;
-    }
-    if e.cost[t as usize] != UNREACHED {
-        return build_rec(t, e, mini, memo);
-    }
-    let mut split = None;
-    for v in 0..RWR_VARS {
-        let (c0, c1) = (cof0(t, v), cof1(t, v));
-        if c0 == c1 {
-            continue; // independent of v
-        }
-        if c0 == !c1 {
-            // t = v ⊕ cof0: peel the XOR.
-            let sub = decompose(c0, e, mini, memo);
-            let lit = mini.xor((v as u8) << 1, sub);
-            memo.insert(t, lit);
-            memo.insert(!t, lit ^ 1);
-            return lit;
-        }
-        if split.is_none() {
-            split = Some(v);
-        }
-    }
-    let v = split.expect("non-constant function depends on some variable");
-    let (c0, c1) = (cof0(t, v), cof1(t, v));
-    let l1 = decompose(c1, e, mini, memo);
-    let l0 = decompose(c0, e, mini, memo);
-    let hi = mini.and((v as u8) << 1, l1);
-    let lo = mini.and((v as u8) << 1 | 1, l0);
-    let lit = mini.or(hi, lo);
-    memo.insert(t, lit);
-    memo.insert(!t, lit ^ 1);
-    lit
-}
-
-fn compile_expr(expr: &Expr, mini: &mut MiniAig) -> RwrLit {
-    match expr {
-        Expr::Const(b) => {
-            if *b {
-                RwrStructure::TRUE
-            } else {
-                RwrStructure::FALSE
-            }
-        }
-        Expr::Var(v) => *v << 1,
-        Expr::Not(inner) => compile_expr(inner, mini) ^ 1,
-        Expr::And(es) => {
-            let lits: Vec<RwrLit> = es.iter().map(|e| compile_expr(e, mini)).collect();
-            lits.into_iter().reduce(|a, b| mini.and(a, b)).unwrap_or(RwrStructure::TRUE)
-        }
-        Expr::Or(es) => {
-            let lits: Vec<RwrLit> = es.iter().map(|e| compile_expr(e, mini)).collect();
-            lits.into_iter().reduce(|a, b| mini.or(a, b)).unwrap_or(RwrStructure::FALSE)
-        }
-        Expr::Xor(es) => {
-            let lits: Vec<RwrLit> = es.iter().map(|e| compile_expr(e, mini)).collect();
-            lits.into_iter().reduce(|a, b| mini.xor(a, b)).unwrap_or(RwrStructure::FALSE)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const VAR16: [u16; 4] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
 
     #[test]
     fn library_covers_all_222_classes() {
@@ -508,15 +225,12 @@ mod tests {
 
     #[test]
     fn lookup_transform_realizes_the_query() {
-        // For a batch of random functions: wiring the structure per the
-        // returned transform must reproduce the function exactly.
+        // For every 4-input function: wiring the structure per the
+        // returned transform must reproduce the function exactly. Every
+        // lookup finds an entry, and there are 222 of them, so the keys
+        // are exactly the NPN class representatives.
         let lib = RwrLibrary::global();
-        let mut state = 0x1234_5678_9ABC_DEFFu64;
-        for _ in 0..200 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let f = (state & 0xFFFF) as u16;
+        for f in 0..=u16::MAX {
             let m = lib.lookup_word(TruthTable::from_bits(4, f as u64).words()[0]);
             // Structure input position perm(i) carries the query's
             // variable i, complemented per the transform.
@@ -531,6 +245,34 @@ mod tests {
             }
             assert_eq!(got, f, "function {f:#06x}");
         }
+    }
+
+    #[test]
+    fn rwr_table_is_pinned() {
+        // The structures decide what rewriting commits, so the whole
+        // table is pinned: each entry's key, output literal and steps,
+        // in key order. The digest was computed with the runtime search
+        // the generator replaced; it changes only together with the
+        // synthesis results.
+        fn mix(h: u64, x: u64) -> u64 {
+            let mut z = (h ^ x).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let lib = RwrLibrary::global();
+        let mut keys: Vec<u16> = lib.entries.keys().copied().collect();
+        keys.sort_unstable();
+        let mut h = 0u64;
+        for key in keys {
+            let s = &lib.entries[&key];
+            h = mix(h, u64::from(key) << 16 | u64::from(s.out) << 8 | s.steps.len() as u64);
+            for &(a, b) in &s.steps {
+                h = mix(h, u64::from(a) << 8 | u64::from(b));
+            }
+        }
+        assert_eq!(h, 0xcc29_013e_1825_6f32, "a rewrite structure changed");
+        assert_eq!(lib.num_exact(), 208);
     }
 
     #[test]
