@@ -1,30 +1,23 @@
-//! Criterion benchmarks of the in-place DAG-aware synthesis engine
-//! (PR 5) against the seed rebuild-based engine, on the circuits the
-//! acceptance targets name (mult8 / C1908 class) plus the suite's
-//! largest member.
+//! Criterion benchmarks of the synthesis engine: `resyn2rs` on the
+//! mult8 / C1908 class, the suite's largest member and the paper's
+//! add-16 and C1355 workloads; the individual in-place passes on the
+//! multiplier; the functional balance and rewrite wrappers on add-16;
+//! and the C6288 generator.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use cntfet_synth::{
-    balance_inplace, refactor_inplace, resyn2rs, resyn2rs_with, rewrite_inplace, SynthEngine,
-    SynthOptions,
-};
+use cntfet_synth::{balance_inplace, refactor_inplace, resyn2rs, rewrite_inplace};
 
 fn bench_synth(c: &mut Criterion) {
-    let seed_opts = SynthOptions { engine: SynthEngine::Seed, ..Default::default() };
-
     for (name, g) in [
         ("mult8", cntfet_circuits::array_multiplier(8)),
         ("c1908", cntfet_circuits::c1908_like()),
         ("des", cntfet_circuits::des_like()),
+        ("add16", cntfet_circuits::ripple_adder(16)),
+        ("c1355", cntfet_circuits::c1355_like()),
     ] {
-        c.bench_function(&format!("resyn2rs_inplace/{name}"), |b| {
-            b.iter(|| resyn2rs(black_box(&g)))
-        });
-        c.bench_function(&format!("resyn2rs_seed/{name}"), |b| {
-            b.iter(|| resyn2rs_with(black_box(&g), &seed_opts))
-        });
+        c.bench_function(&format!("resyn2rs/{name}"), |b| b.iter(|| resyn2rs(black_box(&g))));
     }
 
     // Individual in-place passes on the multiplier.
@@ -46,6 +39,17 @@ fn bench_synth(c: &mut Criterion) {
             let mut g = mult8.clone();
             balance_inplace(black_box(&mut g))
         })
+    });
+
+    let add16 = cntfet_circuits::ripple_adder(16);
+    c.bench_function("balance/add16", |b| {
+        b.iter(|| cntfet_synth::balance(black_box(&add16)))
+    });
+    c.bench_function("rewrite/add16", |b| {
+        b.iter(|| cntfet_synth::rewrite(black_box(&add16), false))
+    });
+    c.bench_function("generator/c6288_multiplier", |b| {
+        b.iter(|| cntfet_circuits::array_multiplier(black_box(16)))
     });
 }
 

@@ -1,4 +1,4 @@
-//! Ablation studies of the design choices DESIGN.md calls out:
+//! Ablation studies of the reproduction's design choices:
 //!
 //! 1. **cut size** — how much of the CNTFET advantage needs the wide
 //!    (5/6-input) cells vs the small ones;
@@ -11,13 +11,13 @@
 //! 5. **verification engine** — what each tier of the CEC stack
 //!    (exhaustive simulation, SAT sweeping, pure output miters) costs
 //!    on a multiplier-class miter;
-//! 6. **synthesis engine** — the in-place DAG-aware pass engine vs the
-//!    seed rebuild-based sequence, per-pass contribution included.
+//! 6. **synthesis passes** — what `resyn2rs` takes off each circuit,
+//!    and each pass's contribution to one round.
 
 use cntfet_aig::{check_equivalence_sweeping_report, CecResult, SweepOptions};
 use cntfet_circuits::{cla_adder, ripple_adder, shift_add_multiplier};
 use cntfet_core::{Library, LogicFamily};
-use cntfet_synth::{resyn2rs, resyn2rs_with, Script, SynthEngine, SynthOptions};
+use cntfet_synth::{resyn2rs, Script};
 use cntfet_techmap::{map, MapOptions, Objective};
 
 fn main() {
@@ -124,28 +124,17 @@ fn main() {
     }
     println!("(every tier returns the same verdict; the stack picks the cheapest)");
 
-    println!("\n== Ablation 6: synthesis engine (in-place DAG-aware vs seed rebuild) ==");
-    println!("{:<10} {:>16} {:>16} {:>9}", "circuit", "in-place", "seed", "speedup");
+    println!("\n== Ablation 6: synthesis passes (resyn2rs) ==");
+    println!("{:<10} {:>9} {:>9} {:>9}", "circuit", "input", "resyn2rs", "time");
     for (name, g) in [
         ("mult8", cntfet_circuits::array_multiplier(8)),
         ("c1908", cntfet_circuits::c1908_like()),
         ("des", cntfet_circuits::des_like()),
     ] {
         let t = std::time::Instant::now();
-        let new = resyn2rs(&g);
-        let t_new = t.elapsed();
-        let t = std::time::Instant::now();
-        let old = resyn2rs_with(&g, &SynthOptions { engine: SynthEngine::Seed, ..Default::default() });
-        let t_old = t.elapsed();
-        println!(
-            "{:<10} {:>7} ands {:>6.1?} {:>7} ands {:>6.1?} {:>8.1}x",
-            name,
-            new.num_ands(),
-            t_new,
-            old.num_ands(),
-            t_old,
-            t_old.as_secs_f64() / t_new.as_secs_f64(),
-        );
+        let opt = resyn2rs(&g);
+        let elapsed = t.elapsed();
+        println!("{:<10} {:>9} {:>9} {:>8.1?}", name, g.num_ands(), opt.num_ands(), elapsed);
     }
     println!("\nper-pass contribution (mult8, one resyn2rs round):");
     let mut g = cntfet_circuits::array_multiplier(8).compact();

@@ -15,13 +15,13 @@ use cntfet_aig::{
 };
 use cntfet_bench::serve::load_circuit;
 use cntfet_bench::{
-    compare_synth_engines, run_circuit, run_suite, run_suite_with, suite_averages,
-    suite_libraries, suite_verification_stats,
+    run_circuit, run_suite, run_suite_with, suite_averages, suite_libraries,
+    suite_verification_stats, SEED_RESYN2RS,
 };
 use cntfet_circuits::paper_benchmarks;
 use cntfet_core::{characterize_family, enumerate_gates, family_averages, Library, LogicFamily};
 use cntfet_sat::Solver;
-use cntfet_synth::{resyn2rs, SynthOptions};
+use cntfet_synth::{resyn2rs, AigStats};
 use cntfet_techmap::{
     check_mapping, map, mapping_to_aig, verify_mapping_report, MapOptions, MapStats, Objective,
 };
@@ -209,43 +209,46 @@ fn main() {
         tolerance_pct: 0.0,
     });
 
-    // Synthesis engines: the in-place DAG-aware engine (PR 5) vs the
-    // seed rebuild-based sequence — never worse in (ands, depth) on
-    // any benchmark, CEC-verified, and faster end to end.
-    println!("\ncomparing synthesis engines (seed rebuild vs in-place DAG-aware)...");
-    let synth_cmp = compare_synth_engines(true, None);
+    // Synthesis: every `resyn2rs` output is CEC-verified against its
+    // source, and never worse in (ands, depth) than the seed-era
+    // rebuild engine reached on the same circuit (pinned constants).
+    println!("\nchecking resyn2rs against the pinned seed-engine results...");
+    let benches = paper_benchmarks();
+    let synth_runs = threadpool::par_map(0, benches.len(), |i| {
+        let opt = resyn2rs(&benches[i].aig);
+        let verified = check_equivalence_sweeping(&benches[i].aig, &opt) == CecResult::Equivalent;
+        (AigStats::of(&opt), verified)
+    });
     let mut synth_worse = 0usize;
     let mut synth_unverified = 0usize;
-    let (mut seed_ms, mut new_ms) = (0.0f64, 0.0f64);
     let (mut seed_ands, mut new_ands) = (0usize, 0usize);
-    for c in &synth_cmp {
-        if !c.never_worse() {
+    for ((b, &(name, seed)), (stats, verified)) in
+        benches.iter().zip(&SEED_RESYN2RS).zip(&synth_runs)
+    {
+        assert_eq!(b.name, name, "pinned seed table out of suite order");
+        if seed.better_than(stats) {
             synth_worse += 1;
             println!(
-                "  REGRESSION {}: in-place {}/{} vs seed {}/{}",
-                c.name, c.inplace.ands, c.inplace.depth, c.seed.ands, c.seed.depth
+                "  REGRESSION {name}: resyn2rs {}/{} vs seed {}/{}",
+                stats.ands, stats.depth, seed.ands, seed.depth
             );
         }
-        synth_unverified += usize::from(!c.verified);
-        seed_ms += c.seed_ms;
-        new_ms += c.inplace_ms;
-        seed_ands += c.seed.ands;
-        new_ands += c.inplace.ands;
+        synth_unverified += usize::from(!verified);
+        seed_ands += seed.ands;
+        new_ands += stats.ands;
     }
     println!(
-        "  total ands {seed_ands} -> {new_ands} ({:+.1}%), suite synth wall time \
-         {seed_ms:.0} -> {new_ms:.0} ms ({:.1}x)",
+        "  total ands {seed_ands} (seed) -> {new_ands} ({:+.1}%)",
         100.0 * (new_ands as f64 - seed_ands as f64) / seed_ands as f64,
-        seed_ms / new_ms,
     );
     checks.push(Check {
-        what: "Synth: in-place never worse than seed (ands, depth)",
+        what: "Synth: never worse than seed (ands, depth)",
         paper: 0.0,
         measured: synth_worse as f64,
         tolerance_pct: 0.0,
     });
     checks.push(Check {
-        what: "Synth: both engines CEC-verified per benchmark",
+        what: "Synth: every resyn2rs output CEC-verified",
         paper: 0.0,
         measured: synth_unverified as f64,
         tolerance_pct: 0.0,
@@ -466,7 +469,6 @@ fn main() {
                         &aig,
                         true,
                         MapOptions::default(),
-                        &SynthOptions::default(),
                         &libs,
                     );
                     let rt_ok = parse_aiger(&write_aiger_binary(&aig))

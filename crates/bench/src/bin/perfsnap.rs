@@ -1,7 +1,7 @@
 //! Performance snapshot: measures the workspace's hot paths —
-//! synthesis (in-place engine vs the seed rebuild engine), technology
-//! mapping, verification (the per-gate mapping certificate vs SAT, and
-//! SAT CEC), the suite fan-out at several worker counts, the
+//! synthesis, technology mapping, verification (the per-gate mapping
+//! certificate vs SAT, and SAT CEC), the suite fan-out at several
+//! worker counts, the
 //! incrementality substrate (dirty-region cut-enumeration updates vs
 //! from-scratch re-enumeration), the batch synthesis service (cold vs
 //! warm throughput), and the persistent cut arena carried across a
@@ -27,11 +27,11 @@ use cntfet_aig::{
     SweepOptions,
 };
 use cntfet_bench::serve::{SynthRequest, SynthService};
-use cntfet_bench::{compare_synth_engines, run_suite_with};
+use cntfet_bench::run_suite_with;
 use cntfet_boolfn::{canon_cache_stats, CacheStats};
 use cntfet_circuits::{array_multiplier, c1908_like, cla_adder, ripple_adder, shift_add_multiplier};
 use cntfet_core::{Library, LogicFamily};
-use cntfet_synth::{resyn2rs, resyn2rs_with, SynthEngine, SynthOptions};
+use cntfet_synth::{resyn2rs, SynthOptions};
 use cntfet_techmap::{map, mapping_to_aig, verify_mapping_report, MapOptions, Objective};
 use std::time::Instant;
 
@@ -135,50 +135,21 @@ fn main() {
         "arena rebase across compaction not 2x faster: full {compact_enum_ms:.3}ms vs rebase {rebase_ms:.3}ms"
     );
 
-    // --- synthesis: in-place DAG-aware engine vs the seed rebuild ---
-    let seed_opts = SynthOptions { engine: SynthEngine::Seed, ..Default::default() };
+    // --- synthesis (tracked for regressions) ---
     let mult8_src = array_multiplier(8);
     let c1908_src = c1908_like();
     let des_src = cntfet_circuits::des_like();
-    let synth_mult8_new_ms = best_ms(5, || {
+    let synth_mult8_ms = best_ms(5, || {
         assert!(resyn2rs(&mult8_src).num_ands() > 0);
     });
-    let synth_mult8_seed_ms = best_ms(5, || {
-        assert!(resyn2rs_with(&mult8_src, &seed_opts).num_ands() > 0);
-    });
-    let synth_c1908_new_ms = best_ms(5, || {
+    let synth_c1908_ms = best_ms(5, || {
         assert!(resyn2rs(&c1908_src).num_ands() > 0);
     });
-    let synth_c1908_seed_ms = best_ms(5, || {
-        assert!(resyn2rs_with(&c1908_src, &seed_opts).num_ands() > 0);
-    });
-    let synth_des_new_ms = best_ms(3, || {
+    let synth_des_ms = best_ms(3, || {
         assert!(resyn2rs(&des_src).num_ands() > 0);
     });
-    let synth_des_seed_ms = best_ms(3, || {
-        assert!(resyn2rs_with(&des_src, &seed_opts).num_ands() > 0);
-    });
-    let m8_new = resyn2rs(&mult8_src);
-    let m8_old = resyn2rs_with(&mult8_src, &seed_opts);
-    let c19_new = resyn2rs(&c1908_src);
-    let c19_old = resyn2rs_with(&c1908_src, &seed_opts);
-    assert!(
-        synth_mult8_new_ms * 3.0 <= synth_mult8_seed_ms,
-        "mult8 synth speedup below 3x: seed {synth_mult8_seed_ms:.3}ms vs in-place {synth_mult8_new_ms:.3}ms"
-    );
-    assert!(
-        synth_c1908_new_ms * 3.0 <= synth_c1908_seed_ms,
-        "c1908 synth speedup below 3x: seed {synth_c1908_seed_ms:.3}ms vs in-place {synth_c1908_new_ms:.3}ms"
-    );
-
-    // Whole-suite quality outcome (ands totals, never-worse count).
-    let cmp = compare_synth_engines(false, None);
-    let suite_seed_ands: usize = cmp.iter().map(|c| c.seed.ands).sum();
-    let suite_new_ands: usize = cmp.iter().map(|c| c.inplace.ands).sum();
-    let suite_worse = cmp.iter().filter(|c| !c.never_worse()).count();
-    let suite_seed_ms: f64 = cmp.iter().map(|c| c.seed_ms).sum();
-    let suite_new_ms: f64 = cmp.iter().map(|c| c.inplace_ms).sum();
-    assert_eq!(suite_worse, 0, "in-place synth regressed a benchmark");
+    let m8_opt = resyn2rs(&mult8_src);
+    let c19_opt = resyn2rs(&c1908_src);
 
     // --- mapping (tracked for regressions) ---
     let lib = Library::new(LogicFamily::TgStatic);
@@ -187,11 +158,11 @@ fn main() {
         assert!(map(&add16, &lib, MapOptions::default()).stats.gates > 0);
     });
     let map_c1908_ms = best_ms(5, || {
-        assert!(map(&c19_new, &lib, MapOptions::default()).stats.gates > 0);
+        assert!(map(&c19_opt, &lib, MapOptions::default()).stats.gates > 0);
     });
     let delay_opts = MapOptions { objective: Objective::Delay, ..Default::default() };
     let map_mult8_delay_ms = best_ms(5, || {
-        assert!(map(&m8_new, &lib, delay_opts).stats.gates > 0);
+        assert!(map(&m8_opt, &lib, delay_opts).stats.gates > 0);
     });
 
     // --- verification (tracked for regressions) ---
@@ -351,25 +322,14 @@ fn main() {
     "identical_reports_across_worker_counts": {deterministic}
   }},
   "synth_ms": {{
-    "mult8_seed": {synth_mult8_seed_ms:.3},
-    "mult8_inplace": {synth_mult8_new_ms:.3},
-    "c1908_seed": {synth_c1908_seed_ms:.3},
-    "c1908_inplace": {synth_c1908_new_ms:.3},
-    "des_seed": {synth_des_seed_ms:.3},
-    "des_inplace": {synth_des_new_ms:.3},
-    "suite_seed": {suite_seed_ms:.1},
-    "suite_inplace": {suite_new_ms:.1}
+    "mult8_inplace": {synth_mult8_ms:.3},
+    "c1908_inplace": {synth_c1908_ms:.3},
+    "des_inplace": {synth_des_ms:.3}
   }},
   "synth_outcomes": {{
-    "mult8_ands_seed": {},
     "mult8_ands_inplace": {},
-    "mult8_depth_seed": {},
     "mult8_depth_inplace": {},
-    "c1908_ands_seed": {},
-    "c1908_ands_inplace": {},
-    "suite_total_ands_seed": {suite_seed_ands},
-    "suite_total_ands_inplace": {suite_new_ands},
-    "suite_benchmarks_worse_than_seed": {suite_worse}
+    "c1908_ands_inplace": {}
   }},
   "mapping_ms": {{
     "add16_tg_static_balanced": {map_add16_ms:.3},
@@ -384,12 +344,9 @@ fn main() {
   }}
 }}
 "#,
-        m8_old.num_ands(),
-        m8_new.num_ands(),
-        m8_old.depth(),
-        m8_new.depth(),
-        c19_old.num_ands(),
-        c19_new.num_ands(),
+        m8_opt.num_ands(),
+        m8_opt.depth(),
+        c19_opt.num_ands(),
         canon_json = stats_json(&canon),
         incr_nodes = incr_g.num_nodes(),
         dirty_nodes = delta.dirty().len(),

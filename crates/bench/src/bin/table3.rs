@@ -9,33 +9,19 @@
 //! the area- and delay-pressed corners of the multi-objective coverer
 //! instead of the default balanced covering; `--delay-rounds N`
 //! overrides the arrival-aware re-enumeration round bound (`0`
-//! reproduces the single-enumeration engine); `--synth seed` runs the
-//! seed-era rebuild-based synthesis engine instead of the in-place
-//! DAG-aware one (`--synth inplace`, the default); `--jobs N` sets the
+//! reproduces the single-enumeration engine); `--jobs N` sets the
 //! worker-thread budget (default: `CNTFET_JOBS` or the detected core
 //! count — the table is identical for every value); `--input FILE`
 //! (repeatable) runs external AIGER/BLIF circuits through the same
 //! pipeline instead of the built-in suite.
 
 use cntfet_bench::serve::load_circuit;
-use cntfet_bench::{print_table3, run_circuit, run_suite_full, suite_libraries, Table3Row};
-use cntfet_synth::{SynthEngine, SynthOptions};
+use cntfet_bench::{print_table3, run_circuit, run_suite_with, suite_libraries, Table3Row};
 use cntfet_techmap::{MapOptions, Objective};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let fast = args.iter().any(|a| a == "--fast");
-    let synth_engine = match args.iter().position(|a| a == "--synth") {
-        None => SynthEngine::InPlace,
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("seed") => SynthEngine::Seed,
-            Some("inplace") => SynthEngine::InPlace,
-            other => {
-                eprintln!("unknown synth engine {other:?}: expected inplace or seed");
-                std::process::exit(2);
-            }
-        },
-    };
     let objective = match args.iter().position(|a| a == "--objective") {
         None => Objective::Balanced,
         Some(i) => match args.get(i + 1).map(String::as_str) {
@@ -86,7 +72,7 @@ fn main() {
 
     println!("== Table 3 reproduction: synthesis + technology mapping ==");
     println!(
-        "(resyn2rs optimization [{synth_engine:?} engine], 6-cut NPN matching, \
+        "(resyn2rs optimization, 6-cut NPN matching, \
          {objective:?} covering, {delay_rounds} arrival round(s), {} worker(s); \
          verification {})\n",
         threadpool::Jobs::get(),
@@ -94,9 +80,8 @@ fn main() {
     );
     let t0 = std::time::Instant::now();
     let map_opts = MapOptions { objective, delay_rounds, ..Default::default() };
-    let synth_opts = SynthOptions { engine: synth_engine, ..Default::default() };
     let rows: Vec<Table3Row> = if inputs.is_empty() {
-        run_suite_full(!fast, None, map_opts, &synth_opts)
+        run_suite_with(!fast, None, map_opts)
     } else {
         let libs = suite_libraries();
         inputs
@@ -104,7 +89,7 @@ fn main() {
             .map(|f| match load_circuit(std::path::Path::new(f)) {
                 Ok(aig) => {
                     let name = aig.name().to_string();
-                    run_circuit(&name, "external", &aig, !fast, map_opts, &synth_opts, &libs)
+                    run_circuit(&name, "external", &aig, !fast, map_opts, &libs)
                 }
                 Err(e) => {
                     eprintln!("error: {e}");

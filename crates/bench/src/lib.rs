@@ -12,7 +12,7 @@ use cntfet_aig::Aig;
 use cntfet_circuits::{paper_benchmarks, Benchmark};
 use cntfet_core::{Library, LogicFamily};
 use cntfet_sat::SolverStats;
-use cntfet_synth::{resyn2rs_with, SynthOptions};
+use cntfet_synth::{resyn2rs, AigStats};
 use cntfet_techmap::{map, verify_mapping_report, MapOptions, MapStats};
 
 /// Mapping results of one benchmark across the three Table 3 families.
@@ -76,10 +76,9 @@ pub fn run_circuit(
     aig: &Aig,
     verify: bool,
     opts: MapOptions,
-    synth: &SynthOptions,
     libs: &[Library; 3],
 ) -> Table3Row {
-    let optimized = resyn2rs_with(aig, synth);
+    let optimized = resyn2rs(aig);
     let mut stats = Vec::with_capacity(3);
     let mut verified = true;
     let mut sat_stats = SolverStats::default();
@@ -120,23 +119,13 @@ pub fn run_suite(verify: bool, subset: Option<&[&str]>) -> Vec<Table3Row> {
 }
 
 /// [`run_suite`] with explicit mapper options.
-pub fn run_suite_with(verify: bool, subset: Option<&[&str]>, opts: MapOptions) -> Vec<Table3Row> {
-    run_suite_full(verify, subset, opts, &SynthOptions::default())
-}
-
-/// [`run_suite_with`] with explicit synthesis options too.
 ///
 /// Benchmarks run in parallel across the workspace worker budget
 /// ([`threadpool::Jobs`]; `CNTFET_JOBS=1` forces sequential), one
 /// benchmark per task. Each task owns its whole synth→map→verify chain
 /// and [`threadpool::par_map`] returns the rows in suite order, so the
 /// report is identical for every worker count.
-pub fn run_suite_full(
-    verify: bool,
-    subset: Option<&[&str]>,
-    opts: MapOptions,
-    synth: &SynthOptions,
-) -> Vec<Table3Row> {
+pub fn run_suite_with(verify: bool, subset: Option<&[&str]>, opts: MapOptions) -> Vec<Table3Row> {
     let benches: Vec<Benchmark> = paper_benchmarks()
         .into_iter()
         .filter(|b| subset.map(|s| s.contains(&b.name)).unwrap_or(true))
@@ -147,73 +136,32 @@ pub fn run_suite_full(
     let libs = suite_libraries();
     threadpool::par_map(0, benches.len(), |i| {
         let b = &benches[i];
-        run_circuit(b.name, b.function, &b.aig, verify, opts, synth, &libs)
+        run_circuit(b.name, b.function, &b.aig, verify, opts, &libs)
     })
 }
 
-/// One benchmark's old-vs-new synthesis engine outcome (see
-/// [`compare_synth_engines`]).
-#[derive(Debug, Clone)]
-pub struct SynthComparison {
-    /// Benchmark name.
-    pub name: String,
-    /// Seed-engine result stats.
-    pub seed: cntfet_synth::AigStats,
-    /// In-place-engine result stats.
-    pub inplace: cntfet_synth::AigStats,
-    /// Seed-engine wall time (ms).
-    pub seed_ms: f64,
-    /// In-place-engine wall time (ms).
-    pub inplace_ms: f64,
-    /// Whether both engine outputs passed CEC against the input.
-    pub verified: bool,
-}
-
-impl SynthComparison {
-    /// True when the in-place engine is never worse than the seed
-    /// engine in `(ands, depth)` lexicographic order.
-    pub fn never_worse(&self) -> bool {
-        self.inplace.ands < self.seed.ands
-            || (self.inplace.ands == self.seed.ands && self.inplace.depth <= self.seed.depth)
-    }
-}
-
-/// Runs both synthesis engines (`resyn2rs`) over the benchmark suite
-/// and reports quality, wall time, and (optionally) per-benchmark CEC
-/// of each output against its input — the scoreboard behind
-/// `full_repro`'s synthesis check and the never-worse regression
-/// test.
-pub fn compare_synth_engines(verify: bool, subset: Option<&[&str]>) -> Vec<SynthComparison> {
-    use cntfet_synth::{AigStats, SynthEngine};
-    let seed_opts = SynthOptions { engine: SynthEngine::Seed, ..Default::default() };
-    let new_opts = SynthOptions::default();
-    let benches: Vec<Benchmark> = paper_benchmarks()
-        .into_iter()
-        .filter(|b| subset.map(|s| s.contains(&b.name)).unwrap_or(true))
-        .collect();
-    threadpool::par_map(0, benches.len(), |i| {
-        let b = &benches[i];
-        let t = std::time::Instant::now();
-        let new = resyn2rs_with(&b.aig, &new_opts);
-        let inplace_ms = t.elapsed().as_secs_f64() * 1e3;
-        let t = std::time::Instant::now();
-        let old = resyn2rs_with(&b.aig, &seed_opts);
-        let seed_ms = t.elapsed().as_secs_f64() * 1e3;
-        let verified = !verify
-            || (cntfet_aig::check_equivalence_sweeping(&b.aig, &new)
-                == cntfet_aig::CecResult::Equivalent
-                && cntfet_aig::check_equivalence_sweeping(&b.aig, &old)
-                    == cntfet_aig::CecResult::Equivalent);
-        SynthComparison {
-            name: b.name.to_string(),
-            seed: AigStats::of(&old),
-            inplace: AigStats::of(&new),
-            seed_ms,
-            inplace_ms,
-            verified,
-        }
-    })
-}
+/// `(ands, depth)` that the seed-era rebuild-based synthesis engine's
+/// `resyn2rs` reached on each suite circuit, in suite order. The
+/// engine was deleted once these were recorded; `resyn2rs` must never
+/// be worse than them (see [`AigStats::better_than`]), which the
+/// `synth_suite` test and `full_repro` check.
+pub const SEED_RESYN2RS: [(&str, AigStats); 15] = [
+    ("C2670", AigStats { ands: 2537, depth: 43 }),
+    ("C1908", AigStats { ands: 306, depth: 27 }),
+    ("C3540", AigStats { ands: 1038, depth: 33 }),
+    ("dalu", AigStats { ands: 1824, depth: 64 }),
+    ("C7552", AigStats { ands: 1743, depth: 32 }),
+    ("C6288", AigStats { ands: 2336, depth: 181 }),
+    ("C5315", AigStats { ands: 1979, depth: 50 }),
+    ("des", AigStats { ands: 6829, depth: 16 }),
+    ("i10", AigStats { ands: 5099, depth: 61 }),
+    ("t481", AigStats { ands: 57, depth: 16 }),
+    ("i18", AigStats { ands: 2020, depth: 52 }),
+    ("C1355", AigStats { ands: 363, depth: 16 }),
+    ("add-16", AigStats { ands: 144, depth: 34 }),
+    ("add-32", AigStats { ands: 288, depth: 66 }),
+    ("add-64", AigStats { ands: 576, depth: 130 }),
+];
 
 /// Column-wise averages in the style of Table 3's "Average" row.
 #[derive(Debug, Clone, Copy)]

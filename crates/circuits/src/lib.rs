@@ -8,7 +8,8 @@
 //! the arithmetic/ECC/DES classes (with executable reference models),
 //! and deterministic class-representative synthetics for the
 //! control-dominated and unstructured ones — at exactly the published
-//! I/O counts. See `DESIGN.md` §2 for the substitution rationale.
+//! I/O counts. [`paper_benchmarks`] builds the suite in the paper's
+//! row order.
 //!
 //! # Examples
 //!

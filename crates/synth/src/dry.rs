@@ -6,9 +6,9 @@
 //! hashing without inserting anything, counting the nodes a real build
 //! would create. Combined with an MFFC deref walk this gives exact,
 //! order-independent gain accounting: rejected candidates leave no
-//! trace in the graph or its strash (unlike the seed engine, whose
-//! dry builds polluted the output strash and made gains
-//! order-dependent).
+//! trace in the graph or its strash (a candidate built for real and
+//! then rejected would stay in the strash, and later candidates
+//! reusing its nodes would be under-charged).
 
 use cntfet_aig::{Aig, Lit, NodeId};
 

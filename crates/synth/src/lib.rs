@@ -3,8 +3,8 @@
 //! This crate stands in for the optimization half of ABC in the
 //! DATE'09 flow: the paper synthesizes its benchmarks with the
 //! `resyn2rs` script before mapping them onto the CNTFET/CMOS
-//! libraries. Since PR 5 the engine is *in-place and DAG-aware*,
-//! built on the same substrate as the technology mapper:
+//! libraries. The engine is *in-place and DAG-aware*, built on the
+//! same substrate as the technology mapper:
 //!
 //! * **[`Pass`] / [`Script`]** — passes edit one graph through
 //!   [`cntfet_aig::Aig::replace_node`] instead of rebuilding it; the
@@ -24,8 +24,7 @@
 //! * **[`resyn2rs`] / [`quick_opt`]** — the paper's scripts as round
 //!   loops over [`Script::resyn2rs`] / [`Script::quick`] with a
 //!   never-worse `(ands, depth)` guard; [`SynthOptions`] selects
-//!   rounds, self-checking and the engine ([`SynthEngine::Seed`] keeps
-//!   the rebuild-based seed engine for comparisons — see [`seed`]).
+//!   rounds and self-checking.
 //!
 //! Every pass is function-preserving; the test-suite certifies each
 //! one with SAT-based equivalence checking ([`cntfet_aig`]).
@@ -78,13 +77,12 @@ mod pass;
 mod refactor;
 mod rewrite;
 mod script;
-pub mod seed;
 
 pub use balance::{balance_inplace, Balance};
 pub use pass::{AigStats, Pass, PassCtx, PassStats, Script, ScriptReport};
 pub use refactor::{refactor_inplace, Refactor};
 pub use rewrite::{rewrite_inplace, Rewrite};
-pub use script::{quick_opt, quick_opt_with, resyn2rs, resyn2rs_with, SynthEngine, SynthOptions};
+pub use script::{quick_opt, quick_opt_with, resyn2rs, resyn2rs_with, SynthOptions};
 
 use cntfet_aig::Aig;
 

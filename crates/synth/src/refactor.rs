@@ -7,8 +7,7 @@
 //! wider cones (up to `k` leaves) where a factored form can collapse
 //! redundancy the small cuts cannot see. Candidates are costed with
 //! the same dry builder / MFFC machinery — nothing is built unless the
-//! candidate is accepted, so gains are exact and order-independent
-//! (the seed engine's dry builds polluted the strash).
+//! candidate is accepted, so gains are exact and order-independent.
 
 use crate::dry::{real, revive_count, Build, DryBuild, DryScratch, MffcSet, RealBuild, VLit};
 use crate::pass::PassCtx;

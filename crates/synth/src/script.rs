@@ -1,21 +1,8 @@
 //! Synthesis entry points: `resyn2rs`/`quick_opt` as scripts over the
-//! pass framework, with a never-worse guard and selectable engine.
+//! pass framework, with a never-worse guard.
 
 use crate::pass::{AigStats, Script};
-use crate::seed;
 use cntfet_aig::Aig;
-
-/// Which synthesis engine runs the script.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SynthEngine {
-    /// The in-place DAG-aware engine (priority cuts + NPN structure
-    /// library + MFFC gain accounting).
-    #[default]
-    InPlace,
-    /// The seed-era rebuild-based engine ([`crate::seed`]), kept for
-    /// old-vs-new comparisons.
-    Seed,
-}
 
 /// Options of [`resyn2rs_with`] / [`quick_opt_with`].
 ///
@@ -23,7 +10,7 @@ pub enum SynthEngine {
 ///
 /// ```
 /// use cntfet_aig::{equivalent, Aig};
-/// use cntfet_synth::{resyn2rs_with, SynthEngine, SynthOptions};
+/// use cntfet_synth::{resyn2rs_with, SynthOptions};
 ///
 /// let mut g = Aig::new("chain");
 /// let pis = g.add_pis(8);
@@ -33,20 +20,14 @@ pub enum SynthEngine {
 /// }
 /// g.add_po(acc);
 ///
-/// // One self-checked round of the in-place engine.
-/// let opts = SynthOptions { rounds: 1, self_check: true, ..Default::default() };
+/// // One self-checked round.
+/// let opts = SynthOptions { rounds: 1, self_check: true };
 /// let opt = resyn2rs_with(&g, &opts);
 /// assert!(equivalent(&g, &opt));
 /// assert!(opt.depth() <= 3);
-///
-/// // The seed engine remains selectable for comparisons.
-/// let baseline = resyn2rs_with(&g, &SynthOptions { engine: SynthEngine::Seed, ..Default::default() });
-/// assert!(opt.num_ands() <= baseline.num_ands());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SynthOptions {
-    /// Engine selection.
-    pub engine: SynthEngine,
     /// Maximum script rounds (each round runs the full pass sequence;
     /// iteration stops early once a round stops improving).
     pub rounds: usize,
@@ -57,12 +38,12 @@ pub struct SynthOptions {
 
 impl Default for SynthOptions {
     fn default() -> Self {
-        SynthOptions { engine: SynthEngine::InPlace, rounds: 4, self_check: false }
+        SynthOptions { rounds: 4, self_check: false }
     }
 }
 
 /// Runs the `resyn2rs`-flavoured optimization script with default
-/// options (in-place engine, 4 rounds).
+/// options (4 rounds).
 ///
 /// Returns an AIG logically equivalent to the input that is never
 /// worse than it in `(ands, depth)`: each round must strictly improve
@@ -73,10 +54,7 @@ pub fn resyn2rs(aig: &Aig) -> Aig {
 
 /// [`resyn2rs`] with explicit [`SynthOptions`].
 pub fn resyn2rs_with(aig: &Aig, opts: &SynthOptions) -> Aig {
-    match opts.engine {
-        SynthEngine::Seed => seed::resyn2rs(aig),
-        SynthEngine::InPlace => run_rounds(aig, opts, Script::resyn2rs),
-    }
+    run_rounds(aig, opts, Script::resyn2rs)
 }
 
 /// A light script for quick optimization (one balance + rewrite).
@@ -86,10 +64,7 @@ pub fn quick_opt(aig: &Aig) -> Aig {
 
 /// [`quick_opt`] with explicit [`SynthOptions`].
 pub fn quick_opt_with(aig: &Aig, opts: &SynthOptions) -> Aig {
-    match opts.engine {
-        SynthEngine::Seed => seed::quick_opt(aig),
-        SynthEngine::InPlace => run_rounds(aig, opts, Script::quick),
-    }
+    run_rounds(aig, opts, Script::quick)
 }
 
 /// Round loop with the never-worse guard: keeps the best `(ands,
@@ -150,18 +125,22 @@ mod tests {
         assert!(o.num_ands() <= g.num_ands(), "{} -> {}", g.num_ands(), o.num_ands());
     }
 
+    /// `(ands, depth)` of the seed-era rebuild engine's `resyn2rs` on
+    /// `messy_adder(bits)`, recorded before that engine was deleted.
+    const SEED_MESSY_ADDERS: [(usize, AigStats); 3] = [
+        (2, AigStats { ands: 13, depth: 4 }),
+        (4, AigStats { ands: 31, depth: 8 }),
+        (6, AigStats { ands: 49, depth: 12 }),
+    ];
+
     #[test]
     fn in_place_never_worse_than_seed_on_messy_adders() {
-        for bits in [2usize, 4, 6] {
+        for (bits, seed) in SEED_MESSY_ADDERS {
             let g = messy_adder(bits);
             let new = resyn2rs(&g);
-            let old = seed::resyn2rs(&g);
             assert!(equivalent(&g, &new));
-            let (ns, os) = (AigStats::of(&new), AigStats::of(&old));
-            assert!(
-                ns.ands < os.ands || (ns.ands == os.ands && ns.depth <= os.depth),
-                "bits={bits}: in-place {ns:?} vs seed {os:?}"
-            );
+            let ns = AigStats::of(&new);
+            assert!(!seed.better_than(&ns), "bits={bits}: in-place {ns:?} vs seed {seed:?}");
         }
     }
 
@@ -175,7 +154,7 @@ mod tests {
     #[test]
     fn self_check_mode_runs_clean() {
         let g = messy_adder(3);
-        let opts = SynthOptions { rounds: 2, self_check: true, ..Default::default() };
+        let opts = SynthOptions { rounds: 2, self_check: true };
         let o = resyn2rs_with(&g, &opts);
         assert!(equivalent(&g, &o));
     }

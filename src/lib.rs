@@ -99,7 +99,7 @@ pub mod prelude {
     pub use cntfet_switchlevel::{solve, DynamicSim, Netlist, NodeState, Rank};
     pub use cntfet_synth::{
         balance, quick_opt, refactor, resyn2rs, resyn2rs_with, rewrite, AigStats, Pass, Script,
-        SynthEngine, SynthOptions,
+        SynthOptions,
     };
     pub use cntfet_techmap::{map, verify_mapping, CutRank, MapOptions, MapStats, Mapping, Objective};
 }

@@ -1,9 +1,9 @@
 //! Workspace determinism tests: the fan-out across circuits — the
 //! benchmark suite and the batch service, one circuit per task —
 //! returns the same results, in the same order, at every worker count,
-//! and every per-node cut list of the suite is pinned. The engines
-//! inside a circuit run on its task's thread; parallelism is allowed
-//! to change wall time and nothing else.
+//! and every per-node cut list and `resyn2rs` output of the suite is
+//! pinned. The engines inside a circuit run on its task's thread;
+//! parallelism is allowed to change wall time and nothing else.
 //!
 //! The tests of one binary run concurrently, so only
 //! `suite_report_identical_across_worker_counts` sets the process-wide
@@ -17,6 +17,7 @@ use cntfet_circuits::{
     array_multiplier, cla_adder, paper_benchmarks, ripple_adder, shift_add_multiplier,
 };
 use cntfet_core::LogicFamily;
+use cntfet_synth::resyn2rs;
 use cntfet_techmap::MapOptions;
 
 /// The benchmark suite (a verified subset, to keep the test fast)
@@ -86,6 +87,21 @@ fn cut_lists_are_pinned() {
         h = fold_cut_lists(h, &b.aig, &by_word);
     }
     assert_eq!(h, 0x7fa1_ffc1_e96c_89f7, "a cut list changed");
+}
+
+/// The `resyn2rs` output of each of the 15 suite circuits is pinned by
+/// one digest over the graphs' 128-bit fingerprints. The optimized
+/// graphs feed every mapping, Table 3 and the service; the digest
+/// changes only together with them.
+#[test]
+fn resyn2rs_outputs_are_pinned() {
+    let mut h = 0u64;
+    for b in paper_benchmarks() {
+        let fp = resyn2rs(&b.aig).fingerprint();
+        h = mix(h, fp as u64);
+        h = mix(h, (fp >> 64) as u64);
+    }
+    assert_eq!(h, 0x47ac_a832_b4a3_9ad6, "a resyn2rs output changed");
 }
 
 /// A batch of distinct small circuits: no two requests share a
