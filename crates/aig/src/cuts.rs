@@ -7,9 +7,9 @@
 //! cuts. Enumeration keeps a bounded list of the best cuts per node
 //! under a pluggable [`CutRank`], prunes dominated cuts with
 //! bloom-style signatures, and — for cut sizes the mapper uses
-//! (`k ≤ 6`) — computes every cut's function as a single `u64` word in
-//! the same forward pass, so downstream consumers never walk cones or
-//! allocate per-cut sets.
+//! (`k ≤ 6`) — computes every kept cut's function as a single `u64`
+//! word in the same forward pass, so downstream consumers never walk
+//! cones or allocate per-cut sets.
 
 use crate::edit::EditDelta;
 use crate::graph::{Aig, NodeId};
@@ -151,18 +151,7 @@ impl CutArena {
         }
         self.update_prepare(aig, delta, params);
         let n = aig.num_nodes();
-        let levels = match params.rank {
-            CutRank::Depth => aig.levels(),
-            _ => Vec::new(),
-        };
-        let mut coster = |_root: NodeId, leaves: &[NodeId], _tt: u64| match params.rank {
-            CutRank::Size => (leaves.len() as u32, 0),
-            CutRank::Depth => {
-                let depth = leaves.iter().map(|l| levels[l.index()]).max().unwrap_or(0);
-                (depth, leaves.len() as u32)
-            }
-            CutRank::Arrival => unreachable!(),
-        };
+        let mut ranker = Ranker::builtin(aig, params.rank);
         let mut seed = vec![false; n];
         for d in delta.dirty() {
             seed[d.index()] = true;
@@ -199,7 +188,7 @@ impl CutArena {
                         self.spans[fi] = (0, 0);
                     }
                 }
-                compute_node_cuts(self, aig, id, params.max_cuts, &mut coster, &mut sc);
+                compute_node_cuts(self, aig, id, params.max_cuts, &mut ranker, &mut sc);
                 for (fi, span) in hid.into_iter().flatten() {
                     self.spans[fi] = span;
                 }
@@ -358,7 +347,12 @@ impl CutArena {
                 // direct fanin-pair cut; a unit-only list is exactly
                 // the edited graph's empty-fanin degeneracy and must be
                 // re-enumerated against the (topological) new graph.
-                seed[j] = nonunit == 0;
+                // So must a list whose fanins compaction put in the
+                // other order: enumeration merges the lower fanin's
+                // cuts first, and equal costs keep that merge order.
+                let (f0, f1) = aig.fanins(id);
+                let swapped = pre[f0.node().index()] > pre[f1.node().index()];
+                seed[j] = nonunit == 0 || swapped;
             }
             out.spans[j] = (start, out.cuts.len() as u32);
         }
@@ -367,18 +361,7 @@ impl CutArena {
         // upward while lists keep changing — the compacted graph is
         // topological in id order, so the plain ascending walk of
         // `update` applies without span hiding.
-        let levels = match params.rank {
-            CutRank::Depth => aig.levels(),
-            _ => Vec::new(),
-        };
-        let mut coster = |_root: NodeId, leaves: &[NodeId], _tt: u64| match params.rank {
-            CutRank::Size => (leaves.len() as u32, 0),
-            CutRank::Depth => {
-                let depth = leaves.iter().map(|l| levels[l.index()]).max().unwrap_or(0);
-                (depth, leaves.len() as u32)
-            }
-            CutRank::Arrival => unreachable!(),
-        };
+        let mut ranker = Ranker::builtin(aig, params.rank);
         let mut changed = vec![false; n_new];
         let mut sc = NodeScratch::default();
         let (mut tmp_leaves, mut tmp_cuts) = (Vec::new(), Vec::new());
@@ -391,7 +374,7 @@ impl CutArena {
             if !(seed[i] || changed[f0.node().index()] || changed[f1.node().index()]) {
                 continue;
             }
-            compute_node_cuts(&out, aig, id, params.max_cuts, &mut coster, &mut sc);
+            compute_node_cuts(&out, aig, id, params.max_cuts, &mut ranker, &mut sc);
             rebase_scratch(&sc, &mut tmp_leaves, &mut tmp_cuts);
             if out.stored_equals(id, &tmp_cuts, &tmp_leaves) {
                 continue;
@@ -549,17 +532,26 @@ impl<'a> Iterator for CutIter<'a> {
 
 impl ExactSizeIterator for CutIter<'_> {}
 
-/// Scratch cut assembled while processing one node; leaves live in a
+/// Merged cut assembled while processing one node; leaves live in a
 /// shared scratch buffer that is recycled across nodes.
 #[derive(Clone, Copy)]
 struct ScratchCut {
     off: u32,
     len: u16,
     sig: u64,
+    /// Arena indices of the two fanin cuts it was merged from.
+    src: (u32, u32),
+    /// Cut function; computed only once the cut is known to be needed.
     tt: u64,
     /// Ranking key (primary, secondary); smaller is better.
     cost: (u32, u32),
-    alive: bool,
+}
+
+impl ScratchCut {
+    /// The cut's leaves in the node's scratch leaf buffer.
+    fn leaves<'a>(&self, sleaves: &'a [NodeId]) -> &'a [NodeId] {
+        &sleaves[self.off as usize..self.off as usize + self.len as usize]
+    }
 }
 
 /// Enumerates up to `max_cuts` k-feasible priority cuts per node,
@@ -578,10 +570,15 @@ pub fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> CutArena {
 /// For every AND node, the cut sets of its fanins are pairwise merged
 /// (signature quick-reject first), dominated cuts are pruned, the
 /// survivors are ranked by `params.rank` and truncated to
-/// `max_cuts - 1`, and the unit cut is prepended. When `k ≤ 6` the
-/// function of every cut is computed incrementally during the merge —
-/// fanin cut words are expanded onto the merged leaf set and ANDed —
-/// so no cone traversal ever happens afterwards.
+/// `max_cuts - 1`, and the unit cut is prepended. Dominance is decided
+/// after all merges, visiting cuts by size: a cut survives iff no
+/// smaller or earlier-found surviving cut is a subset of it. Under
+/// [`CutRank::Size`] that visiting order is the rank order, so the
+/// visit stops once the list is full and later cuts are never
+/// compared. When `k ≤ 6` each kept cut's function is derived from its
+/// two fanin cuts' words — expanded onto the merged leaf set and
+/// ANDed — so no cone traversal ever happens afterwards; cuts that are
+/// pruned or truncated get no word.
 ///
 /// # Panics
 ///
@@ -593,31 +590,20 @@ pub fn enumerate_cuts_with(aig: &Aig, params: CutParams) -> CutArena {
         params.rank != CutRank::Arrival,
         "CutRank::Arrival needs a cost oracle; use enumerate_cuts_custom"
     );
-    let levels = match params.rank {
-        CutRank::Size => Vec::new(),
-        CutRank::Depth => aig.levels(),
-        CutRank::Arrival => unreachable!(),
-    };
-    let mut builtin = |_root: NodeId, leaves: &[NodeId], _tt: u64| match params.rank {
-        CutRank::Size => (leaves.len() as u32, 0),
-        CutRank::Depth => {
-            let depth = leaves.iter().map(|l| levels[l.index()]).max().unwrap_or(0);
-            (depth, leaves.len() as u32)
-        }
-        CutRank::Arrival => unreachable!(),
-    };
-    enumerate_impl(aig, params, &mut builtin)
+    enumerate_impl(aig, params, &mut Ranker::builtin(aig, params.rank))
 }
 
 /// [`enumerate_cuts_with`] under an external ranking oracle: `cost` is
 /// called once per surviving (non-dominated, non-unit) cut, after all
-/// of the node's merges and in discovery order, with the cut's root,
-/// sorted leaves and — when `k ≤ 6` — its function word, and must
-/// return the `(primary, secondary)` ranking cost (smaller is
-/// better). This is the entry point behind [`CutRank::Arrival`]:
-/// technology mapping re-enumerates cuts between covering passes with
-/// an oracle that resolves each cut against the library's NPN index
-/// and ranks by the mapped arrival time of the best matching cell,
+/// of the node's merges and dominance checks, in discovery order, with
+/// the cut's root, sorted leaves and — when `k ≤ 6` — its function
+/// word, and must return the `(primary, secondary)` ranking cost
+/// (smaller is better). Dominance is decided for every merged cut, and
+/// every surviving cut gets its word before its oracle call. This is
+/// the entry point behind [`CutRank::Arrival`]: technology mapping
+/// re-enumerates cuts between covering passes with an oracle that
+/// resolves each cut against the library's NPN index and ranks by the
+/// mapped arrival time of the best matching cell,
 /// tie-broken on area-flow — so the priority list keeps the cuts that
 /// are *fast to implement*, not merely structurally shallow.
 ///
@@ -631,7 +617,7 @@ pub fn enumerate_cuts_custom<F>(aig: &Aig, params: CutParams, mut cost: F) -> Cu
 where
     F: FnMut(NodeId, &[NodeId], u64) -> (u32, u32),
 {
-    enumerate_impl(aig, params, &mut cost)
+    enumerate_impl(aig, params, &mut Ranker::Oracle(&mut cost))
 }
 
 /// [`enumerate_cuts_with`]; the worker count is ignored.
@@ -652,14 +638,39 @@ pub fn enumerate_cuts_with_jobs(aig: &Aig, params: CutParams, _jobs: usize) -> C
 /// (primary, secondary)` cost, smaller is better.
 type CutCost<'a> = dyn FnMut(NodeId, &[NodeId], u64) -> (u32, u32) + 'a;
 
+/// How [`compute_node_cuts`] ranks a node's surviving cuts.
+enum Ranker<'a> {
+    /// [`CutRank::Size`]: cost `(size, 0)`, the order dominance visits
+    /// cuts in, so the visit stops once the list is full.
+    Size,
+    /// [`CutRank::Depth`]: cost `(deepest leaf level, size)` over
+    /// these node levels.
+    Depth(Vec<u32>),
+    /// An external oracle (see [`enumerate_cuts_custom`]).
+    Oracle(&'a mut CutCost<'a>),
+}
+
+impl Ranker<'_> {
+    /// The ranker of a builtin rank.
+    fn builtin(aig: &Aig, rank: CutRank) -> Ranker<'static> {
+        match rank {
+            CutRank::Size => Ranker::Size,
+            CutRank::Depth => Ranker::Depth(aig.levels()),
+            CutRank::Arrival => unreachable!("CutRank::Arrival needs a cost oracle"),
+        }
+    }
+}
+
 /// Node-local scratch recycled across the nodes of one enumeration
 /// pass.
 #[derive(Default)]
 struct NodeScratch {
     /// Shared leaf buffer the scratch cuts slice into.
     sleaves: Vec<NodeId>,
-    /// Candidate cuts of the node under construction.
+    /// Merged cuts of the node under construction, in discovery order.
     scuts: Vec<ScratchCut>,
+    /// Indices into `scuts` by (size, discovery order).
+    by_size: Vec<usize>,
     /// Indices into `scuts` of the kept cuts, in rank order.
     order: Vec<usize>,
     /// Leaf-position scratch for `expand_cut_word`.
@@ -684,28 +695,42 @@ fn fresh_arena(aig: &Aig, k: usize, max_cuts: usize) -> CutArena {
 /// into `sc.scuts`, rank order). Reads the arena only — callers store
 /// the results themselves: the from-scratch pass appends them, and
 /// [`CutArena::update`] first compares them with the stored list.
+///
+/// Two phases. First every fanin-cut pair is merged (signature
+/// quick-reject, then the leaf merge) and recorded with its source
+/// pair; nothing else is computed. Then the merged cuts are visited in
+/// (size, discovery) order, and each survives iff no surviving cut is
+/// a subset of it — a subset is never larger, and among equal leaf
+/// sets the first found survives, so the survivors are exactly the
+/// minimal cuts, first among equals. Under [`Ranker::Size`] that order
+/// is the rank order, so the visit stops once `max_cuts - 1` cuts
+/// survived (and the fanin-pair cut was visited) and the unvisited
+/// cuts are never compared. [`Ranker::Depth`] and [`Ranker::Oracle`]
+/// visit every cut; the oracle is then called once per survivor, in
+/// discovery order, with its word. Words are computed only for the
+/// cuts that are kept, or under the oracle for every survivor.
 fn compute_node_cuts(
     arena: &CutArena,
     aig: &Aig,
     id: NodeId,
     max_cuts: usize,
-    coster: &mut CutCost<'_>,
+    ranker: &mut Ranker<'_>,
     sc: &mut NodeScratch,
 ) {
     let k = arena.k;
-    let has_tts = arena.has_tts;
     let (f0, f1) = aig.fanins(id);
     sc.sleaves.clear();
     sc.scuts.clear();
     let (s0, e0) = arena.spans[f0.node().index()];
     let (s1, e1) = arena.spans[f1.node().index()];
     for i0 in s0..e0 {
+        let c0 = arena.cuts[i0 as usize];
         for i1 in s1..e1 {
-            let c0 = arena.cuts[i0 as usize];
             let c1 = arena.cuts[i1 as usize];
             // Signature quick-reject: the popcount of the united
             // signatures is a lower bound on the true union size.
-            if (c0.sig | c1.sig).count_ones() as usize > k {
+            let sig = c0.sig | c1.sig;
+            if sig.count_ones() as usize > k {
                 continue;
             }
             let off = sc.sleaves.len() as u32;
@@ -713,72 +738,85 @@ fn compute_node_cuts(
                 sc.sleaves.truncate(off as usize);
                 continue;
             }
-            let merged = &sc.sleaves[off as usize..];
-            let len = merged.len() as u16;
-            let sig = c0.sig | c1.sig;
-            // Dominance: drop the merged cut if an existing cut is
-            // a subset of it; kill existing cuts it is a subset of.
-            let sleaves = &sc.sleaves;
-            let dominated = sc.scuts.iter().any(|s| {
-                s.alive
-                    && subset(
-                        &sleaves[s.off as usize..(s.off + s.len as u32) as usize],
-                        s.sig,
-                        merged,
-                        sig,
-                    )
-            });
-            if dominated {
-                sc.sleaves.truncate(off as usize);
-                continue;
-            }
-            let tt = if has_tts {
-                let merged = &sc.sleaves[off as usize..];
-                let ta = expand_cut_word(arena, &c0, merged, &mut sc.pos);
-                let tb = expand_cut_word(arena, &c1, merged, &mut sc.pos);
-                (ta ^ flip(f0.is_complement())) & (tb ^ flip(f1.is_complement()))
-            } else {
-                0
-            };
-            let (sleaves, scuts) = (&sc.sleaves, &mut sc.scuts);
-            let merged = &sleaves[off as usize..];
-            for s in scuts.iter_mut() {
-                if s.alive
-                    && subset(
-                        merged,
-                        sig,
-                        &sleaves[s.off as usize..(s.off + s.len as u32) as usize],
-                        s.sig,
-                    )
-                {
-                    s.alive = false;
-                }
-            }
-            sc.scuts.push(ScratchCut { off, len, sig, tt, cost: (0, 0), alive: true });
+            let len = (sc.sleaves.len() - off as usize) as u16;
+            sc.scuts.push(ScratchCut { off, len, sig, src: (i0, i1), tt: 0, cost: (0, 0) });
         }
     }
 
-    // Cost the survivors in discovery order. Dominance never reads a
-    // cost, so a cut that a later merge kills is never costed.
+    // Dominance, by (size, discovery order). The fanin-pair cut (the
+    // very first merge: unit × unit) must be visited even past a full
+    // list: it is kept below whenever it survives.
+    let scuts = &mut sc.scuts;
+    sc.by_size.clear();
+    sc.by_size.extend(0..scuts.len());
+    sc.by_size.sort_by_key(|&i| scuts[i].len);
+    let keep = max_cuts.saturating_sub(1);
+    let size_ranked = matches!(ranker, Ranker::Size);
+    let (mut pair_seen, mut pair_kept) = (false, false);
     sc.order.clear();
-    for (i, s) in sc.scuts.iter_mut().enumerate().filter(|(_, s)| s.alive) {
-        s.cost = coster(id, &sc.sleaves[s.off as usize..(s.off + s.len as u32) as usize], s.tt);
-        sc.order.push(i);
+    for &i in &sc.by_size {
+        if size_ranked && pair_seen && sc.order.len() >= keep {
+            break;
+        }
+        let c = &scuts[i];
+        let leaves = c.leaves(&sc.sleaves);
+        let dominated = sc.order.iter().any(|&a| {
+            let a = &scuts[a];
+            subset(a.leaves(&sc.sleaves), a.sig, leaves, c.sig)
+        });
+        if i == 0 {
+            pair_seen = true;
+            pair_kept = !dominated;
+        }
+        if !dominated {
+            sc.order.push(i);
+        }
     }
 
-    // Rank survivors (stable) and keep the best max_cuts - 1.
-    let scuts = &sc.scuts;
-    sc.order.sort_by_key(|&i| scuts[i].cost);
-    sc.order.truncate(max_cuts.saturating_sub(1));
-    // The direct fanin-pair cut (the very first merge: unit ×
-    // unit) is the universal fallback every 2-input-complete
-    // library can realize — keep it even when the ranking would
-    // truncate it, so mapping never runs out of candidates. It
-    // displaces the worst-ranked survivor, keeping the per-node
-    // count within `max_cuts`.
-    if !scuts.is_empty() && scuts[0].alive && !sc.order.contains(&0) {
+    let compl = [flip(f0.is_complement()), flip(f1.is_complement())];
+    let has_tts = arena.has_tts;
+    match ranker {
+        Ranker::Size => {
+            for &i in &sc.order {
+                scuts[i].cost = (u32::from(scuts[i].len), 0);
+            }
+        }
+        Ranker::Depth(levels) => {
+            sc.order.sort_unstable();
+            for &i in &sc.order {
+                let s = &mut scuts[i];
+                let depth = s.leaves(&sc.sleaves).iter().map(|l| levels[l.index()]).max();
+                s.cost = (depth.unwrap_or(0), u32::from(s.len));
+            }
+            sc.order.sort_by_key(|&i| scuts[i].cost);
+        }
+        Ranker::Oracle(cost) => {
+            // Cost the survivors in discovery order, each with its word.
+            sc.order.sort_unstable();
+            for &i in &sc.order {
+                let s = &mut scuts[i];
+                if has_tts {
+                    s.tt = merged_word(arena, s, &sc.sleaves, compl, &mut sc.pos);
+                }
+                s.cost = cost(id, s.leaves(&sc.sleaves), s.tt);
+            }
+            sc.order.sort_by_key(|&i| scuts[i].cost);
+        }
+    }
+    sc.order.truncate(keep);
+    // The direct fanin-pair cut is the universal fallback every
+    // 2-input-complete library can realize — keep it even when the
+    // ranking would truncate it, so mapping never runs out of
+    // candidates. It displaces the worst-ranked survivor, keeping the
+    // per-node count within `max_cuts`.
+    if pair_kept && !sc.order.contains(&0) {
         sc.order.pop();
         sc.order.push(0);
+    }
+    if has_tts && !matches!(ranker, Ranker::Oracle(_)) {
+        for &i in &sc.order {
+            scuts[i].tt = merged_word(arena, &scuts[i], &sc.sleaves, compl, &mut sc.pos);
+        }
     }
 }
 
@@ -790,9 +828,7 @@ fn emit_node(arena: &mut CutArena, id: NodeId, sc: &NodeScratch) {
     for &i in &sc.order {
         let s = sc.scuts[i];
         let off = arena.leaves.len() as u32;
-        arena
-            .leaves
-            .extend_from_slice(&sc.sleaves[s.off as usize..(s.off + s.len as u32) as usize]);
+        arena.leaves.extend_from_slice(s.leaves(&sc.sleaves));
         arena.cuts.push(CutData { off, len: s.len, sig: s.sig, tt: s.tt, cost: s.cost });
     }
     arena.spans[id.index()] = (start, arena.cuts.len() as u32);
@@ -808,12 +844,12 @@ fn rebase_scratch(sc: &NodeScratch, leaves: &mut Vec<NodeId>, cuts: &mut Vec<Cut
     for &i in &sc.order {
         let s = sc.scuts[i];
         let off = leaves.len() as u32;
-        leaves.extend_from_slice(&sc.sleaves[s.off as usize..(s.off + s.len as u32) as usize]);
+        leaves.extend_from_slice(s.leaves(&sc.sleaves));
         cuts.push(CutData { off, len: s.len, sig: s.sig, tt: s.tt, cost: s.cost });
     }
 }
 
-fn enumerate_impl(aig: &Aig, params: CutParams, coster: &mut CutCost<'_>) -> CutArena {
+fn enumerate_impl(aig: &Aig, params: CutParams, ranker: &mut Ranker<'_>) -> CutArena {
     let CutParams { k, max_cuts, .. } = params;
     assert!(k >= 2, "cut size must be at least 2");
     let mut arena = fresh_arena(aig, k, max_cuts);
@@ -828,7 +864,7 @@ fn enumerate_impl(aig: &Aig, params: CutParams, coster: &mut CutCost<'_>) -> Cut
             arena.spans[id.index()] = (start, arena.cuts.len() as u32);
             continue;
         }
-        compute_node_cuts(&arena, aig, id, max_cuts, coster, &mut sc);
+        compute_node_cuts(&arena, aig, id, max_cuts, ranker, &mut sc);
         emit_node(&mut arena, id, &sc);
     }
     arena
@@ -910,21 +946,6 @@ fn subset(a: &[NodeId], sig_a: u64, b: &[NodeId], sig_b: u64) -> bool {
     true
 }
 
-/// Expands a fanin cut's function word onto the merged leaf set.
-fn expand_cut_word(arena: &CutArena, c: &CutData, merged: &[NodeId], pos: &mut Vec<usize>) -> u64 {
-    let leaves = &arena.leaves[c.off as usize..(c.off + c.len as u32) as usize];
-    pos.clear();
-    let mut j = 0;
-    for &l in leaves {
-        while merged[j] != l {
-            j += 1;
-        }
-        pos.push(j);
-        j += 1;
-    }
-    word::expand(c.tt, pos, merged.len())
-}
-
 /// Computes the function of `root` in terms of the given cut leaves
 /// (leaf `i` becomes variable `i`) by an iterative cone walk — the
 /// fallback for cuts wider than [`word::MAX_WORD_VARS`]; cuts the
@@ -971,6 +992,48 @@ pub fn cut_function(aig: &Aig, root: NodeId, leaves: &[NodeId]) -> TruthTable {
         }
     }
     memo.remove(&root).expect("root computed")
+}
+
+/// The function word of merged cut `s`: its two fanin cuts' words
+/// expanded onto its leaves, complemented per fanin edge (`compl`) and
+/// ANDed.
+fn merged_word(
+    arena: &CutArena,
+    s: &ScratchCut,
+    sleaves: &[NodeId],
+    compl: [u64; 2],
+    pos: &mut Vec<usize>,
+) -> u64 {
+    let merged = s.leaves(sleaves);
+    let ta = expand_cut_word(arena, &arena.cuts[s.src.0 as usize], merged, pos);
+    let tb = expand_cut_word(arena, &arena.cuts[s.src.1 as usize], merged, pos);
+    (ta ^ compl[0]) & (tb ^ compl[1])
+}
+
+// `expand_cut_word` stays below `cut_function`: srclint reads every
+// line after the first `#[cfg(test)]` as test code.
+
+/// Expands a fanin cut's function word onto the merged leaf set.
+fn expand_cut_word(arena: &CutArena, c: &CutData, merged: &[NodeId], pos: &mut Vec<usize>) -> u64 {
+    #[cfg(test)]
+    EXPANDED.with(|n| n.set(n.get() + 1));
+    let leaves = &arena.leaves[c.off as usize..(c.off + c.len as u32) as usize];
+    pos.clear();
+    let mut j = 0;
+    for &l in leaves {
+        while merged[j] != l {
+            j += 1;
+        }
+        pos.push(j);
+        j += 1;
+    }
+    word::expand(c.tt, pos, merged.len())
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Fanin-cut words [`expand_cut_word`] expanded on this thread.
+    static EXPANDED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -1158,6 +1221,21 @@ mod tests {
                 (u32::MAX - leaves.len() as u32, 0)
             });
             assert_eq!(calls, arena.num_cuts() - g.num_nodes(), "{}", g.name());
+        }
+    }
+
+    #[test]
+    fn size_rank_expands_words_only_for_kept_cuts() {
+        // Tight lists truncate most survivors; each kept non-unit cut
+        // costs exactly its two fanin-cut expansions.
+        let cases = [(reconvergent_aig(), 6, 4), (reconvergent_aig(), 4, 2), (sample_aig(), 4, 8)];
+        for (g, k, max_cuts) in cases {
+            let params = CutParams { k, max_cuts, rank: CutRank::Size };
+            let before = EXPANDED.with(|n| n.get());
+            let arena = enumerate_cuts_with(&g, params);
+            let expanded = EXPANDED.with(|n| n.get()) - before;
+            let kept = arena.num_cuts() - g.num_nodes();
+            assert_eq!(expanded, 2 * kept, "{} at {params:?}", g.name());
         }
     }
 

@@ -1,13 +1,14 @@
 //! Runs the complete reproduction: Table 1, Table 2 family averages,
 //! Table 3 with verification, and the Figure 6 summary — then prints a
-//! paper-vs-measured scoreboard. This is the one-shot artifact check
-//! behind EXPERIMENTS.md.
+//! paper-vs-measured scoreboard, the one-shot check of every
+//! reproduced table and figure.
 //!
 //! `--jobs N` sets the worker-thread budget (default: `CNTFET_JOBS`
 //! or the detected core count); every number in the scoreboard is
 //! identical for every value. `--input FILE` (repeatable) additionally
 //! pushes external AIGER/BLIF circuits through the verified pipeline
-//! and adds their verdicts to the scoreboard.
+//! and adds their verdicts to the scoreboard. Any other argument exits
+//! with status 2 and a usage line.
 
 use cntfet_aig::{
     check_equivalence_sweeping, enumerate_cuts, enumerate_cuts_with, parse_aiger,
@@ -42,29 +43,31 @@ impl Check {
     }
 }
 
+/// The accepted arguments; anything else exits with status 2.
+const USAGE: &str = "usage: full_repro [--jobs N] [--input FILE]...";
+
+/// Prints `msg` and the usage line, then exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("full_repro: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-            Some(n) if n > 0 => threadpool::Jobs::set(n),
-            _ => {
-                eprintln!("--jobs expects a positive integer");
-                std::process::exit(2);
-            }
-        }
-    }
     // `--input FILE` (repeatable): external circuits audited alongside
     // the built-in suite.
     let mut inputs: Vec<String> = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--input" {
-            match args.get(i + 1) {
-                Some(f) if !f.starts_with("--") => inputs.push(f.clone()),
-                _ => {
-                    eprintln!("--input expects a file path (.aag, .aig or .blif)");
-                    std::process::exit(2);
-                }
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--jobs" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
+                Some(n) if n > 0 => threadpool::Jobs::set(n),
+                _ => usage_error("--jobs expects a positive integer"),
+            },
+            "--input" => match args.next() {
+                Some(f) if !f.starts_with("--") => inputs.push(f),
+                _ => usage_error("--input expects a file path (.aag, .aig or .blif)"),
+            },
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     let t0 = std::time::Instant::now();

@@ -13,60 +13,57 @@
 //! worker-thread budget (default: `CNTFET_JOBS` or the detected core
 //! count — the table is identical for every value); `--input FILE`
 //! (repeatable) runs external AIGER/BLIF circuits through the same
-//! pipeline instead of the built-in suite.
+//! pipeline instead of the built-in suite. Any other argument exits
+//! with status 2 and a usage line.
 
 use cntfet_bench::serve::load_circuit;
 use cntfet_bench::{print_table3, run_circuit, run_suite_with, suite_libraries, Table3Row};
 use cntfet_techmap::{MapOptions, Objective};
 
+/// The accepted arguments; anything else exits with status 2.
+const USAGE: &str = "usage: table3 [--fast] [--objective area|delay|balanced] \
+                     [--delay-rounds N] [--jobs N] [--input FILE]...";
+
+/// Prints `msg` and the usage line, then exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("table3: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let objective = match args.iter().position(|a| a == "--objective") {
-        None => Objective::Balanced,
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("area") => Objective::Area,
-            Some("delay") => Objective::Delay,
-            Some("balanced") => Objective::Balanced,
-            other => {
-                eprintln!(
-                    "unknown objective {other:?}: expected area, delay or balanced"
-                );
-                std::process::exit(2);
-            }
-        },
-    };
-    let delay_rounds = match args.iter().position(|a| a == "--delay-rounds") {
-        None => MapOptions::default().delay_rounds,
-        Some(i) => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-            Some(n) => n,
-            None => {
-                eprintln!("--delay-rounds expects a non-negative integer");
-                std::process::exit(2);
-            }
-        },
-    };
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-            Some(n) if n > 0 => threadpool::Jobs::set(n),
-            _ => {
-                eprintln!("--jobs expects a positive integer");
-                std::process::exit(2);
-            }
-        }
-    }
+    let mut fast = false;
+    let mut objective = Objective::Balanced;
+    let mut delay_rounds = MapOptions::default().delay_rounds;
     // `--input FILE` (repeatable): run external circuits instead of
     // the built-in suite.
     let mut inputs: Vec<String> = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--input" {
-            match args.get(i + 1) {
-                Some(f) if !f.starts_with("--") => inputs.push(f.clone()),
-                _ => {
-                    eprintln!("--input expects a file path (.aag, .aig or .blif)");
-                    std::process::exit(2);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--fast" => fast = true,
+            "--objective" => {
+                objective = match args.next().as_deref() {
+                    Some("area") => Objective::Area,
+                    Some("delay") => Objective::Delay,
+                    Some("balanced") => Objective::Balanced,
+                    other => usage_error(&format!(
+                        "unknown objective {other:?}: expected area, delay or balanced"
+                    )),
                 }
             }
+            "--delay-rounds" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
+                Some(n) => delay_rounds = n,
+                None => usage_error("--delay-rounds expects a non-negative integer"),
+            },
+            "--jobs" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
+                Some(n) if n > 0 => threadpool::Jobs::set(n),
+                _ => usage_error("--jobs expects a positive integer"),
+            },
+            "--input" => match args.next() {
+                Some(f) if !f.starts_with("--") => inputs.push(f),
+                _ => usage_error("--input expects a file path (.aag, .aig or .blif)"),
+            },
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
 

@@ -278,8 +278,8 @@ mod tests {
             close(c.fo4_avg, avg, 0.1, &format!("F{g:02} avg"));
         }
         // Inverter: the computed area is 3 (Wp=2 + Wn=1); the paper
-        // prints 2 — a known internal inconsistency we document in
-        // EXPERIMENTS.md. Delay matches exactly.
+        // prints 2, which disagrees with its own sizing rule. Delay
+        // matches exactly.
         let inv = get(0, LogicFamily::CmosStatic);
         close(inv.area, 3.0, 1e-9, "CMOS inverter area (computed)");
         close(inv.fo4_worst, 5.0, 1e-9, "CMOS inverter FO4");

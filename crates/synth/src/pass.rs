@@ -75,6 +75,14 @@ pub trait Pass {
         let _ = ctx;
         self.apply(aig)
     }
+
+    /// Names of the passes that would apply nothing right after this
+    /// one left a graph untouched: it applied nothing and appended no
+    /// node. [`Script`] then skips their reruns on that graph as it
+    /// skips this pass's own. The default names none.
+    fn implied_noops(&self) -> Vec<String> {
+        Vec::new()
+    }
 }
 
 /// Script-owned state threaded through every pass: persistent
@@ -303,7 +311,8 @@ impl Script {
     /// Passes are deterministic, so rerunning a pass that already ran
     /// on the exact same graph and applied nothing is a guaranteed
     /// no-op; the runner tracks a graph version and skips such reruns
-    /// (recorded with [`PassStats::skipped`]). The version state
+    /// (recorded with [`PassStats::skipped`]), and likewise the passes
+    /// such a no-op implies ([`Pass::implied_noops`]). The version state
     /// persists across `run` calls, so re-running a script on its own
     /// converged output (the `resyn2rs` round loop) skips straight
     /// through — while a structurally different input graph resets the
@@ -331,6 +340,7 @@ impl Script {
                 continue;
             }
             let reference = self.self_check.then(|| aig.clone());
+            let nodes = aig.num_nodes();
             let t = Instant::now();
             let applied = pass.apply_ctx(aig, &mut self.ctx);
             let time = t.elapsed();
@@ -349,6 +359,11 @@ impl Script {
                 *version += 1;
             } else {
                 noop_at.insert(name.clone(), *version);
+                if aig.num_nodes() == nodes {
+                    for implied in pass.implied_noops() {
+                        noop_at.insert(implied, *version);
+                    }
+                }
             }
             report.passes.push(PassStats {
                 name,
@@ -447,5 +462,24 @@ mod tests {
         let report = script.run(&mut g2);
         assert!(report.passes.iter().all(|p| !p.skipped), "fresh graph was skipped");
         assert_eq!(g2.depth(), 4);
+    }
+
+    #[test]
+    fn untouched_graph_after_zero_cost_rewrite_skips_rewrite() {
+        use crate::Rewrite;
+        // A lone AND: `rewrite -z` applies nothing and builds nothing,
+        // so the plain rewrite after it is skipped.
+        let mut g = Aig::new("and2");
+        let p = g.add_pis(2);
+        let x = g.and(p[0], p[1]);
+        g.add_po(x);
+        let mut script = Script::new().then(Rewrite::new(true)).then(Rewrite::new(false));
+        let report = script.run(&mut g);
+        assert_eq!(report.passes[0].applied, 0);
+        assert!(!report.passes[0].skipped && report.passes[1].skipped);
+        // The plain rewrite implies nothing about the zero-cost one.
+        let mut script = Script::new().then(Rewrite::new(false)).then(Rewrite::new(true));
+        let report = script.run(&mut g);
+        assert!(report.passes.iter().all(|p| !p.skipped));
     }
 }

@@ -55,6 +55,18 @@ impl crate::Pass for Rewrite {
     fn apply_ctx(&mut self, aig: &mut Aig, ctx: &mut PassCtx) -> usize {
         rewrite_ctx(aig, self.zero_cost, ctx)
     }
+
+    /// `rewrite -z` implies `rewrite`. On a graph it left untouched, the
+    /// plain sweep evaluates every node exactly as the `-z` sweep did
+    /// and accepts a subset of what `-z` accepts, so it applies nothing
+    /// either.
+    fn implied_noops(&self) -> Vec<String> {
+        if self.zero_cost {
+            vec![Rewrite::new(false).name()]
+        } else {
+            Vec::new()
+        }
+    }
 }
 
 thread_local! {

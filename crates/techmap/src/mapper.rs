@@ -292,6 +292,10 @@ pub fn map(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
         let r = crate::check::check_mapping(aig, &best, library);
         assert!(r.is_ok(), "paranoid: initial cover is corrupt: {r:?}");
     }
+    // The arrival rounds read only `sel`: free round 0's cuts and
+    // candidates before they enumerate their own.
+    drop(cands);
+    drop(cuts);
 
     // ---- arrival-aware delay rounds ----
     // Structural cut ranking is a poor proxy for mapped arrival: the

@@ -8,6 +8,7 @@
 
 use cntfet_aig::{enumerate_cuts_with, Aig, CutArena, CutParams, CutRank, Lit, NodeId};
 use cntfet_boolfn::{npn_canonical, npn_canonical_cached, CanonCache, TruthTable};
+use cntfet_circuits::paper_benchmarks;
 use proptest::prelude::*;
 
 /// Builds a random DAG from a script of (op, operand indices) choices
@@ -94,6 +95,30 @@ fn snapshot(g: &Aig, arena: &CutArena) -> CutSnapshot {
                 .collect()
         })
         .collect()
+}
+
+/// Re-association across a whole suite circuit, then compaction: the
+/// renumbering puts some nodes' fanins in the other order, and the
+/// rebased lists must still equal from-scratch enumeration, whose
+/// equal-cost cuts keep the merge order the fanin order sets.
+#[test]
+fn rebase_matches_scratch_when_compaction_reorders_fanins() {
+    let c1908 = paper_benchmarks().into_iter().find(|b| b.name == "C1908").expect("suite circuit");
+    for rank in [CutRank::Size, CutRank::Depth] {
+        let params = CutParams { k: 4, max_cuts: 8, rank };
+        let mut g = c1908.aig.clone();
+        let mut arena = enumerate_cuts_with(&g, params);
+        g.begin_edit();
+        for ti in (0..g.num_ands()).step_by(5) {
+            apply_edit(&mut g, 0, ti as u16);
+        }
+        let delta = g.end_edit();
+        arena.update(&g, &delta, params);
+        let (compacted, map) = g.compact_with_map();
+        arena.rebase(&map, &compacted, params);
+        let scratch = snapshot(&compacted, &enumerate_cuts_with(&compacted, params));
+        assert!(snapshot(&compacted, &arena) == scratch, "rebased arena diverges at {rank:?}");
+    }
 }
 
 proptest! {

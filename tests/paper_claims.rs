@@ -1,6 +1,7 @@
 //! The paper's headline claims, asserted as integration tests.
 //! Shape-level reproduction: directions and rough magnitudes, not
-//! bit-identical numbers (see EXPERIMENTS.md for the full comparison).
+//! bit-identical numbers (`full_repro` prints the full paper-vs-measured
+//! scoreboard).
 
 use ambipolar_cntfet::prelude::*;
 use cntfet_core::family_averages;
