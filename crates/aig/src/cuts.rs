@@ -1010,9 +1010,6 @@ fn merged_word(
     (ta ^ compl[0]) & (tb ^ compl[1])
 }
 
-// `expand_cut_word` stays below `cut_function`: srclint reads every
-// line after the first `#[cfg(test)]` as test code.
-
 /// Expands a fanin cut's function word onto the merged leaf set.
 fn expand_cut_word(arena: &CutArena, c: &CutData, merged: &[NodeId], pos: &mut Vec<usize>) -> u64 {
     #[cfg(test)]

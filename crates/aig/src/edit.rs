@@ -172,7 +172,7 @@ impl Aig {
     /// Panics if a session is already active.
     pub fn begin_edit(&mut self) {
         assert!(self.edit.is_none(), "editing session already active");
-        self.edit = Some(EditState::build(self));
+        self.edit = Some(Box::new(EditState::build(self)));
     }
 
     /// Ends the editing session, dropping the bookkeeping and

@@ -1,6 +1,6 @@
 //! The And-Inverter Graph structure with structural hashing.
 
-use std::collections::HashMap;
+use cntfet_boolfn::hash::{FastHash, FastMap};
 use std::fmt;
 
 /// An edge in the AIG: a node index plus an optional complement flag.
@@ -144,10 +144,14 @@ pub struct Aig {
     pub(crate) nodes: Vec<Node>,
     pis: Vec<NodeId>,
     pub(crate) pos: Vec<Lit>,
-    pub(crate) strash: HashMap<(u32, u32), NodeId>,
+    /// Structural hashing: sorted fanin codes → AND node. Keyed with
+    /// the process's [`FastHash`] seed, so a crafted input cannot
+    /// force its probes into one bucket.
+    pub(crate) strash: FastMap<(u32, u32), NodeId>,
     /// Reference counts and fanout lists, live during an in-place
-    /// editing session (see [`Aig::begin_edit`]).
-    pub(crate) edit: Option<crate::edit::EditState>,
+    /// editing session (see [`Aig::begin_edit`]). Boxed, so a graph
+    /// outside a session stays small to move and store.
+    pub(crate) edit: Option<Box<crate::edit::EditState>>,
     /// Set by [`Aig::replace_node`]: ascending id order may no longer
     /// be topological, so traversals must take the DFS path. Fresh and
     /// compacted graphs keep it false (plain construction appends
@@ -158,12 +162,23 @@ pub struct Aig {
 impl Aig {
     /// Creates an empty AIG.
     pub fn new(name: impl Into<String>) -> Self {
+        Self::with_hasher(name.into(), FastHash::default())
+    }
+
+    /// An empty AIG whose strash is keyed with `seed` instead of the
+    /// process's seed.
+    #[cfg(test)]
+    pub(crate) fn with_strash_seed(name: impl Into<String>, seed: u64) -> Self {
+        Self::with_hasher(name.into(), FastHash::with_seed(seed))
+    }
+
+    fn with_hasher(name: String, hasher: FastHash) -> Self {
         Aig {
-            name: name.into(),
+            name,
             nodes: vec![Node { f0: LIT_NONE, f1: LIT_NONE }], // constant node
             pis: Vec::new(),
             pos: Vec::new(),
-            strash: HashMap::new(),
+            strash: FastMap::with_hasher(hasher),
             edit: None,
             edited: false,
         }
@@ -577,7 +592,7 @@ impl Aig {
     /// arenas, edit deltas) can follow the surviving nodes instead of
     /// being rebuilt from scratch. See [`CompactMap`].
     pub fn compact_with_map(&self) -> (Aig, CompactMap) {
-        let mut out = Aig::new(self.name.clone());
+        let mut out = Aig::with_hasher(self.name.clone(), *self.strash.hasher());
         let mut map: Vec<Option<Lit>> = vec![None; self.nodes.len()];
         map[0] = Some(Lit::FALSE);
         // PIs keep their order (all of them, even unused, so that the
@@ -805,6 +820,38 @@ mod tests {
         let y = grown.and(x, c);
         grown.set_po(0, y);
         assert_ne!(base, grown.fingerprint());
+    }
+
+    #[test]
+    fn strash_seed_never_reaches_a_result() {
+        // A suite circuit rebuilt under two strash seeds, then
+        // compacted: the node arrays and fingerprints agree.
+        let bench = cntfet_circuits::paper_benchmarks()
+            .into_iter()
+            .find(|b| b.name == "C1908")
+            .expect("the suite has C1908");
+        let src = &bench.aig;
+        let build = |seed| {
+            let mut g = Aig::with_strash_seed(src.name(), seed);
+            let mut map = vec![Lit::FALSE; src.num_nodes()];
+            for pi in src.pis() {
+                map[pi.index()] = g.add_pi();
+            }
+            let lit = |map: &[Lit], code: u32| map[code as usize >> 1].negate_if(code & 1 == 1);
+            for id in src.and_ids() {
+                let (a, b) = src.fanins(id);
+                map[id.index()] = g.and(lit(&map, a.code()), lit(&map, b.code()));
+            }
+            for po in src.pos() {
+                let l = lit(&map, po.code());
+                g.add_po(l);
+            }
+            g.compact()
+        };
+        let (a, b) = (build(1), build(0x9E37_79B9_7F4A_7C15));
+        let fanins = |g: &Aig| g.nodes.iter().map(|n| (n.f0, n.f1)).collect::<Vec<_>>();
+        assert_eq!(fanins(&a), fanins(&b));
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

@@ -22,9 +22,11 @@
 //!    `missing_docs` lint header, and the `unsafe` token appears
 //!    nowhere else.
 //!
-//! Lines after the first `#[cfg(test)]` in a file are test code and
-//! exempt from (1) and (2); `//` comment lines are always skipped.
-//! Exits non-zero listing every violation.
+//! The body of a `mod` item annotated `#[cfg(test)]` is test code and
+//! exempt from (1) and (2); a `#[cfg(test)]` on any other item or
+//! statement (say, a test-only counter inside library code) exempts
+//! nothing. `//` comment lines are always skipped. Exits non-zero
+//! listing every violation.
 
 use std::path::{Path, PathBuf};
 
@@ -181,16 +183,13 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 /// (no unwrap/panic, budgeted expect); for a library file, returns its
 /// non-test `.expect()` count.
 fn lint_file(rel: &str, text: &str, is_lib: bool, out: &mut Vec<Violation>) -> Option<usize> {
-    let mut in_tests = false;
+    let mut region = TestRegion::default();
     let mut expects = 0usize;
     let mut first_excess_expect = None;
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
-        let t = raw.trim_start();
-        if t.starts_with(CFG_TEST) {
-            in_tests = true;
-        }
-        if t.starts_with("//") {
+        let in_tests = region.step(raw);
+        if raw.trim_start().starts_with("//") {
             continue;
         }
         // Universal rules: in-progress markers and the unsafe token
@@ -253,6 +252,48 @@ fn lint_file(rel: &str, text: &str, is_lib: bool, out: &mut Vec<Violation>) -> O
     is_lib.then_some(expects)
 }
 
+/// Tracks which lines are test code: from a `#[cfg(test)]` that
+/// annotates a `mod` item to the `}` that closes the module (the first
+/// one at the `mod` line's indentation).
+#[derive(Default)]
+struct TestRegion {
+    /// A `#[cfg(test)]` was seen and the item it annotates has not
+    /// started yet.
+    pending: bool,
+    /// Inside a test module: the indentation of its `mod` line.
+    open: Option<usize>,
+}
+
+impl TestRegion {
+    /// Feeds the next line; true if it is test code.
+    fn step(&mut self, raw: &str) -> bool {
+        let mut t = raw.trim_start();
+        let indent = raw.len() - t.len();
+        if let Some(open) = self.open {
+            if indent == open && t.starts_with('}') {
+                self.open = None;
+            }
+            return true;
+        }
+        if let Some(rest) = t.strip_prefix(CFG_TEST) {
+            self.pending = true;
+            t = rest.trim_start();
+        }
+        if !self.pending || t.is_empty() || t.starts_with("#[") || t.starts_with("//") {
+            return false;
+        }
+        self.pending = false;
+        let mut words = t.split_whitespace().skip_while(|w| w.starts_with("pub"));
+        if words.next() != Some("mod") {
+            return false;
+        }
+        if t.trim_end().ends_with('{') {
+            self.open = Some(indent);
+        }
+        true
+    }
+}
+
 /// Looks up a file's `.expect()` allowance (zero when unlisted).
 fn expect_budget(rel: &str) -> usize {
     EXPECT_BUDGET
@@ -281,5 +322,39 @@ fn lint_crate_root(rel: &str, text: &str, out: &mut Vec<Violation>) {
             line: 1,
             what: "crate root is missing a `missing_docs` lint header".into(),
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Lints `text` as an unlisted library file: its `.expect()`
+    /// budget is zero.
+    fn lint(text: &str) -> (Vec<usize>, Option<usize>) {
+        let mut out = Vec::new();
+        let expects = lint_file("crates/x/src/lib.rs", text, true, &mut out);
+        (out.iter().map(|v| v.line).collect(), expects)
+    }
+
+    #[test]
+    fn a_cfg_test_hook_leaves_the_library_code_below_it_linted() {
+        let text = format!(
+            "fn hook() {{\n    {CFG_TEST}\n    HITS.with(|n| n.set(n.get() + 1));\n}}\n\n\
+             {CFG_TEST}\nthread_local! {{\n    static HITS: Cell<usize> = Cell::new(0);\n}}\n\n\
+             fn lib(x: Option<u8>) -> u8 {{\n    x{EXPECT}\"why\") + x{UNWRAP}\n}}\n"
+        );
+        // Line 12: the unwrap, and the expect over its zero budget.
+        assert_eq!(lint(&text), (vec![12, 12], Some(1)));
+    }
+
+    #[test]
+    fn a_cfg_test_module_is_exempt_until_it_closes() {
+        let text = format!(
+            "{CFG_TEST}\nmod tests {{\n    #[test]\n    fn t() {{\n        x{UNWRAP};\n        \
+             y{EXPECT}\"ok\");\n        {PANIC}\"ok\");\n    }}\n}}\n\n\
+             fn after() {{\n    x{UNWRAP};\n}}\n"
+        );
+        assert_eq!(lint(&text), (vec![12], Some(0)));
     }
 }

@@ -15,9 +15,10 @@
 //! 2. the few classes beyond the budget fall back to the better of a
 //!    Shannon/XOR-aware decomposition and the two factored-SOP phases.
 //!
-//! Every structure is checked to compute its class function before the
-//! table is printed, sorted by key. CI reruns this binary and fails
-//! when its output differs from the committed table.
+//! Every structure is checked to compute its class function, and to fit
+//! in [`RwrStructure::MAX_STEPS`] steps, before the table is printed,
+//! sorted by key. CI reruns this binary and fails when its output
+//! differs from the committed table.
 
 use cntfet_boolfn::rwr::{RwrLit, RWR_VARS};
 use cntfet_boolfn::{factor, isop, npn_canonical, Expr, NpnTransform, RwrStructure, TruthTable};
@@ -44,6 +45,11 @@ fn main() {
         let (structure, was_exact) = synth_class(key, &enumeration);
         let value = RwrStructure::eval_steps(&structure.steps, structure.out, VAR16);
         assert_eq!(value, key, "class {key:#06x} structure is wrong");
+        assert!(
+            structure.steps.len() <= RwrStructure::MAX_STEPS,
+            "class {key:#06x} needs {} steps, over RwrStructure::MAX_STEPS",
+            structure.steps.len()
+        );
         exact += usize::from(was_exact);
         entries.insert(key, structure);
     }

@@ -1,14 +1,16 @@
 //! Process-wide cache policy and hit/miss accounting.
 //!
-//! Three caching layers share this module as their single policy
+//! Four caching layers share this module as their single policy
 //! switch: the NPN canonicalization memo ([`crate::CanonCache`]), the
+//! rewrite pass's library-lookup memo in `cntfet-synth`, the
 //! dirty-region incremental cut enumeration in `cntfet-aig`, and the
 //! batch service's fingerprint-keyed result cache in `cntfet-bench`.
 //! Setting the environment variable `CNTFET_NO_CACHE=1` before the
 //! process starts disables all of them at once — every consumer falls
 //! back to its from-scratch path, which is the escape hatch CI uses to
 //! prove that cached and uncached runs produce bitwise identical
-//! results.
+//! results. The refactoring pass's factoring memo (`FACTOR_CACHE` in
+//! `cntfet-synth`) is the one memo that ignores the switch.
 //!
 //! The variable is read once per process; changing it afterwards has
 //! no effect (the engines must never observe the policy flipping

@@ -36,6 +36,7 @@ pub mod cache;
 mod cube;
 mod expr;
 mod factor;
+pub mod hash;
 mod isop;
 mod npn;
 pub mod rwr;

@@ -65,6 +65,10 @@ impl RwrStructure {
     pub const FALSE: RwrLit = 0xFE;
     /// The constant-true literal code.
     pub const TRUE: RwrLit = 0xFF;
+    /// Upper bound on [`num_ands`](Self::num_ands) over the library, so
+    /// a structure walk fits a fixed buffer (the committed table's
+    /// longest structure has 16 steps; `rwrgen` asserts the bound).
+    pub const MAX_STEPS: usize = 16;
 
     /// The AND steps, in build order (operands of step `i` reference
     /// only leaves and steps `< i`).
@@ -220,6 +224,13 @@ mod tests {
         let lib = RwrLibrary::global();
         for (&key, s) in &lib.entries {
             assert_eq!(s.eval16(VAR16), key, "class {key:#06x}");
+        }
+    }
+
+    #[test]
+    fn every_structure_fits_max_steps() {
+        for e in TABLE {
+            assert!(e.steps.len() <= RwrStructure::MAX_STEPS, "class {:#06x}", e.key);
         }
     }
 

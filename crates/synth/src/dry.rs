@@ -154,12 +154,16 @@ impl Build for DryBuild<'_> {
 }
 
 /// Scratch set of the node's MFFC, reused across evaluations via
-/// stamping.
+/// stamping, together with the visited stamps and stack of
+/// [`revive_count`].
 #[derive(Default)]
 pub(crate) struct MffcSet {
     stamp: Vec<u32>,
     cur: u32,
-    members: Vec<NodeId>,
+    /// Per node: the [`revive_count`] walk that last visited it.
+    seen: Vec<u32>,
+    walk: u32,
+    stack: Vec<NodeId>,
 }
 
 impl MffcSet {
@@ -167,18 +171,37 @@ impl MffcSet {
     pub fn begin(&mut self, num_nodes: usize) {
         if self.stamp.len() < num_nodes {
             self.stamp.resize(num_nodes, 0);
+            self.seen.resize(num_nodes, 0);
         }
-        self.cur += 1;
-        self.members.clear();
+        next_epoch(&mut self.stamp, &mut self.cur);
     }
 
     pub fn insert(&mut self, id: NodeId) {
         self.stamp[id.index()] = self.cur;
-        self.members.push(id);
     }
 
     pub fn contains(&self, id: NodeId) -> bool {
         self.stamp.get(id.index()).copied() == Some(self.cur)
+    }
+
+    /// Marks a member visited by the current walk; false if it already
+    /// was.
+    fn visit(&mut self, id: NodeId) -> bool {
+        let seen = &mut self.seen[id.index()];
+        let fresh = *seen != self.walk;
+        *seen = self.walk;
+        fresh
+    }
+}
+
+/// Advances an epoch counter over its stamp array. When the counter
+/// wraps, the stamps are cleared, so no stamp left from an earlier
+/// epoch can match the new one.
+fn next_epoch(stamps: &mut [u32], epoch: &mut u32) {
+    *epoch = epoch.wrapping_add(1);
+    if *epoch == 0 {
+        stamps.fill(0);
+        *epoch = 1;
     }
 }
 
@@ -189,11 +212,43 @@ impl MffcSet {
 /// accounting overestimates.
 pub(crate) fn revive_count(
     aig: &Aig,
-    set: &MffcSet,
-    roots: impl Iterator<Item = NodeId>,
-    visited: &mut Vec<NodeId>,
+    set: &mut MffcSet,
+    roots: impl Iterator<Item = NodeId> + Clone,
 ) -> usize {
-    visited.clear();
+    #[cfg(test)]
+    let reference = revive_count_list(aig, set, roots.clone());
+    next_epoch(&mut set.seen, &mut set.walk);
+    set.stack.clear();
+    for r in roots {
+        if set.contains(r) && set.visit(r) {
+            set.stack.push(r);
+        }
+    }
+    let mut count = 0;
+    while let Some(x) = set.stack.pop() {
+        count += 1;
+        if aig.is_and(x) {
+            let (f0, f1) = aig.fanins(x);
+            for f in [f0.node(), f1.node()] {
+                if set.contains(f) && set.visit(f) {
+                    set.stack.push(f);
+                }
+            }
+        }
+    }
+    #[cfg(test)]
+    {
+        assert_eq!(count, reference, "stamp-based revive count disagrees with the reference");
+        REVIVE_CHECKS.with(|n| n.set(n.get() + 1));
+    }
+    count
+}
+
+/// The list-based revive count that [`revive_count`] replaced, kept as
+/// its reference: every test build cross-checks each count against it.
+#[cfg(test)]
+fn revive_count_list(aig: &Aig, set: &MffcSet, roots: impl Iterator<Item = NodeId>) -> usize {
+    let mut visited: Vec<NodeId> = Vec::new();
     let mut stack: Vec<NodeId> = roots.filter(|&r| set.contains(r)).collect();
     while let Some(x) = stack.pop() {
         if visited.contains(&x) {
@@ -210,4 +265,67 @@ pub(crate) fn revive_count(
         }
     }
     visited.len()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Revive counts [`revive_count`] checked against the reference on
+    /// this thread.
+    static REVIVE_CHECKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stamp_revive_count_matches_the_list_reference_on_the_suite() {
+        // `revive_count` asserts against the reference on every call,
+        // so one rewrite sweep per circuit, then one refactor sweep over
+        // its output, check every candidate the two passes cost.
+        // Refactor's five size-ranked cuts per node rarely include one
+        // wider than four leaves: of these circuits only C5315 gives it
+        // candidates.
+        let names = ["C1908", "C6288", "des", "t481", "C5315"];
+        let benches: Vec<_> = cntfet_circuits::paper_benchmarks()
+            .into_iter()
+            .filter(|b| names.contains(&b.name))
+            .collect();
+        assert_eq!(benches.len(), names.len());
+        let checks = || REVIVE_CHECKS.with(|c| c.get());
+        let (mut rewrite, mut refactor) = (0, 0);
+        for b in benches {
+            let mut g = b.aig.clone();
+            let before = checks();
+            crate::rewrite_inplace(&mut g, false);
+            rewrite += checks() - before;
+            let before = checks();
+            crate::refactor_inplace(&mut g, 8, false);
+            refactor += checks() - before;
+        }
+        assert!(rewrite > 0 && refactor > 0, "{rewrite} rewrite, {refactor} refactor candidates");
+    }
+
+    #[test]
+    fn revive_stamps_survive_epoch_wrap() {
+        // x = a·b, y = x·c, o = y·d: the MFFC of o is {o, y, x}.
+        let mut g = Aig::new("wrap");
+        let p = g.add_pis(4);
+        let x = g.and(p[0], p[1]);
+        let y = g.and(x, p[2]);
+        let o = g.and(y, p[3]);
+        g.add_po(o);
+        let mut set = MffcSet { cur: u32::MAX - 1, walk: u32::MAX - 1, ..MffcSet::default() };
+        for _ in 0..4 {
+            set.begin(g.num_nodes());
+            for l in [x, y, o] {
+                set.insert(l.node());
+            }
+            // Repeated roots and a root outside the set count once.
+            let roots = [y.node(), y.node(), p[0].node()];
+            assert_eq!(revive_count(&g, &mut set, roots.iter().copied()), 2);
+            assert_eq!(revive_count(&g, &mut set, [x.node()].into_iter()), 1);
+        }
+        assert!(set.cur < 4 && set.walk < 8, "the epochs wrapped");
+    }
 }

@@ -85,8 +85,8 @@ pub(crate) fn refactor_ctx(aig: &mut Aig, k: usize, zero_cost: bool, ctx: &mut P
     let n0 = aig.num_nodes();
     let mut mffc = MffcSet::default();
     let mut mffc_buf: Vec<NodeId> = Vec::new();
-    let mut revive_buf: Vec<NodeId> = Vec::new();
     let mut scratch = DryScratch::default();
+    let mut vstack: Vec<VLit> = Vec::new();
     let mut cone_memo: Vec<(NodeId, TruthTable)> = Vec::new();
     let mut applied = 0usize;
 
@@ -148,12 +148,11 @@ pub(crate) fn refactor_ctx(aig: &mut Aig, k: usize, zero_cost: bool, ctx: &mut P
         let mut best: Option<(isize, &Expr, bool)> = None;
         for (expr, neg) in [(e_pos, false), (e_neg, true)] {
             let mut dry = DryBuild::new(aig, &mut scratch);
-            walk_expr(&mut dry, expr, &vleaves);
+            walk_expr(&mut dry, expr, &vleaves, &mut vstack);
             let revive = revive_count(
                 aig,
-                &mffc,
+                &mut mffc,
                 leaves.iter().map(|l| l.node()).chain(scratch.reused.iter().copied()),
-                &mut revive_buf,
             );
             let gain = saved as isize - (scratch.created + revive) as isize;
             if best.as_ref().map(|b| gain > b.0).unwrap_or(true) {
@@ -164,7 +163,7 @@ pub(crate) fn refactor_ctx(aig: &mut Aig, k: usize, zero_cost: bool, ctx: &mut P
 
         if let Some((gain, expr, neg)) = best {
             if gain > 0 || (zero_cost && gain == 0) {
-                let out = walk_expr(&mut RealBuild(aig), expr, &leaves);
+                let out = walk_expr(&mut RealBuild(aig), expr, &leaves, &mut Vec::new());
                 let out = if neg { out.negate() } else { out };
                 if out.node() != id {
                     aig.replace_node(id, out);
@@ -248,8 +247,9 @@ fn cone_function(
 /// Builds an expression over leaf literals through a builder (dry or
 /// real); the expression's variable `v` maps to `leaves[v]`. The
 /// balanced multi-operand reductions mirror [`Aig::build_expr`]'s
-/// shape so dry costs match real builds exactly.
-fn walk_expr<B: Build>(b: &mut B, e: &Expr, leaves: &[B::L]) -> B::L {
+/// shape so dry costs match real builds exactly. Operands wait on
+/// `stack`, which is left as it was found.
+fn walk_expr<B: Build>(b: &mut B, e: &Expr, leaves: &[B::L], stack: &mut Vec<B::L>) -> B::L {
     match e {
         Expr::Const(c) => {
             if *c {
@@ -259,44 +259,56 @@ fn walk_expr<B: Build>(b: &mut B, e: &Expr, leaves: &[B::L]) -> B::L {
             }
         }
         Expr::Var(v) => leaves[*v as usize],
-        Expr::Not(inner) => B::not(walk_expr(b, inner, leaves)),
-        Expr::And(es) => {
-            let lits: Vec<B::L> = es.iter().map(|e| walk_expr(b, e, leaves)).collect();
-            reduce(b, &lits, B::ltrue(), B::and)
-        }
-        Expr::Or(es) => {
-            let lits: Vec<B::L> = es.iter().map(|e| walk_expr(b, e, leaves)).collect();
-            reduce(b, &lits, B::lfalse(), B::or)
-        }
-        Expr::Xor(es) => {
-            let lits: Vec<B::L> = es.iter().map(|e| walk_expr(b, e, leaves)).collect();
-            reduce(b, &lits, B::lfalse(), B::xor)
-        }
+        Expr::Not(inner) => B::not(walk_expr(b, inner, leaves, stack)),
+        Expr::And(es) => walk_nary(b, es, leaves, stack, B::ltrue(), B::and),
+        Expr::Or(es) => walk_nary(b, es, leaves, stack, B::lfalse(), B::or),
+        Expr::Xor(es) => walk_nary(b, es, leaves, stack, B::lfalse(), B::xor),
     }
 }
 
-/// Balanced pairwise reduction, mirroring `Aig::reduce`.
+/// Walks the operands of an n-ary node onto `stack`, then reduces them
+/// there.
+fn walk_nary<B: Build>(
+    b: &mut B,
+    es: &[Expr],
+    leaves: &[B::L],
+    stack: &mut Vec<B::L>,
+    unit: B::L,
+    op: impl FnMut(&mut B, B::L, B::L) -> B::L,
+) -> B::L {
+    let base = stack.len();
+    for e in es {
+        let l = walk_expr(b, e, leaves, stack);
+        stack.push(l);
+    }
+    let out = reduce(b, &mut stack[base..], unit, op);
+    stack.truncate(base);
+    out
+}
+
+/// Balanced pairwise reduction in place, mirroring `Aig::reduce`: each
+/// layer combines neighbouring pairs left to right, and an odd last
+/// operand moves up unchanged.
 fn reduce<B: Build>(
     b: &mut B,
-    lits: &[B::L],
+    lits: &mut [B::L],
     unit: B::L,
     mut op: impl FnMut(&mut B, B::L, B::L) -> B::L,
 ) -> B::L {
-    match lits.len() {
-        0 => unit,
-        1 => lits[0],
-        _ => {
-            let mut layer = lits.to_vec();
-            while layer.len() > 1 {
-                let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-                for pair in layer.chunks(2) {
-                    next.push(if pair.len() == 2 { op(b, pair[0], pair[1]) } else { pair[0] });
-                }
-                layer = next;
-            }
-            layer[0]
-        }
+    let mut n = lits.len();
+    if n == 0 {
+        return unit;
     }
+    while n > 1 {
+        for i in 0..n / 2 {
+            lits[i] = op(b, lits[2 * i], lits[2 * i + 1]);
+        }
+        if n % 2 == 1 {
+            lits[n / 2] = lits[n - 1];
+        }
+        n = n.div_ceil(2);
+    }
+    lits[0]
 }
 
 #[cfg(test)]

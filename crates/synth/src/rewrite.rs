@@ -22,8 +22,8 @@
 use crate::dry::{real, revive_count, Build, DryBuild, DryScratch, MffcSet, RealBuild};
 use crate::pass::PassCtx;
 use cntfet_aig::{Aig, CutParams, CutRank, Lit, NodeId};
-use cntfet_boolfn::{RwrLibrary, RwrMatch, RwrOperand, RwrStructure};
-use std::collections::HashMap;
+use cntfet_boolfn::hash::FastMap;
+use cntfet_boolfn::{cache, RwrLibrary, RwrMatch, RwrOperand, RwrStructure};
 
 /// Priority cuts kept per node during rewriting.
 const REWRITE_CUTS: usize = 8;
@@ -70,11 +70,25 @@ impl crate::Pass for Rewrite {
 }
 
 thread_local! {
-    /// Cross-pass lookup cache: canonicalization dominates the library
-    /// lookup, and cut functions repeat heavily both inside a graph
-    /// and across the passes/rounds of a script.
-    static LOOKUP_CACHE: std::cell::RefCell<HashMap<u64, RwrMatch<'static>>> =
-        std::cell::RefCell::new(HashMap::new());
+    /// Cross-pass memo of [`RwrLibrary::lookup_word`], keyed by the
+    /// function's 16-bit truth table (a cut word of at most four leaves
+    /// is its low 16 bits replicated, and the lookup reads only those).
+    /// Canonicalization dominates the lookup, and cut functions repeat
+    /// heavily both inside a graph and across the passes and rounds of
+    /// a script. At most 65,536 entries; off when
+    /// [`cache::enabled`] is false.
+    static LOOKUP_CACHE: std::cell::RefCell<FastMap<u16, RwrMatch<'static>>> =
+        std::cell::RefCell::new(FastMap::default());
+}
+
+/// The library entry of a cut function, through [`LOOKUP_CACHE`].
+fn lookup(lib: &'static RwrLibrary, word: u64) -> RwrMatch<'static> {
+    if !cache::enabled() {
+        return lib.lookup_word(word);
+    }
+    LOOKUP_CACHE.with(|c| {
+        c.borrow_mut().entry(word as u16).or_insert_with(|| lib.lookup_word(word)).clone()
+    })
 }
 
 /// Runs one DAG-aware rewriting sweep in place; returns the number of
@@ -99,7 +113,6 @@ pub(crate) fn rewrite_ctx(aig: &mut Aig, zero_cost: bool, ctx: &mut PassCtx) -> 
     let n0 = aig.num_nodes();
     let mut mffc = MffcSet::default();
     let mut mffc_buf: Vec<NodeId> = Vec::new();
-    let mut revive_buf: Vec<NodeId> = Vec::new();
     let mut scratch = DryScratch::default();
     let mut applied = 0usize;
 
@@ -139,20 +152,17 @@ pub(crate) fn rewrite_ctx(aig: &mut Aig, zero_cost: bool, ctx: &mut PassCtx) -> 
             if !ok {
                 continue;
             }
-            let m = LOOKUP_CACHE.with(|c| {
-                c.borrow_mut().entry(word).or_insert_with(|| lib.lookup_word(word)).clone()
-            });
+            let m = lookup(lib, word);
             let mut dry = DryBuild::new(aig, &mut scratch);
             walk_structure(&mut dry, &m, &leaves.map(real));
             let revive = revive_count(
                 aig,
-                &mffc,
+                &mut mffc,
                 leaves
                     .iter()
                     .take(cut.size())
                     .map(|l| l.node())
                     .chain(scratch.reused.iter().copied()),
-                &mut revive_buf,
             );
             let gain = saved as isize - (scratch.created + revive) as isize;
             if best.as_ref().map(|b| gain > b.0).unwrap_or(true) {
@@ -194,7 +204,7 @@ pub(crate) fn walk_structure<B: Build>(b: &mut B, m: &RwrMatch<'_>, leaves: &[B:
         let l = if t.input_flipped(i) { B::not(leaf) } else { leaf };
         inputs[t.perm(i)] = l;
     }
-    let mut steps: Vec<B::L> = Vec::with_capacity(m.structure.num_ands());
+    let mut steps = [B::lfalse(); RwrStructure::MAX_STEPS];
     let operand = |steps: &[B::L], inputs: &[B::L; 4], lit| match RwrStructure::decode(lit) {
         RwrOperand::Const(c) => {
             if c {
@@ -218,11 +228,10 @@ pub(crate) fn walk_structure<B: Build>(b: &mut B, m: &RwrMatch<'_>, leaves: &[B:
             }
         }
     };
-    for &(a, b2) in m.structure.steps() {
+    for (i, &(a, b2)) in m.structure.steps().iter().enumerate() {
         let la = operand(&steps, &inputs, a);
         let lb = operand(&steps, &inputs, b2);
-        let l = b.and(la, lb);
-        steps.push(l);
+        steps[i] = b.and(la, lb);
     }
     let out = operand(&steps, &inputs, m.structure.out());
     if t.output_flipped() {

@@ -172,18 +172,49 @@ impl Default for MapOptions {
 const ALIAS: usize = usize::MAX;
 const EPS: f64 = 1e-9;
 
-/// A candidate implementation of a node.
+/// Most pins a candidate has: the widest mapped cut (and cell) has six
+/// inputs.
+const MAX_PINS: usize = 6;
+
+/// A candidate implementation of a node. Pins are stored inline, so a
+/// candidate costs no heap allocation.
 #[derive(Debug, Clone)]
 struct Cand {
     /// Library cell, or [`ALIAS`] for a wire/complement alias.
     cell: usize,
-    /// Per pin: (leaf AIG node, complemented).
-    pins: Vec<(NodeId, bool)>,
+    /// Per pin: (leaf AIG node, complemented); the first `npins` are
+    /// used.
+    pins: [(NodeId, bool); MAX_PINS],
+    npins: u8,
     /// Node = cell output ⊕ out_compl.
     out_compl: bool,
     /// Position of the matched cut in the node's cut list (saturating;
     /// [`extract`] copies that cut's leaves into the netlist).
     cut: u8,
+}
+
+impl Cand {
+    fn new(
+        cell: usize,
+        pins: impl IntoIterator<Item = (NodeId, bool)>,
+        out_compl: bool,
+        cut: u8,
+    ) -> Cand {
+        let unused = [(NodeId::CONST, false); MAX_PINS];
+        let mut c = Cand { cell, pins: unused, npins: 0, out_compl, cut };
+        let mut pins = pins.into_iter();
+        for (slot, pin) in c.pins.iter_mut().zip(pins.by_ref()) {
+            *slot = pin;
+            c.npins += 1;
+        }
+        debug_assert!(pins.next().is_none(), "a candidate has at most {MAX_PINS} pins");
+        c
+    }
+
+    /// Per pin: (leaf AIG node, complemented).
+    fn pins(&self) -> &[(NodeId, bool)] {
+        &self.pins[..usize::from(self.npins)]
+    }
 }
 
 /// Library-dependent constants of one mapping run.
@@ -210,6 +241,9 @@ struct Sel {
     required: Vec<f64>,
     /// References in the current cover (base gate nodes only).
     nref: Vec<u32>,
+    /// Work stack of [`ref_cover`] and [`deref_cover`], reused across
+    /// calls.
+    stack: Vec<NodeId>,
 }
 
 /// The rollback state of one recovery round (see [`Sel::snapshot`]).
@@ -379,31 +413,19 @@ fn generate_cands(ctx: &Ctx<'_>, cuts: &CutArena, matcher: &mut Matcher<'_>) -> 
                 1 => {
                     // The node is a (possibly complemented) wire.
                     let compl = w >> (1u64 << support[0]) & 1 == 0;
-                    list.push(Cand {
-                        cell: ALIAS,
-                        pins: vec![(cut.leaves()[support[0]], compl)],
-                        out_compl: false,
-                        cut: pos,
-                    });
+                    list.push(Cand::new(ALIAS, [(cut.leaves()[support[0]], compl)], false, pos));
                 }
                 k => {
                     let compact = word::shrink_to(w, &support);
                     for m in matcher.matches_word(k, compact) {
                         let cell = &library.cells()[m.cell];
-                        let pins: Vec<(NodeId, bool)> = (0..cell.num_inputs)
-                            .map(|pin| {
-                                (
-                                    cut.leaves()[support[m.transform.perm(pin)]],
-                                    m.transform.input_flipped(pin),
-                                )
-                            })
-                            .collect();
-                        list.push(Cand {
-                            cell: m.cell,
-                            pins,
-                            out_compl: m.transform.output_flipped(),
-                            cut: pos,
+                        let pins = (0..cell.num_inputs).map(|pin| {
+                            (
+                                cut.leaves()[support[m.transform.perm(pin)]],
+                                m.transform.input_flipped(pin),
+                            )
                         });
+                        list.push(Cand::new(m.cell, pins, m.transform.output_flipped(), pos));
                     }
                 }
             }
@@ -426,6 +448,7 @@ fn run_cover(ctx: &Ctx<'_>, cands: &[Vec<Cand>], opts: &MapOptions) -> Sel {
         aflow: vec![0.0; n],
         required: vec![f64::INFINITY; n],
         nref: vec![0; n],
+        stack: Vec::new(),
     };
 
     // Forward pass: delay-optimal, unless area is the sole objective.
@@ -530,7 +553,7 @@ fn arrival_cost(
 /// candidate under the current leaf state.
 fn eval_cand(ctx: &Ctx<'_>, sel: &Sel, c: &Cand) -> (f64, f64, bool) {
     if c.cell == ALIAS {
-        let (leaf, compl) = c.pins[0];
+        let (leaf, compl) = c.pins()[0];
         let ph = sel.phase[leaf.index()] ^ compl;
         return (
             sel.arr[leaf.index()],
@@ -541,7 +564,7 @@ fn eval_cand(ctx: &Ctx<'_>, sel: &Sel, c: &Cand) -> (f64, f64, bool) {
     let cell = &ctx.library.cells()[c.cell];
     let mut a = 0.0f64;
     let mut flow = cell.area;
-    for (pin, &(leaf, compl)) in c.pins.iter().enumerate() {
+    for (pin, &(leaf, compl)) in c.pins().iter().enumerate() {
         let needs_inv = !ctx.free_pol && (sel.phase[leaf.index()] ^ compl);
         let pin_arr = sel.arr[leaf.index()]
             + if needs_inv { ctx.inv_delay } else { 0.0 }
@@ -689,12 +712,12 @@ fn prepare_required(
         let c = &cands[i][sel.choice[i]];
         let req_i = sel.required[i];
         if c.cell == ALIAS {
-            let (leaf, _) = c.pins[0];
+            let (leaf, _) = c.pins()[0];
             required_min(&mut sel.required, leaf, req_i);
             continue;
         }
         let cell = &ctx.library.cells()[c.cell];
-        for (pin, &(leaf, compl)) in c.pins.iter().enumerate() {
+        for (pin, &(leaf, compl)) in c.pins().iter().enumerate() {
             let pen = if !ctx.free_pol && (sel.phase[leaf.index()] ^ compl) {
                 ctx.inv_delay
             } else {
@@ -719,7 +742,7 @@ fn resolve_base(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &Sel, mut n: NodeId) ->
         }
         let c = &cands[n.index()][sel.choice[n.index()]];
         if c.cell == ALIAS {
-            n = c.pins[0].0;
+            n = c.pins()[0].0;
         } else {
             return Some(n);
         }
@@ -739,44 +762,41 @@ fn cand_area(ctx: &Ctx<'_>, c: &Cand) -> f64 {
 /// references pull into the cover.
 fn ref_cover(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, c: &Cand) -> f64 {
     let mut area = 0.0;
-    let mut stack: Vec<NodeId> = c
-        .pins
-        .iter()
-        .filter_map(|&(leaf, _)| resolve_base(ctx, cands, sel, leaf))
-        .collect();
+    let mut stack = std::mem::take(&mut sel.stack);
+    push_bases(ctx, cands, sel, c, &mut stack);
     while let Some(b) = stack.pop() {
         let i = b.index();
         sel.nref[i] += 1;
         if sel.nref[i] == 1 {
             let cc = &cands[i][sel.choice[i]];
             area += cand_area(ctx, cc);
-            stack.extend(
-                cc.pins.iter().filter_map(|&(leaf, _)| resolve_base(ctx, cands, sel, leaf)),
-            );
+            push_bases(ctx, cands, sel, cc, &mut stack);
         }
     }
+    sel.stack = stack;
     area
 }
 
 /// Inverse of [`ref_cover`]: releases the references a candidate's
 /// pins hold on the cover.
 fn deref_cover(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, c: &Cand) {
-    let mut stack: Vec<NodeId> = c
-        .pins
-        .iter()
-        .filter_map(|&(leaf, _)| resolve_base(ctx, cands, sel, leaf))
-        .collect();
+    let mut stack = std::mem::take(&mut sel.stack);
+    push_bases(ctx, cands, sel, c, &mut stack);
     while let Some(b) = stack.pop() {
         let bi = b.index();
         debug_assert!(sel.nref[bi] > 0, "dereferencing an unreferenced gate");
         sel.nref[bi] -= 1;
         if sel.nref[bi] == 0 {
             let cc = &cands[bi][sel.choice[bi]];
-            stack.extend(
-                cc.pins.iter().filter_map(|&(leaf, _)| resolve_base(ctx, cands, sel, leaf)),
-            );
+            push_bases(ctx, cands, sel, cc, &mut stack);
         }
     }
+    sel.stack = stack;
+}
+
+/// Pushes the base gate each of a candidate's pins resolves to.
+fn push_bases(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &Sel, c: &Cand, stack: &mut Vec<NodeId>) {
+    stack.extend(c.pins().iter().filter_map(|&(leaf, _)| resolve_base(ctx, cands, sel, leaf)));
 }
 
 /// Exact incremental area a candidate would add to the current cover
@@ -788,7 +808,7 @@ fn trial_exact_area(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, c: &Cand)
     let mut ex = cand_area(ctx, c) + ref_cover(ctx, cands, sel, c);
     deref_cover(ctx, cands, sel, c);
     if !ctx.free_pol {
-        for &(leaf, compl) in &c.pins {
+        for &(leaf, compl) in c.pins() {
             if sel.phase[leaf.index()] ^ compl {
                 ex += ctx.inv_area / ctx.fanout[leaf.index()].max(1) as f64;
             }
@@ -819,9 +839,7 @@ fn compute_refs(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel) {
         sel.nref[i] += 1;
         if sel.nref[i] == 1 {
             let cc = &cands[i][sel.choice[i]];
-            stack.extend(
-                cc.pins.iter().filter_map(|&(leaf, _)| resolve_base(ctx, cands, sel, leaf)),
-            );
+            push_bases(ctx, cands, sel, cc, &mut stack);
         }
     }
 }
@@ -851,7 +869,7 @@ fn extract(ctx: &Ctx<'_>, cuts: &CutArena, cands: &[Vec<Cand>], sel: &Sel) -> Ma
             }
             let c = &cands[cur.index()][sel.choice[cur.index()]];
             if c.cell == ALIAS {
-                let (leaf, compl) = c.pins[0];
+                let (leaf, compl) = c.pins()[0];
                 match resolved[leaf.index()] {
                     Some((src, lc)) => {
                         resolved[cur.index()] = Some((src, lc ^ compl));
@@ -863,7 +881,7 @@ fn extract(ctx: &Ctx<'_>, cuts: &CutArena, cands: &[Vec<Cand>], sel: &Sel) -> Ma
                 }
             } else {
                 resolved[cur.index()] = Some((Source::Node(cur), false));
-                for &(leaf, _) in &c.pins {
+                for &(leaf, _) in c.pins() {
                     stack.push(leaf);
                 }
             }
@@ -903,9 +921,9 @@ fn extract(ctx: &Ctx<'_>, cuts: &CutArena, cands: &[Vec<Cand>], sel: &Sel) -> Ma
             continue;
         }
         let cell = &library.cells()[c.cell];
-        let mut pins = Vec::with_capacity(c.pins.len());
+        let mut pins = Vec::with_capacity(c.pins().len());
         let mut lvl = 0u32;
-        for &(leaf, compl) in &c.pins {
+        for &(leaf, compl) in c.pins() {
             let (src, lc) = resolved[leaf.index()].expect("leaf resolved");
             let pin_compl = compl ^ lc;
             // Physical phase of the source:

@@ -5,12 +5,13 @@
 //! [`Library::npn_matches`]). Matching a cut is then one
 //! canonicalization of the cut function, one hash lookup, and a
 //! transform composition per hit; and because the same cut functions
-//! recur constantly during mapping, even the canonicalization is
-//! memoized behind a word-keyed cache.
+//! recur constantly during mapping, the whole result is memoized
+//! behind a word-keyed cache.
 
+use cntfet_boolfn::hash::FastMap;
 use cntfet_boolfn::{npn_canonical_cached, NpnTransform, TruthTable};
 use cntfet_core::{Cell, Library};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// A successful match: `transform.apply(cell_function) == cut_function`.
 ///
@@ -30,18 +31,19 @@ pub struct CellMatch {
 ///
 /// The matcher itself is a thin memo layer: cut functions are keyed by
 /// their single-word truth table (all mapped cuts have ≤ 6 inputs), so
-/// repeat lookups cost one hash of a `(u8, u64)` pair.
+/// a repeat lookup is one probe of a `(u8, u64)` key in a table under
+/// the keyed [`FastHash`](cntfet_boolfn::hash::FastHash).
 #[derive(Debug)]
 pub struct Matcher<'lib> {
     library: &'lib Library,
-    cache: HashMap<(u8, u64), Vec<CellMatch>>,
+    cache: FastMap<(u8, u64), Vec<CellMatch>>,
 }
 
 impl<'lib> Matcher<'lib> {
     /// Builds a matcher over a library (cheap — the NPN index already
     /// lives in the [`Library`]).
     pub fn new(library: &'lib Library) -> Matcher<'lib> {
-        Matcher { library, cache: HashMap::new() }
+        Matcher { library, cache: FastMap::default() }
     }
 
     /// Number of indexed cells.
@@ -57,32 +59,32 @@ impl<'lib> Matcher<'lib> {
     /// Panics if `nvars > 6`.
     pub fn matches_word(&mut self, nvars: usize, word: u64) -> &[CellMatch] {
         assert!(nvars <= 6, "cut function too wide for matching");
-        let key = (nvars as u8, word);
-        if !self.cache.contains_key(&key) {
-            // Constant-time NPN-invariant pre-filters before paying
-            // for canonicalization (`word` is replicated, so each of
-            // the 2^nvars minterms appears 2^(6-nvars) times). A
-            // rejected word is not cached either — the filters are
-            // cheaper than the hash insert.
-            let ones = (word.count_ones() >> (6 - nvars)) as u64;
-            if !self.library.npn_popcount_feasible(nvars, ones)
-                || !self.library.npn_cofactor_feasible(nvars, word)
-            {
-                return &[];
-            }
-            let canon = npn_canonical_cached(&TruthTable::from_bits(nvars, word));
-            // h = T_h⁻¹(T_cell(cell_fn)): compose cell→canon with
-            // canon→cut.
-            let inv = canon.transform.inverse();
-            let found: Vec<CellMatch> = self
-                .library
+        let slot = match self.cache.entry((nvars as u8, word)) {
+            Entry::Occupied(e) => return e.into_mut(),
+            Entry::Vacant(v) => v,
+        };
+        // Constant-time NPN-invariant pre-filters before paying for
+        // canonicalization (`word` is replicated, so each of the
+        // 2^nvars minterms appears 2^(6-nvars) times). A rejected word
+        // is not cached either — the filters are cheaper than the
+        // insert.
+        let ones = (word.count_ones() >> (6 - nvars)) as u64;
+        if !self.library.npn_popcount_feasible(nvars, ones)
+            || !self.library.npn_cofactor_feasible(nvars, word)
+        {
+            return &[];
+        }
+        let canon = npn_canonical_cached(&TruthTable::from_bits(nvars, word));
+        // h = T_h⁻¹(T_cell(cell_fn)): compose cell→canon with
+        // canon→cut.
+        let inv = canon.transform.inverse();
+        slot.insert(
+            self.library
                 .npn_matches(&canon.table)
                 .iter()
                 .map(|(cell, t_cell)| CellMatch { cell: *cell, transform: t_cell.then(&inv) })
-                .collect();
-            self.cache.insert(key, found);
-        }
-        &self.cache[&key]
+                .collect(),
+        )
     }
 
     /// All cells matching the (support-compacted) cut function.
