@@ -4,8 +4,9 @@
 //!
 //! All cuts of a network live in one [`CutArena`]: a flat contiguous
 //! leaf buffer plus per-node slices, in the style of ABC's priority
-//! cuts. Enumeration keeps a bounded list of the best cuts per node
-//! under a pluggable [`CutRank`], prunes dominated cuts with
+//! cuts. Enumeration keeps a bounded list of the best cuts per node —
+//! the smallest ones, or those an external cost oracle ranks first
+//! ([`enumerate_cuts_custom`]) — prunes dominated cuts with
 //! bloom-style signatures, and — for cut sizes the mapper uses
 //! (`k ≤ 6`) — computes every kept cut's function as a single `u64`
 //! word in the same forward pass, so downstream consumers never walk
@@ -15,24 +16,16 @@ use crate::edit::EditDelta;
 use crate::graph::{Aig, NodeId};
 use cntfet_boolfn::{word, TruthTable};
 
-/// Cost used to rank a node's cuts before truncating to the priority
-/// list. Smaller is better; ranking is stable, so ties keep discovery
-/// order.
+/// The builtin cut ranking: fewer leaves first, ties in discovery
+/// order. It is the only one, so [`CutParams::rank`] selects nothing;
+/// the enum and that field stay only until the benchmark under
+/// `flowbench/` stops naming them. An external ranking goes through
+/// [`enumerate_cuts_custom`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CutRank {
-    /// Fewer leaves first — favours large cones per cell (area).
+    /// Fewer leaves first — favours large cones per cell.
     #[default]
     Size,
-    /// Shallower cuts first (smaller maximum leaf level), then fewer
-    /// leaves — keeps cuts whose leaves arrive early (delay).
-    Depth,
-    /// Externally supplied (mapped-arrival, area-flow) cost: the
-    /// caller provides a per-cut oracle to [`enumerate_cuts_custom`]
-    /// that sees the cut's leaves and function — typically resolving
-    /// it against a technology library to rank by the arrival time of
-    /// the best matching cell. [`enumerate_cuts_with`] cannot rank by
-    /// `Arrival` on its own (it has no oracle) and panics.
-    Arrival,
 }
 
 /// Parameters of [`enumerate_cuts_with`].
@@ -45,7 +38,8 @@ pub struct CutParams {
     /// the worst-ranked survivor if necessary), so `max_cuts ≥ 2`
     /// guarantees every AND node a mappable cut.
     pub max_cuts: usize,
-    /// Ranking that decides which cuts survive truncation.
+    /// Ignored: [`CutRank`] has one value. The field stays only until
+    /// the benchmark under `flowbench/` stops setting it.
     pub rank: CutRank,
 }
 
@@ -63,11 +57,6 @@ pub(crate) struct CutData {
     /// variable `i`), replicated-u64 form; valid iff the arena carries
     /// truth tables.
     pub(crate) tt: u64,
-    /// Ranking cost `(primary, secondary)` the cut survived
-    /// truncation with — size/depth for the builtin ranks, the
-    /// oracle's (arrival, area-flow) quantization for
-    /// [`CutRank::Arrival`]. Unit cuts carry `(0, 0)`.
-    pub(crate) cost: (u32, u32),
 }
 
 /// All cuts of an AIG, arena-packed: one contiguous leaf buffer,
@@ -120,8 +109,8 @@ impl CutArena {
     /// one — so the work is proportional to the edit's structural
     /// footprint, not to the graph.
     ///
-    /// After the call every node's cut list — leaves, functions,
-    /// costs, rank order — is identical to what
+    /// After the call every node's cut list — leaves, functions, rank
+    /// order — is identical to what
     /// [`enumerate_cuts_with`] would produce from scratch on the
     /// post-edit graph (including its convention that a fanin appended
     /// *after* its fanout reads as an empty list during the ascending
@@ -134,16 +123,10 @@ impl CutArena {
     ///
     /// # Panics
     ///
-    /// Panics if `params.rank` is [`CutRank::Arrival`] (an external
-    /// oracle's costs cannot be replayed incrementally), if `params.k`
-    /// differs from the arena's, or if the arena, delta and graph
-    /// sizes are inconsistent (e.g. the arena was not built from the
-    /// delta's pre-edit graph).
+    /// Panics if `params.k` differs from the arena's, or if the arena,
+    /// delta and graph sizes are inconsistent (e.g. the arena was not
+    /// built from the delta's pre-edit graph).
     pub fn update(&mut self, aig: &Aig, delta: &EditDelta, params: CutParams) {
-        assert!(
-            params.rank != CutRank::Arrival,
-            "CutRank::Arrival needs a cost oracle; incremental update supports builtin ranks"
-        );
         if !cntfet_boolfn::cache::enabled() {
             self.update_prepare(aig, delta, params);
             *self = enumerate_cuts_with(aig, params);
@@ -151,7 +134,6 @@ impl CutArena {
         }
         self.update_prepare(aig, delta, params);
         let n = aig.num_nodes();
-        let mut ranker = Ranker::builtin(aig, params.rank);
         let mut seed = vec![false; n];
         for d in delta.dirty() {
             seed[d.index()] = true;
@@ -188,7 +170,7 @@ impl CutArena {
                         self.spans[fi] = (0, 0);
                     }
                 }
-                compute_node_cuts(self, aig, id, params.max_cuts, &mut ranker, &mut sc);
+                compute_node_cuts(self, aig, id, params.max_cuts, None, &mut sc);
                 for (fi, span) in hid.into_iter().flatten() {
                     self.spans[fi] = span;
                 }
@@ -218,14 +200,15 @@ impl CutArena {
     /// [`CutArena::update`] already ran for the session's delta). Per
     /// cut, leaves follow the map and are re-sorted under the new id
     /// order, the function word is permuted along, and the signature is
-    /// refolded; rank costs carry over unchanged because both builtin
-    /// ranks (leaf count, leaf levels) are invariant under the
-    /// structure-preserving renaming. AND nodes whose pre-compaction
-    /// list was computed under the edited graph's empty-fanin
-    /// convention (an appended fanout preceding its fanin in id order)
-    /// are exactly the unit-only lists; those are re-enumerated and the
-    /// change propagated upward, the same stop-on-equal walk
-    /// [`CutArena::update`] uses.
+    /// refolded; the list order carries over, because a renaming keeps
+    /// every cut's leaf count. Two kinds of AND node are re-enumerated,
+    /// and the change propagated upward with the same stop-on-equal
+    /// walk [`CutArena::update`] uses: nodes whose pre-compaction list
+    /// was computed under the edited graph's empty-fanin convention (an
+    /// appended fanout preceding its fanin in id order), which are
+    /// exactly the unit-only lists, and nodes whose fanins compaction
+    /// put in the other order, because equal-size cuts keep the order
+    /// in which the fanins' cuts were merged.
     ///
     /// After the call every node's cut list is identical to what
     /// [`enumerate_cuts_with`] would produce from scratch on the
@@ -237,14 +220,9 @@ impl CutArena {
     ///
     /// # Panics
     ///
-    /// Panics if `params.rank` is [`CutRank::Arrival`], if `params.k`
-    /// differs from the arena's, or if the arena, map and graph sizes
-    /// are inconsistent.
+    /// Panics if `params.k` differs from the arena's, or if the arena,
+    /// map and graph sizes are inconsistent.
     pub fn rebase(&mut self, map: &crate::graph::CompactMap, aig: &Aig, params: CutParams) {
-        assert!(
-            params.rank != CutRank::Arrival,
-            "CutRank::Arrival needs a cost oracle; rebase supports builtin ranks"
-        );
         assert!(params.k >= 2, "cut size must be at least 2");
         assert_eq!(params.k, self.k, "rebase must reuse the arena's cut size");
         assert_eq!(
@@ -340,7 +318,7 @@ impl CutArena {
                         out.leaves.push(newl[p]);
                         sig |= 1 << (newl[p].index() % 64);
                     }
-                    out.cuts.push(CutData { off, len: c.len, sig, tt, cost: c.cost });
+                    out.cuts.push(CutData { off, len: c.len, sig, tt });
                     nonunit += 1;
                 }
                 // A from-scratch AND list always keeps at least the
@@ -361,7 +339,6 @@ impl CutArena {
         // upward while lists keep changing — the compacted graph is
         // topological in id order, so the plain ascending walk of
         // `update` applies without span hiding.
-        let mut ranker = Ranker::builtin(aig, params.rank);
         let mut changed = vec![false; n_new];
         let mut sc = NodeScratch::default();
         let (mut tmp_leaves, mut tmp_cuts) = (Vec::new(), Vec::new());
@@ -374,7 +351,7 @@ impl CutArena {
             if !(seed[i] || changed[f0.node().index()] || changed[f1.node().index()]) {
                 continue;
             }
-            compute_node_cuts(&out, aig, id, params.max_cuts, &mut ranker, &mut sc);
+            compute_node_cuts(&out, aig, id, params.max_cuts, None, &mut sc);
             rebase_scratch(&sc, &mut tmp_leaves, &mut tmp_cuts);
             if out.stored_equals(id, &tmp_cuts, &tmp_leaves) {
                 continue;
@@ -417,16 +394,11 @@ impl CutArena {
             || self.leaves[u.off as usize] != id
             || u.sig != 1 << (id.index() % 64)
             || u.tt != unit_tt
-            || u.cost != (0, 0)
         {
             return false;
         }
         for (c_old, c_new) in self.cuts[start + 1..end].iter().zip(cuts) {
-            if c_old.len != c_new.len
-                || c_old.sig != c_new.sig
-                || c_old.tt != c_new.tt
-                || c_old.cost != c_new.cost
-            {
+            if c_old.len != c_new.len || c_old.sig != c_new.sig || c_old.tt != c_new.tt {
                 return false;
             }
             let lo = &self.leaves[c_old.off as usize..(c_old.off + c_old.len as u32) as usize];
@@ -460,7 +432,6 @@ pub struct CutView<'a> {
     leaves: &'a [NodeId],
     tt: u64,
     has_tt: bool,
-    cost: (u32, u32),
 }
 
 impl<'a> CutView<'a> {
@@ -486,17 +457,6 @@ impl<'a> CutView<'a> {
     pub fn function(&self) -> Option<TruthTable> {
         self.has_tt.then(|| TruthTable::from_bits(self.size(), self.tt))
     }
-
-    /// The `(primary, secondary)` ranking cost this cut survived
-    /// enumeration with — `(size, 0)` under [`CutRank::Size`],
-    /// `(depth, size)` under [`CutRank::Depth`], and the cost oracle's
-    /// quantized (arrival, area-flow) under [`CutRank::Arrival`].
-    /// Unit cuts always report `(0, 0)`; the value is bookkeeping for
-    /// consumers re-ranking or diagnosing the priority list, not a
-    /// timing claim.
-    pub fn rank_cost(&self) -> (u32, u32) {
-        self.cost
-    }
 }
 
 /// Iterator over a node's cuts (see [`CutArena::of`]).
@@ -520,7 +480,6 @@ impl<'a> Iterator for CutIter<'a> {
             leaves: &self.arena.leaves[d.off as usize..d.off as usize + d.len as usize],
             tt: d.tt,
             has_tt: self.arena.has_tts,
-            cost: d.cost,
         })
     }
 
@@ -543,7 +502,8 @@ struct ScratchCut {
     src: (u32, u32),
     /// Cut function; computed only once the cut is known to be needed.
     tt: u64,
-    /// Ranking key (primary, secondary); smaller is better.
+    /// The cost oracle's ranking key (primary, secondary); smaller is
+    /// better. Unused under the size rank.
     cost: (u32, u32),
 }
 
@@ -555,8 +515,8 @@ impl ScratchCut {
 }
 
 /// Enumerates up to `max_cuts` k-feasible priority cuts per node,
-/// ranked by [`CutRank::Size`] (the first cut of every node is its
-/// unit cut). See [`enumerate_cuts_with`] for the full interface.
+/// smallest first (the first cut of every node is its unit cut). See
+/// [`enumerate_cuts_with`] for the full interface.
 ///
 /// # Panics
 ///
@@ -569,28 +529,22 @@ pub fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> CutArena {
 ///
 /// For every AND node, the cut sets of its fanins are pairwise merged
 /// (signature quick-reject first), dominated cuts are pruned, the
-/// survivors are ranked by `params.rank` and truncated to
-/// `max_cuts - 1`, and the unit cut is prepended. Dominance is decided
-/// after all merges, visiting cuts by size: a cut survives iff no
-/// smaller or earlier-found surviving cut is a subset of it. Under
-/// [`CutRank::Size`] that visiting order is the rank order, so the
-/// visit stops once the list is full and later cuts are never
-/// compared. When `k ≤ 6` each kept cut's function is derived from its
-/// two fanin cuts' words — expanded onto the merged leaf set and
-/// ANDed — so no cone traversal ever happens afterwards; cuts that are
-/// pruned or truncated get no word.
+/// survivors are ranked by size (ties in discovery order) and
+/// truncated to `max_cuts - 1`, and the unit cut is prepended.
+/// Dominance is decided after all merges, visiting cuts by size: a cut
+/// survives iff no smaller or earlier-found surviving cut is a subset
+/// of it. That visiting order is the rank order, so the visit stops
+/// once the list is full and later cuts are never compared. When
+/// `k ≤ 6` each kept cut's function is derived from its two fanin
+/// cuts' words — expanded onto the merged leaf set and ANDed — so no
+/// cone traversal ever happens afterwards; cuts that are pruned or
+/// truncated get no word.
 ///
 /// # Panics
 ///
-/// Panics if `params.k < 2`, or if `params.rank` is
-/// [`CutRank::Arrival`] — arrival ranking needs the external cost
-/// oracle of [`enumerate_cuts_custom`].
+/// Panics if `params.k < 2`.
 pub fn enumerate_cuts_with(aig: &Aig, params: CutParams) -> CutArena {
-    assert!(
-        params.rank != CutRank::Arrival,
-        "CutRank::Arrival needs a cost oracle; use enumerate_cuts_custom"
-    );
-    enumerate_impl(aig, params, &mut Ranker::builtin(aig, params.rank))
+    enumerate_impl(aig, params, None)
 }
 
 /// [`enumerate_cuts_with`] under an external ranking oracle: `cost` is
@@ -598,17 +552,15 @@ pub fn enumerate_cuts_with(aig: &Aig, params: CutParams) -> CutArena {
 /// of the node's merges and dominance checks, in discovery order, with
 /// the cut's root, sorted leaves and — when `k ≤ 6` — its function
 /// word, and must return the `(primary, secondary)` ranking cost
-/// (smaller is better). Dominance is decided for every merged cut, and
-/// every surviving cut gets its word before its oracle call. This is
-/// the entry point behind [`CutRank::Arrival`]: technology mapping
-/// re-enumerates cuts between covering passes with an oracle that
+/// (smaller is better); ties keep discovery order. Dominance is
+/// decided for every merged cut, and every surviving cut gets its word
+/// before its oracle call. `params.rank` is ignored. Technology
+/// mapping's arrival-aware rounds enumerate through here: their oracle
 /// resolves each cut against the library's NPN index and ranks by the
-/// mapped arrival time of the best matching cell,
-/// tie-broken on area-flow — so the priority list keeps the cuts that
-/// are *fast to implement*, not merely structurally shallow.
-///
-/// The oracle's costs are recorded per cut and can be read back via
-/// [`CutView::rank_cost`].
+/// mapped arrival time of the best matching cell, tie-broken on
+/// area-flow — so the priority list keeps the cuts that are *fast to
+/// implement*, not merely structurally shallow. The costs only order
+/// the list; the arena does not keep them.
 ///
 /// # Panics
 ///
@@ -617,7 +569,7 @@ pub fn enumerate_cuts_custom<F>(aig: &Aig, params: CutParams, mut cost: F) -> Cu
 where
     F: FnMut(NodeId, &[NodeId], u64) -> (u32, u32),
 {
-    enumerate_impl(aig, params, &mut Ranker::Oracle(&mut cost))
+    enumerate_impl(aig, params, Some(&mut cost))
 }
 
 /// [`enumerate_cuts_with`]; the worker count is ignored.
@@ -635,31 +587,9 @@ pub fn enumerate_cuts_with_jobs(aig: &Aig, params: CutParams, _jobs: usize) -> C
 }
 
 /// A cut-ranking oracle: `(root, sorted leaves, function word) →
-/// (primary, secondary)` cost, smaller is better.
+/// (primary, secondary)` cost, smaller is better. Enumeration without
+/// one (`None`) ranks by size.
 type CutCost<'a> = dyn FnMut(NodeId, &[NodeId], u64) -> (u32, u32) + 'a;
-
-/// How [`compute_node_cuts`] ranks a node's surviving cuts.
-enum Ranker<'a> {
-    /// [`CutRank::Size`]: cost `(size, 0)`, the order dominance visits
-    /// cuts in, so the visit stops once the list is full.
-    Size,
-    /// [`CutRank::Depth`]: cost `(deepest leaf level, size)` over
-    /// these node levels.
-    Depth(Vec<u32>),
-    /// An external oracle (see [`enumerate_cuts_custom`]).
-    Oracle(&'a mut CutCost<'a>),
-}
-
-impl Ranker<'_> {
-    /// The ranker of a builtin rank.
-    fn builtin(aig: &Aig, rank: CutRank) -> Ranker<'static> {
-        match rank {
-            CutRank::Size => Ranker::Size,
-            CutRank::Depth => Ranker::Depth(aig.levels()),
-            CutRank::Arrival => unreachable!("CutRank::Arrival needs a cost oracle"),
-        }
-    }
-}
 
 /// Node-local scratch recycled across the nodes of one enumeration
 /// pass.
@@ -702,19 +632,19 @@ fn fresh_arena(aig: &Aig, k: usize, max_cuts: usize) -> CutArena {
 /// (size, discovery) order, and each survives iff no surviving cut is
 /// a subset of it — a subset is never larger, and among equal leaf
 /// sets the first found survives, so the survivors are exactly the
-/// minimal cuts, first among equals. Under [`Ranker::Size`] that order
-/// is the rank order, so the visit stops once `max_cuts - 1` cuts
+/// minimal cuts, first among equals. Without an oracle that order is
+/// the rank order, so the visit stops once `max_cuts - 1` cuts
 /// survived (and the fanin-pair cut was visited) and the unvisited
-/// cuts are never compared. [`Ranker::Depth`] and [`Ranker::Oracle`]
-/// visit every cut; the oracle is then called once per survivor, in
-/// discovery order, with its word. Words are computed only for the
-/// cuts that are kept, or under the oracle for every survivor.
+/// cuts are never compared. An oracle visits every cut and is then
+/// called once per survivor, in discovery order, with its word. Words
+/// are computed only for the cuts that are kept, or under the oracle
+/// for every survivor.
 fn compute_node_cuts(
     arena: &CutArena,
     aig: &Aig,
     id: NodeId,
     max_cuts: usize,
-    ranker: &mut Ranker<'_>,
+    oracle: Option<&mut CutCost<'_>>,
     sc: &mut NodeScratch,
 ) {
     let k = arena.k;
@@ -751,7 +681,7 @@ fn compute_node_cuts(
     sc.by_size.extend(0..scuts.len());
     sc.by_size.sort_by_key(|&i| scuts[i].len);
     let keep = max_cuts.saturating_sub(1);
-    let size_ranked = matches!(ranker, Ranker::Size);
+    let size_ranked = oracle.is_none();
     let (mut pair_seen, mut pair_kept) = (false, false);
     sc.order.clear();
     for &i in &sc.by_size {
@@ -775,33 +705,17 @@ fn compute_node_cuts(
 
     let compl = [flip(f0.is_complement()), flip(f1.is_complement())];
     let has_tts = arena.has_tts;
-    match ranker {
-        Ranker::Size => {
-            for &i in &sc.order {
-                scuts[i].cost = (u32::from(scuts[i].len), 0);
+    if let Some(cost) = oracle {
+        // Cost the survivors in discovery order, each with its word.
+        sc.order.sort_unstable();
+        for &i in &sc.order {
+            let s = &mut scuts[i];
+            if has_tts {
+                s.tt = merged_word(arena, s, &sc.sleaves, compl, &mut sc.pos);
             }
+            s.cost = cost(id, s.leaves(&sc.sleaves), s.tt);
         }
-        Ranker::Depth(levels) => {
-            sc.order.sort_unstable();
-            for &i in &sc.order {
-                let s = &mut scuts[i];
-                let depth = s.leaves(&sc.sleaves).iter().map(|l| levels[l.index()]).max();
-                s.cost = (depth.unwrap_or(0), u32::from(s.len));
-            }
-            sc.order.sort_by_key(|&i| scuts[i].cost);
-        }
-        Ranker::Oracle(cost) => {
-            // Cost the survivors in discovery order, each with its word.
-            sc.order.sort_unstable();
-            for &i in &sc.order {
-                let s = &mut scuts[i];
-                if has_tts {
-                    s.tt = merged_word(arena, s, &sc.sleaves, compl, &mut sc.pos);
-                }
-                s.cost = cost(id, s.leaves(&sc.sleaves), s.tt);
-            }
-            sc.order.sort_by_key(|&i| scuts[i].cost);
-        }
+        sc.order.sort_by_key(|&i| scuts[i].cost);
     }
     sc.order.truncate(keep);
     // The direct fanin-pair cut is the universal fallback every
@@ -813,7 +727,7 @@ fn compute_node_cuts(
         sc.order.pop();
         sc.order.push(0);
     }
-    if has_tts && !matches!(ranker, Ranker::Oracle(_)) {
+    if has_tts && size_ranked {
         for &i in &sc.order {
             scuts[i].tt = merged_word(arena, &scuts[i], &sc.sleaves, compl, &mut sc.pos);
         }
@@ -829,7 +743,7 @@ fn emit_node(arena: &mut CutArena, id: NodeId, sc: &NodeScratch) {
         let s = sc.scuts[i];
         let off = arena.leaves.len() as u32;
         arena.leaves.extend_from_slice(s.leaves(&sc.sleaves));
-        arena.cuts.push(CutData { off, len: s.len, sig: s.sig, tt: s.tt, cost: s.cost });
+        arena.cuts.push(CutData { off, len: s.len, sig: s.sig, tt: s.tt });
     }
     arena.spans[id.index()] = (start, arena.cuts.len() as u32);
 }
@@ -845,11 +759,11 @@ fn rebase_scratch(sc: &NodeScratch, leaves: &mut Vec<NodeId>, cuts: &mut Vec<Cut
         let s = sc.scuts[i];
         let off = leaves.len() as u32;
         leaves.extend_from_slice(s.leaves(&sc.sleaves));
-        cuts.push(CutData { off, len: s.len, sig: s.sig, tt: s.tt, cost: s.cost });
+        cuts.push(CutData { off, len: s.len, sig: s.sig, tt: s.tt });
     }
 }
 
-fn enumerate_impl(aig: &Aig, params: CutParams, ranker: &mut Ranker<'_>) -> CutArena {
+fn enumerate_impl(aig: &Aig, params: CutParams, mut oracle: Option<&mut CutCost<'_>>) -> CutArena {
     let CutParams { k, max_cuts, .. } = params;
     assert!(k >= 2, "cut size must be at least 2");
     let mut arena = fresh_arena(aig, k, max_cuts);
@@ -864,7 +778,7 @@ fn enumerate_impl(aig: &Aig, params: CutParams, ranker: &mut Ranker<'_>) -> CutA
             arena.spans[id.index()] = (start, arena.cuts.len() as u32);
             continue;
         }
-        compute_node_cuts(&arena, aig, id, max_cuts, ranker, &mut sc);
+        compute_node_cuts(&arena, aig, id, max_cuts, oracle.as_deref_mut(), &mut sc);
         emit_node(&mut arena, id, &sc);
     }
     arena
@@ -882,7 +796,7 @@ fn push_unit(arena: &mut CutArena, id: NodeId) {
     let off = arena.leaves.len() as u32;
     arena.leaves.push(id);
     let tt = if id == NodeId::CONST { 0 } else { word::var_word(0) };
-    arena.cuts.push(CutData { off, len: 1, sig: 1 << (id.index() % 64), tt, cost: (0, 0) });
+    arena.cuts.push(CutData { off, len: 1, sig: 1 << (id.index() % 64), tt });
 }
 
 /// Merges the (sorted) leaf slices of two arena cuts onto the end of
@@ -1141,33 +1055,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_rank_prefers_shallow_cuts() {
-        // A chain deep enough that size- and depth-ranking disagree.
-        let mut g = Aig::new("chain");
-        let pis = g.add_pis(8);
-        let mut acc = pis[0];
-        for &p in &pis[1..] {
-            acc = g.and(acc, p);
-        }
-        g.add_po(acc);
-        let by_depth =
-            enumerate_cuts_with(&g, CutParams { k: 4, max_cuts: 4, rank: CutRank::Depth });
-        let levels = g.levels();
-        let root = g.pos()[0].node();
-        // Every kept non-unit cut's depth must not exceed the depth of
-        // the best (first-ranked) one — ranking is monotone.
-        let depths: Vec<u32> = by_depth
-            .of(root)
-            .skip(1)
-            .map(|c| c.leaves().iter().map(|l| levels[l.index()]).max().unwrap())
-            .collect();
-        assert!(!depths.is_empty());
-        for w in depths.windows(2) {
-            assert!(w[0] <= w[1], "depth ranking violated: {depths:?}");
-        }
-    }
-
-    #[test]
     fn custom_cost_oracle_ranks_and_records() {
         let g = sample_aig();
         let oracle = |_root: NodeId, leaves: &[NodeId], _tt: u64| {
@@ -1175,25 +1062,22 @@ mod tests {
         };
         let arena = enumerate_cuts_custom(
             &g,
-            CutParams { k: 4, max_cuts: 4, rank: CutRank::Arrival },
+            CutParams { k: 4, max_cuts: 4, rank: CutRank::Size },
             oracle,
         );
         for id in g.and_ids() {
             let cuts: Vec<CutView<'_>> = arena.of(id).collect();
-            // Unit cut first, with the sentinel cost.
-            assert_eq!(cuts[0].leaves(), &[id]);
-            assert_eq!(cuts[0].rank_cost(), (0, 0));
-            // Every kept cut's recorded cost is the oracle's, and the
-            // first-ranked non-unit cut carries the minimum cost (the
-            // always-kept fanin-pair cut may sit out of order at the
-            // end, so the tail is not necessarily sorted).
+            assert_eq!(cuts[0].leaves(), &[id], "unit cut first");
+            // The kept cuts are in the oracle's order, recomputed here:
+            // all but the last are sorted, and the first carries the
+            // minimum cost (the always-kept fanin-pair cut may sit out
+            // of order at the end).
             let costs: Vec<(u32, u32)> =
-                cuts[1..].iter().map(|c| c.rank_cost()).collect();
-            for (c, &cost) in cuts[1..].iter().zip(&costs) {
-                assert_eq!(cost, oracle(id, c.leaves(), 0));
-            }
+                cuts[1..].iter().map(|c| oracle(id, c.leaves(), 0)).collect();
+            let ranked = &costs[..costs.len().saturating_sub(1)];
+            assert!(ranked.windows(2).all(|w| w[0] <= w[1]), "{costs:?}");
             if let Some(&first) = costs.first() {
-                assert!(costs[..costs.len() - 1].iter().all(|&c| first <= c));
+                assert!(costs.iter().all(|&c| first <= c), "{costs:?}");
             }
         }
     }
@@ -1211,7 +1095,7 @@ mod tests {
         kill.add_po(n);
         for (g, k) in [(kill, 6), (reconvergent_aig(), 4)] {
             // Nothing is truncated, so every survivor is kept.
-            let params = CutParams { k, max_cuts: 1000, rank: CutRank::Arrival };
+            let params = CutParams { k, max_cuts: 1000, rank: CutRank::Size };
             let mut calls = 0usize;
             let arena = enumerate_cuts_custom(&g, params, |_, leaves, _| {
                 calls += 1;
@@ -1260,23 +1144,10 @@ mod tests {
         assert_eq!(a.k(), b.k());
         assert_eq!(a.has_functions(), b.has_functions());
         for id in g.node_ids() {
-            let ca: Vec<_> = a
-                .of(id)
-                .map(|c| (c.leaves().to_vec(), c.function_word(), c.rank_cost()))
-                .collect();
-            let cb: Vec<_> = b
-                .of(id)
-                .map(|c| (c.leaves().to_vec(), c.function_word(), c.rank_cost()))
-                .collect();
+            let ca: Vec<_> = a.of(id).map(|c| (c.leaves().to_vec(), c.function_word())).collect();
+            let cb: Vec<_> = b.of(id).map(|c| (c.leaves().to_vec(), c.function_word())).collect();
             assert_eq!(ca, cb, "cut lists diverge at node {id:?}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cost oracle")]
-    fn arrival_rank_without_oracle_panics() {
-        let g = sample_aig();
-        enumerate_cuts_with(&g, CutParams { k: 4, max_cuts: 4, rank: CutRank::Arrival });
     }
 
     #[test]
@@ -1284,23 +1155,21 @@ mod tests {
         // The edit appends nodes referenced by a lower-id fanout, so
         // the update must reproduce the from-scratch empty-span
         // convention on the now non-topological graph.
-        for rank in [CutRank::Size, CutRank::Depth] {
-            let params = CutParams { k: 4, max_cuts: 6, rank };
-            let mut g = Aig::new("t");
-            let p = g.add_pis(4);
-            let c1 = g.and(p[0], p[1]);
-            let c2 = g.and(c1, p[2]);
-            let top = g.and(c2, p[3]);
-            g.add_po(top);
-            let mut arena = enumerate_cuts_with(&g, params);
-            g.begin_edit();
-            let r = g.and(p[1], p[2]);
-            let c2b = g.and(p[0], r);
-            g.replace_node(c2.node(), c2b);
-            let delta = g.end_edit();
-            arena.update(&g, &delta, params);
-            assert_same_per_node(&g, &enumerate_cuts_with(&g, params), &arena);
-        }
+        let params = CutParams { k: 4, max_cuts: 6, rank: CutRank::Size };
+        let mut g = Aig::new("t");
+        let p = g.add_pis(4);
+        let c1 = g.and(p[0], p[1]);
+        let c2 = g.and(c1, p[2]);
+        let top = g.and(c2, p[3]);
+        g.add_po(top);
+        let mut arena = enumerate_cuts_with(&g, params);
+        g.begin_edit();
+        let r = g.and(p[1], p[2]);
+        let c2b = g.and(p[0], r);
+        g.replace_node(c2.node(), c2b);
+        let delta = g.end_edit();
+        arena.update(&g, &delta, params);
+        assert_same_per_node(&g, &enumerate_cuts_with(&g, params), &arena);
     }
 
     #[test]
@@ -1368,36 +1237,34 @@ mod tests {
         // graph: cascades may merge or kill nodes collected earlier,
         // and the delta must still drive the arena to the from-scratch
         // fixpoint.
-        for rank in [CutRank::Size, CutRank::Depth] {
-            let params = CutParams { k: 4, max_cuts: 6, rank };
-            let mut g = reconvergent_aig();
-            let mut arena = enumerate_cuts_with(&g, params);
-            g.begin_edit();
-            let ands: Vec<NodeId> = g.and_ids().collect();
-            let mut done = 0;
-            for id in ands {
-                if done == 3 {
-                    break;
-                }
-                if !g.is_and(id) {
-                    continue; // died in an earlier cascade
-                }
-                let (f0, f1) = g.fanins(id);
-                if f0.is_complement() || !g.is_and(f0.node()) {
-                    continue;
-                }
-                // (g0·g1)·f1 → g0·(g1·f1).
-                let (g0, g1) = g.fanins(f0.node());
-                let inner = g.and(g1, f1);
-                let outer = g.and(g0, inner);
-                g.replace_node(id, outer);
-                done += 1;
+        let params = CutParams { k: 4, max_cuts: 6, rank: CutRank::Size };
+        let mut g = reconvergent_aig();
+        let mut arena = enumerate_cuts_with(&g, params);
+        g.begin_edit();
+        let ands: Vec<NodeId> = g.and_ids().collect();
+        let mut done = 0;
+        for id in ands {
+            if done == 3 {
+                break;
             }
-            assert!(done > 0, "expected at least one re-association");
-            let delta = g.end_edit();
-            arena.update(&g, &delta, params);
-            assert_same_per_node(&g, &enumerate_cuts_with(&g, params), &arena);
+            if !g.is_and(id) {
+                continue; // died in an earlier cascade
+            }
+            let (f0, f1) = g.fanins(id);
+            if f0.is_complement() || !g.is_and(f0.node()) {
+                continue;
+            }
+            // (g0·g1)·f1 → g0·(g1·f1).
+            let (g0, g1) = g.fanins(f0.node());
+            let inner = g.and(g1, f1);
+            let outer = g.and(g0, inner);
+            g.replace_node(id, outer);
+            done += 1;
         }
+        assert!(done > 0, "expected at least one re-association");
+        let delta = g.end_edit();
+        arena.update(&g, &delta, params);
+        assert_same_per_node(&g, &enumerate_cuts_with(&g, params), &arena);
     }
 
     #[test]
@@ -1405,25 +1272,23 @@ mod tests {
         // The full persistent-arena cycle: edit → update (on the
         // edited graph) → compact_with_map → rebase, checked against
         // from-scratch enumeration of the compacted graph.
-        for rank in [CutRank::Size, CutRank::Depth] {
-            let params = CutParams { k: 4, max_cuts: 6, rank };
-            let mut g = Aig::new("t");
-            let p = g.add_pis(4);
-            let c1 = g.and(p[0], p[1]);
-            let c2 = g.and(c1, p[2]);
-            let top = g.and(c2, p[3]);
-            g.add_po(top);
-            let mut arena = enumerate_cuts_with(&g, params);
-            g.begin_edit();
-            let r = g.and(p[1], p[2]);
-            let c2b = g.and(p[0], r);
-            g.replace_node(c2.node(), c2b);
-            let delta = g.end_edit();
-            arena.update(&g, &delta, params);
-            let (compacted, map) = g.compact_with_map();
-            arena.rebase(&map, &compacted, params);
-            assert_same_per_node(&compacted, &enumerate_cuts_with(&compacted, params), &arena);
-        }
+        let params = CutParams { k: 4, max_cuts: 6, rank: CutRank::Size };
+        let mut g = Aig::new("t");
+        let p = g.add_pis(4);
+        let c1 = g.and(p[0], p[1]);
+        let c2 = g.and(c1, p[2]);
+        let top = g.and(c2, p[3]);
+        g.add_po(top);
+        let mut arena = enumerate_cuts_with(&g, params);
+        g.begin_edit();
+        let r = g.and(p[1], p[2]);
+        let c2b = g.and(p[0], r);
+        g.replace_node(c2.node(), c2b);
+        let delta = g.end_edit();
+        arena.update(&g, &delta, params);
+        let (compacted, map) = g.compact_with_map();
+        arena.rebase(&map, &compacted, params);
+        assert_same_per_node(&compacted, &enumerate_cuts_with(&compacted, params), &arena);
     }
 
     #[test]
@@ -1432,8 +1297,8 @@ mod tests {
         // compaction; cascades reclaim nodes so the remap really
         // renumbers, and wide (k = 8, no in-pass functions) arenas ride
         // along too.
-        for (k, rank) in [(4, CutRank::Size), (4, CutRank::Depth), (8, CutRank::Size)] {
-            let params = CutParams { k, max_cuts: 6, rank };
+        for k in [4, 8] {
+            let params = CutParams { k, max_cuts: 6, rank: CutRank::Size };
             let mut g = reconvergent_aig();
             let mut arena = enumerate_cuts_with(&g, params);
             g.begin_edit();

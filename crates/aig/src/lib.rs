@@ -9,12 +9,12 @@
 //!
 //! * **Priority-cut enumeration** — [`enumerate_cuts_with`] fills a
 //!   [`CutArena`] with the k-feasible cuts of every node under the
-//!   [`CutParams`] knobs (cut size, cuts per node, [`CutRank`]).
-//!   For `k ≤ 6` every cut carries its function as one `u64` word,
-//!   computed during enumeration. [`enumerate_cuts_custom`] swaps the
-//!   builtin size/depth ranking for an external cost oracle — how
-//!   technology mapping ranks cuts by *mapped arrival* of their best
-//!   library match ([`CutRank::Arrival`]).
+//!   [`CutParams`] knobs (cut size, cuts per node), smallest cuts
+//!   first. For `k ≤ 6` every cut carries its function as one `u64`
+//!   word, computed during enumeration. [`enumerate_cuts_custom`]
+//!   swaps the size ranking for an external cost oracle — how
+//!   technology mapping's arrival rounds rank cuts by *mapped arrival*
+//!   of their best library match.
 //! * **Equivalence checking** — [`check_equivalence`] (plain miter
 //!   SAT) and [`check_equivalence_sweeping_with`] (fraig-style
 //!   sweeping under [`SweepOptions`], with an exhaustive-simulation

@@ -373,9 +373,9 @@ fn main() {
     // where `update` rebuilds from scratch by construction).
     println!("\nauditing incremental cut enumeration (update vs from-scratch)...");
     let params = CutParams { k: 4, max_cuts: 8, rank: CutRank::Size };
-    type NodeCuts = Vec<(Vec<NodeId>, Option<u64>, (u32, u32))>;
+    type NodeCuts = Vec<(Vec<NodeId>, Option<u64>)>;
     let node_cuts = |arena: &CutArena, id: NodeId| -> NodeCuts {
-        arena.of(id).map(|c| (c.leaves().to_vec(), c.function_word(), c.rank_cost())).collect()
+        arena.of(id).map(|c| (c.leaves().to_vec(), c.function_word())).collect()
     };
     let mut incremental_deviations = 0usize;
     for b in paper_benchmarks().iter().filter(|b| ["C1908", "add-16", "C6288"].contains(&b.name))

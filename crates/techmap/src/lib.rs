@@ -13,14 +13,13 @@
 //! * [`MapOptions::objective`] — [`Objective::Area`],
 //!   [`Objective::Delay`] or [`Objective::Balanced`] covering;
 //! * [`MapOptions::delay_rounds`] — arrival-aware re-enumeration
-//!   rounds: after a first cover, cuts are re-enumerated under its
-//!   mapped arrival times with [`CutRank::Arrival`] (each cut ranked
-//!   by the arrival of its best library match, resolved against the
-//!   library's NPN index during enumeration) and the covering passes
-//!   rerun, iterating while the critical path improves;
-//! * [`MapOptions::cut_rank`] — the enumeration ranking
-//!   ([`CutRank::Size`], [`CutRank::Depth`], or [`CutRank::Arrival`]
-//!   to enable the rounds for every objective);
+//!   rounds under [`Objective::Delay`]: the first enumeration keeps the
+//!   smallest cuts per node; after a first cover, cuts are
+//!   re-enumerated through [`cntfet_aig::enumerate_cuts_custom`] under
+//!   its mapped arrival times (each cut ranked by the arrival of its
+//!   best library match, resolved against the library's NPN index
+//!   during enumeration) and the covering passes rerun, iterating
+//!   while the critical path improves;
 //! * [`MapOptions::area_rounds`] / [`MapOptions::cuts_per_node`] /
 //!   [`MapOptions::cut_size`] — recovery effort and cut budget.
 //!
@@ -95,7 +94,6 @@ mod matcher;
 mod power;
 mod verify;
 
-pub use cntfet_aig::CutRank;
 pub use check::{check_mapping, MapCheckError};
 pub use mapper::{map, MapOptions, MapStats, MappedGate, Mapping, Objective, PoBinding, Source};
 pub use matcher::{match_is_valid, CellMatch, Matcher};

@@ -110,8 +110,9 @@ pub enum Objective {
     /// Minimize area: area-flow-first forward pass, unconstrained
     /// exact-area recovery (delay is a tie-break only).
     Area,
-    /// Minimize delay: depth-ranked cuts, delay-optimal forward pass,
-    /// recovery strictly fenced by the delay-pass required times.
+    /// Minimize delay: delay-optimal forward pass over size-ranked
+    /// cuts, recovery strictly fenced by the delay-pass required times,
+    /// then the arrival-aware rounds of [`MapOptions::delay_rounds`].
     Delay,
     /// Delay-optimal forward pass with area recovery inside the slack
     /// (the paper's ABC-style default).
@@ -130,23 +131,15 @@ pub struct MapOptions {
     /// area-flow round; any positive count adds a final exact-area
     /// round on mapping references).
     pub area_rounds: usize,
-    /// Arrival-aware re-enumeration rounds (see [`CutRank::Arrival`]):
-    /// after the first cover, cuts are re-enumerated under the mapped
-    /// arrival times of the previous round — ranked by the arrival of
-    /// each cut's best library match, tie-broken on area-flow — and
-    /// the covering passes rerun, keeping the better cover. Rounds run
-    /// under [`Objective::Delay`] (or any objective when `cut_rank` is
-    /// [`CutRank::Arrival`]) and stop early once the critical path
+    /// Arrival-aware re-enumeration rounds: after the first cover,
+    /// cuts are re-enumerated under the mapped arrival times of the
+    /// previous round — ranked by the arrival of each cut's best
+    /// library match, tie-broken on area-flow — and the covering
+    /// passes rerun, keeping the better cover. Rounds run under
+    /// [`Objective::Delay`] only and stop early once the critical path
     /// stops improving; `0` reproduces the single-enumeration engine
     /// exactly.
     pub delay_rounds: usize,
-    /// Ranking of the initial cut enumeration. [`CutRank::Size`]
-    /// (default) keeps the richest candidate variety per node;
-    /// [`CutRank::Depth`] prefers structurally shallow cuts;
-    /// [`CutRank::Arrival`] enables the arrival-aware rounds for every
-    /// objective (the first enumeration still ranks by size — mapped
-    /// arrivals only exist after a first cover).
-    pub cut_rank: CutRank,
     /// Covering objective.
     pub objective: Objective,
     /// Ignored: mapping runs on the calling thread only. The field
@@ -162,7 +155,6 @@ impl Default for MapOptions {
             cuts_per_node: 10,
             area_rounds: 2,
             delay_rounds: 2,
-            cut_rank: CutRank::Size,
             objective: Objective::Balanced,
             jobs: 0,
         }
@@ -294,21 +286,14 @@ enum Mode {
 /// built-in libraries: every 2-input cut matches the AND/OR cells).
 pub fn map(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
     let mut matcher = Matcher::new(library);
-    let cut_size = opts.cut_size.clamp(2, 6);
-    // The first enumeration has no mapped arrivals to rank by, so
-    // `CutRank::Arrival` starts from size ranking — which also keeps
-    // the richest candidate variety per node; the paper's wide
-    // XOR-capable cells make structurally deep cuts the fastest
-    // implementations, so depth-ranked truncation would hurt even the
-    // delay objective.
-    let initial_rank = match opts.cut_rank {
-        CutRank::Arrival => CutRank::Size,
-        rank => rank,
-    };
-    let cuts = enumerate_cuts_with(
-        aig,
-        CutParams { k: cut_size, max_cuts: opts.cuts_per_node, rank: initial_rank },
-    );
+    // The first enumeration has no mapped arrivals to rank by, so it
+    // ranks by size, which keeps the richest candidate variety per
+    // node; the paper's wide XOR-capable cells make structurally deep
+    // cuts the fastest implementations, so depth-ranked truncation
+    // would hurt even the delay objective.
+    let k = opts.cut_size.clamp(2, 6);
+    let params = CutParams { k, max_cuts: opts.cuts_per_node, rank: CutRank::Size };
+    let cuts = enumerate_cuts_with(aig, params);
     let ctx = Ctx {
         aig,
         library,
@@ -343,15 +328,10 @@ pub fn map(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
     // a cover that does not improve (delay, then area at equal delay)
     // is discarded — so the result can never be worse than round 0,
     // the plain single-enumeration flow.
-    let rounds = if opts.objective == Objective::Delay || opts.cut_rank == CutRank::Arrival {
-        opts.delay_rounds
-    } else {
-        0
-    };
+    let rounds = if opts.objective == Objective::Delay { opts.delay_rounds } else { 0 };
     for _ in 0..rounds {
         let arr = sel.arr.clone();
         let aflow = sel.aflow.clone();
-        let params = CutParams { k: cut_size, max_cuts: opts.cuts_per_node, rank: CutRank::Arrival };
         let mut support: Vec<usize> = Vec::with_capacity(6);
         let cuts = enumerate_cuts_custom(aig, params, |_root, leaves, tt| {
             arrival_cost(&ctx, &mut matcher, &mut support, &arr, &aflow, leaves, tt)
@@ -364,19 +344,10 @@ pub fn map(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
             let r = crate::check::check_mapping(aig, &m, library);
             assert!(r.is_ok(), "paranoid: delay-round cover is corrupt: {r:?}");
         }
-        // Accept in the objective's own order: area-first when area is
-        // the sole objective (rounds reached via CutRank::Arrival),
-        // delay-first otherwise — either way the kept cover dominates
-        // round 0 on the primary metric.
-        let improved = if opts.objective == Objective::Area {
-            m.stats.area < best.stats.area - EPS
-                || (m.stats.area < best.stats.area + EPS
-                    && m.stats.delay_norm < best.stats.delay_norm - EPS)
-        } else {
-            m.stats.delay_norm < best.stats.delay_norm - EPS
-                || (m.stats.delay_norm < best.stats.delay_norm + EPS
-                    && m.stats.area < best.stats.area - EPS)
-        };
+        // Keep a cover only if it is faster, or as fast and smaller.
+        let improved = m.stats.delay_norm < best.stats.delay_norm - EPS
+            || (m.stats.delay_norm < best.stats.delay_norm + EPS
+                && m.stats.area < best.stats.area - EPS);
         if !improved {
             break;
         }
@@ -1138,55 +1109,6 @@ mod tests {
                         "{family:?}/{bits}: {rounds} rounds worsened delay {} -> {}",
                         single.stats.delay_norm,
                         iter.stats.delay_norm
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn arrival_rounds_never_worsen_the_area_objective() {
-        // With area as the sole objective (rounds reached via
-        // CutRank::Arrival) the acceptance guard flips to area-first:
-        // iterating can never return a larger cover than round 0.
-        for family in [LogicFamily::TgStatic, LogicFamily::CmosStatic] {
-            let lib = Library::new(family);
-            let src = full_adder_chain(10);
-            let opts = |delay_rounds| MapOptions {
-                objective: Objective::Area,
-                cut_rank: CutRank::Arrival,
-                delay_rounds,
-                ..Default::default()
-            };
-            let single = map(&src, &lib, opts(0));
-            let iter = map(&src, &lib, opts(2));
-            assert!(
-                iter.stats.area <= single.stats.area + EPS,
-                "{family:?}: arrival rounds worsened area {} -> {}",
-                single.stats.area,
-                iter.stats.area
-            );
-        }
-    }
-
-    #[test]
-    fn cut_rank_is_user_selectable() {
-        // Depth and Arrival ranking are selectable through MapOptions
-        // and always yield an equivalent netlist.
-        let src = full_adder_chain(8);
-        for family in [LogicFamily::TgStatic, LogicFamily::CmosStatic] {
-            let lib = Library::new(family);
-            for cut_rank in [CutRank::Size, CutRank::Depth, CutRank::Arrival] {
-                for objective in [Objective::Area, Objective::Delay, Objective::Balanced] {
-                    let m = map(
-                        &src,
-                        &lib,
-                        MapOptions { cut_rank, objective, ..Default::default() },
-                    );
-                    assert_eq!(
-                        crate::verify::verify_mapping(&src, &m, &lib),
-                        cntfet_aig::CecResult::Equivalent,
-                        "{family:?}/{cut_rank:?}/{objective:?}"
                     );
                 }
             }

@@ -101,5 +101,5 @@ pub mod prelude {
         balance, quick_opt, refactor, resyn2rs, resyn2rs_with, rewrite, AigStats, Pass, Script,
         SynthOptions,
     };
-    pub use cntfet_techmap::{map, verify_mapping, CutRank, MapOptions, MapStats, Mapping, Objective};
+    pub use cntfet_techmap::{map, verify_mapping, MapOptions, MapStats, Mapping, Objective};
 }

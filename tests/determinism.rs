@@ -50,8 +50,8 @@ fn mix(h: u64, x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Folds every node's cut list — leaves, function word and rank cost,
-/// in list order — into `h`.
+/// Folds every node's cut list — leaves and function word, in list
+/// order — into `h`.
 fn fold_cut_lists(mut h: u64, g: &Aig, arena: &CutArena) -> u64 {
     for id in g.node_ids() {
         let cuts = arena.of(id);
@@ -61,42 +61,38 @@ fn fold_cut_lists(mut h: u64, g: &Aig, arena: &CutArena) -> u64 {
             for l in cut.leaves() {
                 h = mix(h, l.index() as u64);
             }
-            let (primary, secondary) = cut.rank_cost();
             h = mix(h, cut.function_word().unwrap_or(0));
-            h = mix(h, u64::from(primary) << 32 | u64::from(secondary));
         }
     }
     h
 }
 
 /// Every per-node cut list of the 15 suite circuits is pinned by one
-/// digest: under the size and depth ranks at k = 6, the size rank at
-/// k = 4, and an external oracle that ranks on the function word. Cut
-/// lists decide covers, Table 3 and the rewriting candidates; the
-/// digest changes only together with them.
+/// digest: under the size rank at k = 6 and k = 4, and under an
+/// external oracle that ranks on the function word at k = 6. Cut lists
+/// decide covers, Table 3 and the rewriting candidates; the digest
+/// changes only together with them.
 #[test]
 fn cut_lists_are_pinned() {
     let size6 = CutParams { k: 6, max_cuts: 10, rank: CutRank::Size };
-    let depth6 = CutParams { rank: CutRank::Depth, ..size6 };
     let size4 = CutParams { k: 4, max_cuts: 8, rank: CutRank::Size };
-    let arrival6 = CutParams { rank: CutRank::Arrival, ..size6 };
     let mut h = 0u64;
     for b in paper_benchmarks() {
-        for params in [size6, depth6, size4] {
+        for params in [size6, size4] {
             h = fold_cut_lists(h, &b.aig, &enumerate_cuts_with(&b.aig, params));
         }
-        let by_word = enumerate_cuts_custom(&b.aig, arrival6, |_, leaves, tt| {
+        let by_word = enumerate_cuts_custom(&b.aig, size6, |_, leaves, tt| {
             (tt.count_ones(), leaves.len() as u32)
         });
         h = fold_cut_lists(h, &b.aig, &by_word);
     }
-    assert_eq!(h, 0x7fa1_ffc1_e96c_89f7, "a cut list changed");
+    assert_eq!(h, 0x82ba_1791_7f69_37f8, "a cut list changed");
 }
 
 /// Every per-node cut list of the 15 suite circuits at refactoring's
 /// widths, (8, Size, 5) and (10, Size, 5), is pinned by one digest.
 /// These arenas carry no function words, so the digest folds leaves
-/// and rank costs.
+/// only.
 #[test]
 fn refactor_cut_lists_are_pinned() {
     let mut h = 0u64;
@@ -106,7 +102,7 @@ fn refactor_cut_lists_are_pinned() {
             h = fold_cut_lists(h, &b.aig, &enumerate_cuts_with(&b.aig, params));
         }
     }
-    assert_eq!(h, 0x3455_68fd_c112_8594, "a refactoring cut list changed");
+    assert_eq!(h, 0xd35e_a0e4_3d52_7163, "a refactoring cut list changed");
 }
 
 /// One editing session over `g`: every `stride`-th AND node, starting
@@ -136,7 +132,7 @@ fn reassociate(g: &mut Aig, stride: usize, offset: usize) -> EditDelta {
 
 /// The cut lists an arena reaches through `CutArena::update` and
 /// `CutArena::rebase` are pinned by one digest: five suite circuits,
-/// the rewriting, mapping, refactoring and depth-ranked parameters,
+/// the rewriting, mapping and refactoring parameters,
 /// and two rounds of re-association, each folded after the update and
 /// again after the compaction's rebase. The incremental paths and
 /// from-scratch enumeration share their per-node kernel, so comparing
@@ -150,7 +146,6 @@ fn incremental_cut_lists_are_pinned() {
         CutParams { k: 4, max_cuts: 8, rank: CutRank::Size },
         CutParams { k: 6, max_cuts: 10, rank: CutRank::Size },
         CutParams { k: 8, max_cuts: 5, rank: CutRank::Size },
-        CutParams { k: 4, max_cuts: 6, rank: CutRank::Depth },
     ];
     let names = ["C1908", "C6288", "t481", "C1355", "add-16"];
     let mut h = 0u64;
@@ -169,7 +164,7 @@ fn incremental_cut_lists_are_pinned() {
             }
         }
     }
-    assert_eq!(h, 0xaacf_1b14_f166_6ac8, "an incrementally maintained cut list changed");
+    assert_eq!(h, 0x68e4_266c_ab90_0a65, "an incrementally maintained cut list changed");
 }
 
 /// A mapping source as one word: PI index or gate root, tagged.

@@ -10,6 +10,7 @@ use cntfet_aig::{enumerate_cuts_with, Aig, CutArena, CutParams, CutRank, Lit, No
 use cntfet_boolfn::{npn_canonical, npn_canonical_cached, CanonCache, TruthTable};
 use cntfet_circuits::paper_benchmarks;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// Builds a random DAG from a script of (op, operand indices) choices
 /// (same shape as tests/properties.rs).
@@ -84,17 +85,45 @@ fn apply_edit(g: &mut Aig, op: u8, ti: u16) -> bool {
 }
 
 /// Per-node cut-list snapshot used to compare arenas for equality.
-type CutSnapshot = Vec<Vec<(Vec<NodeId>, Option<u64>, (u32, u32))>>;
+type CutSnapshot = Vec<Vec<(Vec<NodeId>, Option<u64>)>>;
 
 fn snapshot(g: &Aig, arena: &CutArena) -> CutSnapshot {
     g.node_ids()
-        .map(|id| {
-            arena
-                .of(id)
-                .map(|c| (c.leaves().to_vec(), c.function_word(), c.rank_cost()))
-                .collect()
-        })
+        .map(|id| arena.of(id).map(|c| (c.leaves().to_vec(), c.function_word())).collect())
         .collect()
+}
+
+/// Re-associates every `stride`-th AND node of `g` from `offset` on
+/// (`apply_edit` op 0) in one editing session, drives `arena` through
+/// the update, the compaction and the rebase, and returns the
+/// compacted graph. Compaction renumbers the appended nodes, which puts
+/// some nodes' fanins in the other order.
+fn reassociate_and_rebase(
+    mut g: Aig,
+    arena: &mut CutArena,
+    params: CutParams,
+    stride: usize,
+    offset: usize,
+) -> Aig {
+    g.begin_edit();
+    for ti in (offset..g.num_ands()).step_by(stride) {
+        apply_edit(&mut g, 0, ti as u16);
+    }
+    let delta = g.end_edit();
+    arena.update(&g, &delta, params);
+    let (compacted, map) = g.compact_with_map();
+    arena.rebase(&map, &compacted, params);
+    compacted
+}
+
+/// The suite circuits the re-association rebase property draws from,
+/// in suite order, built once per test binary.
+fn rebase_circuits() -> &'static [Aig] {
+    static CIRCUITS: OnceLock<Vec<Aig>> = OnceLock::new();
+    CIRCUITS.get_or_init(|| {
+        let names = ["C1908", "C6288", "t481", "C1355", "add-16"];
+        paper_benchmarks().into_iter().filter(|b| names.contains(&b.name)).map(|b| b.aig).collect()
+    })
 }
 
 /// Re-association across a whole suite circuit, then compaction: the
@@ -104,21 +133,11 @@ fn snapshot(g: &Aig, arena: &CutArena) -> CutSnapshot {
 #[test]
 fn rebase_matches_scratch_when_compaction_reorders_fanins() {
     let c1908 = paper_benchmarks().into_iter().find(|b| b.name == "C1908").expect("suite circuit");
-    for rank in [CutRank::Size, CutRank::Depth] {
-        let params = CutParams { k: 4, max_cuts: 8, rank };
-        let mut g = c1908.aig.clone();
-        let mut arena = enumerate_cuts_with(&g, params);
-        g.begin_edit();
-        for ti in (0..g.num_ands()).step_by(5) {
-            apply_edit(&mut g, 0, ti as u16);
-        }
-        let delta = g.end_edit();
-        arena.update(&g, &delta, params);
-        let (compacted, map) = g.compact_with_map();
-        arena.rebase(&map, &compacted, params);
-        let scratch = snapshot(&compacted, &enumerate_cuts_with(&compacted, params));
-        assert!(snapshot(&compacted, &arena) == scratch, "rebased arena diverges at {rank:?}");
-    }
+    let params = CutParams { k: 4, max_cuts: 8, rank: CutRank::Size };
+    let mut arena = enumerate_cuts_with(&c1908.aig, params);
+    let compacted = reassociate_and_rebase(c1908.aig, &mut arena, params, 5, 0);
+    let scratch = snapshot(&compacted, &enumerate_cuts_with(&compacted, params));
+    assert!(snapshot(&compacted, &arena) == scratch, "rebased arena diverges");
 }
 
 proptest! {
@@ -130,11 +149,9 @@ proptest! {
     fn prop_incremental_cuts_match_scratch(
         script in proptest::collection::vec((0u8..6, 0u16..500, 0u16..500), 20..100),
         edits in proptest::collection::vec((0u8..3, 0u16..500), 1..10),
-        depth_rank: bool,
     ) {
         let mut g = random_aig(6, &script);
-        let rank = if depth_rank { CutRank::Depth } else { CutRank::Size };
-        let params = CutParams { k: 4, max_cuts: 6, rank };
+        let params = CutParams { k: 4, max_cuts: 6, rank: CutRank::Size };
         let mut arena = enumerate_cuts_with(&g, params);
 
         g.begin_edit();
@@ -186,6 +203,31 @@ proptest! {
         arena.update(&g2, &delta2, params);
         let scratch2 = snapshot(&g2, &enumerate_cuts_with(&g2, params));
         prop_assert_eq!(&snapshot(&g2, &arena), &scratch2, "post-compaction update diverges");
+    }
+
+    /// Re-association across a whole suite circuit at a drawn stride
+    /// and offset, then compaction: unlike the small random DAGs
+    /// above, these graphs make compaction reorder the fanins of nodes
+    /// whose equal-size cuts tie, so the rebased lists must follow the
+    /// new merge order to equal from-scratch enumeration.
+    #[test]
+    fn prop_rebase_matches_scratch_after_suite_reassociation(
+        circuit in 0usize..5,
+        stride in 2usize..9,
+        offset in 0usize..8,
+        wide: bool,
+    ) {
+        let g = rebase_circuits()[circuit].clone();
+        let (k, max_cuts) = if wide { (6, 10) } else { (4, 8) };
+        let params = CutParams { k, max_cuts, rank: CutRank::Size };
+        let mut arena = enumerate_cuts_with(&g, params);
+        let compacted = reassociate_and_rebase(g, &mut arena, params, stride, offset);
+        let scratch = snapshot(&compacted, &enumerate_cuts_with(&compacted, params));
+        prop_assert!(
+            snapshot(&compacted, &arena) == scratch,
+            "rebased arena diverges: {} stride {stride} offset {offset} k {k}",
+            compacted.name()
+        );
     }
 
     /// The NPN canonicalization memo — both the process-wide

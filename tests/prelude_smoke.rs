@@ -66,7 +66,6 @@ use ambipolar_cntfet::prelude::rewrite as _;
 
 use ambipolar_cntfet::prelude::map as _;
 use ambipolar_cntfet::prelude::verify_mapping as _;
-use ambipolar_cntfet::prelude::CutRank as _;
 use ambipolar_cntfet::prelude::MapOptions as _;
 use ambipolar_cntfet::prelude::MapStats as _;
 use ambipolar_cntfet::prelude::Mapping as _;
