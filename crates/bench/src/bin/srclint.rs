@@ -63,7 +63,6 @@ const EXPECT_BUDGET: &[(&str, usize)] = &[
     ("crates/switchlevel/src/dynamic.rs", 2),
     ("crates/switchlevel/src/solver.rs", 1),
     ("crates/synth/src/balance.rs", 2),
-    ("crates/synth/src/refactor.rs", 1),
     ("crates/techmap/src/mapper.rs", 4),
     ("crates/techmap/src/verify.rs", 1),
 ];

@@ -9,8 +9,7 @@
 //! process starts disables all of them at once — every consumer falls
 //! back to its from-scratch path, which is the escape hatch CI uses to
 //! prove that cached and uncached runs produce bitwise identical
-//! results. The refactoring pass's factoring memo (`FACTOR_CACHE` in
-//! `cntfet-synth`) is the one memo that ignores the switch.
+//! results. No memo in the workspace ignores the switch.
 //!
 //! The variable is read once per process; changing it afterwards has
 //! no effect (the engines must never observe the policy flipping

@@ -3,8 +3,8 @@
 //!
 //! This crate is the functional substrate of the ambipolar-CNTFET
 //! library reproduction: gate functions (Table 1 of the DATE'09
-//! paper), cut functions during technology mapping, and refactoring
-//! during multi-level optimization are all manipulated through the
+//! paper), cut functions during technology mapping and rewriting, and
+//! the precomputed rewrite library are all manipulated through the
 //! types defined here.
 //!
 //! # Quick tour

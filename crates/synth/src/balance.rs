@@ -34,9 +34,9 @@ pub fn balance_inplace(aig: &mut Aig) -> usize {
 }
 
 /// [`balance_inplace`] with a [`PassCtx`]: balancing itself uses no
-/// cuts, but it still rides the script's persistent arenas through
-/// its edit session and compaction so the next cut-based pass finds
-/// them current.
+/// cuts, but it still rides the script's persistent arena through
+/// its edit session and compaction so the next rewrite finds it
+/// current.
 pub(crate) fn balance_ctx(aig: &mut Aig, ctx: &mut PassCtx) -> usize {
     assert!(!aig.is_editing(), "pass expects sole ownership of the graph");
     ctx.sync(aig);

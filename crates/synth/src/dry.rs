@@ -44,17 +44,6 @@ pub(crate) trait Build {
     fn ltrue() -> Self::L;
     fn not(l: Self::L) -> Self::L;
     fn and(&mut self, a: Self::L, b: Self::L) -> Self::L;
-
-    fn or(&mut self, a: Self::L, b: Self::L) -> Self::L {
-        let n = self.and(Self::not(a), Self::not(b));
-        Self::not(n)
-    }
-
-    fn xor(&mut self, a: Self::L, b: Self::L) -> Self::L {
-        let n0 = self.and(a, Self::not(b));
-        let n1 = self.and(Self::not(a), b);
-        self.or(n0, n1)
-    }
 }
 
 /// The real builder: plain construction into the graph.
@@ -281,11 +270,8 @@ mod tests {
     #[test]
     fn stamp_revive_count_matches_the_list_reference_on_the_suite() {
         // `revive_count` asserts against the reference on every call,
-        // so one rewrite sweep per circuit, then one refactor sweep over
-        // its output, check every candidate the two passes cost.
-        // Refactor's five size-ranked cuts per node rarely include one
-        // wider than four leaves: of these circuits only C5315 gives it
-        // candidates.
+        // so one rewrite sweep per circuit checks every candidate the
+        // pass costs.
         let names = ["C1908", "C6288", "des", "t481", "C5315"];
         let benches: Vec<_> = cntfet_circuits::paper_benchmarks()
             .into_iter()
@@ -293,17 +279,12 @@ mod tests {
             .collect();
         assert_eq!(benches.len(), names.len());
         let checks = || REVIVE_CHECKS.with(|c| c.get());
-        let (mut rewrite, mut refactor) = (0, 0);
         for b in benches {
             let mut g = b.aig.clone();
             let before = checks();
             crate::rewrite_inplace(&mut g, false);
-            rewrite += checks() - before;
-            let before = checks();
-            crate::refactor_inplace(&mut g, 8, false);
-            refactor += checks() - before;
+            assert!(checks() > before, "{}: rewrite costed no candidate", b.name);
         }
-        assert!(rewrite > 0 && refactor > 0, "{rewrite} rewrite, {refactor} refactor candidates");
     }
 
     #[test]

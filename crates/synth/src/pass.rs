@@ -2,9 +2,8 @@
 //! [`Script`] runs a sequence of passes with per-pass statistics,
 //! timing, and an optional CEC self-check after every pass.
 
-use cntfet_aig::{
-    enumerate_cuts_with, equivalent, Aig, CompactMap, CutArena, CutParams, EditDelta,
-};
+use crate::rewrite::REWRITE_CUTS;
+use cntfet_aig::{enumerate_cuts_with, equivalent, Aig, CompactMap, CutArena, EditDelta};
 use std::time::{Duration, Instant};
 
 /// Statistics snapshot of an AIG.
@@ -68,7 +67,7 @@ pub trait Pass {
 
     /// Runs the pass with access to the script-owned [`PassCtx`], so
     /// cut-aware passes can reuse (and maintain) the persistent
-    /// [`CutArena`]s instead of re-enumerating from scratch. The
+    /// [`CutArena`] instead of re-enumerating from scratch. The
     /// default ignores the context and calls [`Pass::apply`]; results
     /// are identical either way — the context is purely a cache.
     fn apply_ctx(&mut self, aig: &mut Aig, ctx: &mut PassCtx) -> usize {
@@ -85,22 +84,23 @@ pub trait Pass {
     }
 }
 
-/// Script-owned state threaded through every pass: persistent
-/// [`CutArena`]s keyed by their [`CutParams`], kept consistent with
-/// the graph across edits (via [`CutArena::update`]) and
-/// compactions (via [`CutArena::rebase`] over the [`CompactMap`]).
+/// Script-owned state threaded through every pass: rewriting's
+/// persistent [`CutArena`], kept consistent with the graph across
+/// edits (via [`CutArena::update`]) and compactions (via
+/// [`CutArena::rebase`] over the [`CompactMap`]).
 ///
-/// The context is *purely a cache*: an arena handed out by
+/// The context is *purely a cache*: the arena handed out by
 /// [`PassCtx`] is always equal to a from-scratch enumeration on the
 /// current graph (the incremental update and rebase contracts
 /// guarantee it), so pass results are bit-identical with or without
 /// it. Under `CNTFET_NO_CACHE=1` nothing is retained and every pass
 /// enumerates from scratch.
 pub struct PassCtx {
-    /// Fingerprint of the graph the stored arenas describe; a
-    /// different graph at pass entry invalidates them all.
-    fp: Option<u64>,
-    arenas: Vec<(CutParams, CutArena)>,
+    /// Fingerprint of the graph the stored arena describes; a
+    /// different graph at pass entry invalidates it.
+    fp: Option<u128>,
+    /// Rewriting's arena, enumerated at [`REWRITE_CUTS`].
+    arena: Option<CutArena>,
     /// False for the throwaway context of the standalone `*_inplace`
     /// entry points: nothing is retained, so no maintenance runs.
     keep: bool,
@@ -113,75 +113,64 @@ impl Default for PassCtx {
 }
 
 impl PassCtx {
-    /// A fresh context that retains arenas across passes (subject to
-    /// the global `CNTFET_NO_CACHE` switch).
+    /// A fresh context that retains the arena across passes (subject
+    /// to the global `CNTFET_NO_CACHE` switch).
     pub fn new() -> PassCtx {
-        PassCtx { fp: None, arenas: Vec::new(), keep: true }
+        PassCtx { fp: None, arena: None, keep: true }
     }
 
     /// A context that retains nothing — used by the standalone
     /// single-pass entry points where there is no next pass to pay
     /// off the maintenance.
     pub(crate) fn ephemeral() -> PassCtx {
-        PassCtx { fp: None, arenas: Vec::new(), keep: false }
+        PassCtx { fp: None, arena: None, keep: false }
     }
 
-    /// Drops every arena that does not describe `aig`. Called at pass
-    /// entry, before any arena is handed out.
+    /// Drops the arena unless it describes `aig`. Called at pass
+    /// entry, before the arena is handed out.
     pub(crate) fn sync(&mut self, aig: &Aig) {
-        let f = fingerprint(aig);
+        let f = aig.fingerprint();
         if self.fp != Some(f) {
-            self.arenas.clear();
+            self.arena = None;
             self.fp = Some(f);
         }
     }
 
-    /// Hands out the arena for `params`, enumerating from scratch on
-    /// a miss. Ownership moves to the caller; return it with
-    /// [`PassCtx::put`] before absorbing the pass's edits.
-    pub(crate) fn take_or_enumerate(&mut self, aig: &Aig, params: CutParams) -> CutArena {
-        if let Some(i) = self.arenas.iter().position(|(p, _)| *p == params) {
-            return self.arenas.swap_remove(i).1;
-        }
-        enumerate_cuts_with(aig, params)
+    /// Hands out the arena, enumerating from scratch on a miss.
+    /// Ownership moves to the caller; return it with [`PassCtx::put`]
+    /// before absorbing the pass's edits.
+    pub(crate) fn take_or_enumerate(&mut self, aig: &Aig) -> CutArena {
+        self.arena.take().unwrap_or_else(|| enumerate_cuts_with(aig, REWRITE_CUTS))
     }
 
-    /// Stores an arena for later passes (no-op for ephemeral contexts
+    /// Stores the arena for later passes (no-op for ephemeral contexts
     /// or with caching globally disabled).
-    pub(crate) fn put(&mut self, params: CutParams, arena: CutArena) {
-        if self.keep
-            && cntfet_boolfn::cache::enabled()
-            && !self.arenas.iter().any(|(p, _)| *p == params)
-        {
-            self.arenas.push((params, arena));
+    pub(crate) fn put(&mut self, arena: CutArena) {
+        if self.keep && cntfet_boolfn::cache::enabled() {
+            self.arena = Some(arena);
         }
     }
 
-    /// Rides every stored arena through a just-ended editing session
+    /// Rides the stored arena through a just-ended editing session
     /// (`aig` is the edited, not-yet-compacted graph).
     pub(crate) fn absorb(&mut self, aig: &Aig, delta: &EditDelta) {
-        for (p, a) in &mut self.arenas {
-            a.update(aig, delta, *p);
+        if let Some(a) = &mut self.arena {
+            a.update(aig, delta, REWRITE_CUTS);
         }
     }
 
-    /// Rides every stored arena through a compaction (`aig` is the
+    /// Rides the stored arena through a compaction (`aig` is the
     /// compacted graph, `map` the old→new id remap).
     pub(crate) fn rebase(&mut self, map: &CompactMap, aig: &Aig) {
-        for (p, a) in &mut self.arenas {
-            a.rebase(map, aig, *p);
+        if let Some(a) = &mut self.arena {
+            a.rebase(map, aig, REWRITE_CUTS);
         }
     }
 
-    /// Records the graph the (maintained) arenas now describe; called
+    /// Records the graph the (maintained) arena now describes; called
     /// once at pass exit.
     pub(crate) fn finish(&mut self, aig: &Aig) {
-        self.fp = if self.keep { Some(fingerprint(aig)) } else { None };
-    }
-
-    /// Number of retained arenas (test introspection).
-    pub fn num_arenas(&self) -> usize {
-        self.arenas.len()
+        self.fp = if self.keep { Some(aig.fingerprint()) } else { None };
     }
 }
 
@@ -231,7 +220,7 @@ impl ScriptReport {
 ///
 /// ```
 /// use cntfet_aig::Aig;
-/// use cntfet_synth::{Balance, Refactor, Rewrite, Script};
+/// use cntfet_synth::{Balance, Rewrite, Script};
 ///
 /// let mut g = Aig::new("chain");
 /// let pis = g.add_pis(8);
@@ -244,7 +233,7 @@ impl ScriptReport {
 /// let mut script = Script::new()
 ///     .then(Balance)
 ///     .then(Rewrite::new(false))
-///     .then(Refactor::new(8, false))
+///     .then(Rewrite::new(true))
 ///     .with_self_check(true); // CEC after every pass
 /// let report = script.run(&mut g);
 /// assert_eq!(report.passes.len(), 3);
@@ -261,12 +250,12 @@ pub struct Script {
     version: usize,
     /// Pass name → graph version at which it last applied nothing.
     noop_at: std::collections::HashMap<String, usize>,
-    /// Structural fingerprint of the graph as the previous `run` left
+    /// [`Aig::fingerprint`] of the graph as the previous `run` left
     /// it; a different graph on the next `run` resets the ledger (the
     /// recorded no-ops say nothing about it).
-    last_graph: Option<u64>,
-    /// Persistent cut arenas threaded through every pass (and kept
-    /// across `run` calls, so script rounds reuse them too).
+    last_graph: Option<u128>,
+    /// Rewriting's persistent cut arena, threaded through every pass
+    /// (and kept across `run` calls, so script rounds reuse it too).
     ctx: PassCtx,
 }
 
@@ -320,7 +309,7 @@ impl Script {
     pub fn run(&mut self, aig: &mut Aig) -> ScriptReport {
         let mut report =
             ScriptReport { passes: Vec::with_capacity(self.passes.len()), checked: self.self_check };
-        if self.last_graph != Some(fingerprint(aig)) {
+        if self.last_graph != Some(aig.fingerprint()) {
             self.noop_at.clear();
         }
         let version = &mut self.version;
@@ -374,24 +363,27 @@ impl Script {
                 skipped: false,
             });
         }
-        self.last_graph = Some(fingerprint(aig));
+        self.last_graph = Some(aig.fingerprint());
         report
     }
 
-    /// The `resyn2rs` pass sequence (one round): alternating
-    /// balancing, DAG-aware 4-cut rewriting and wide-cut refactoring,
-    /// with zero-cost (`-z`) perturbation passes late in the sequence.
+    /// The `resyn2rs` pass sequence (one round): ABC's `resyn2`
+    /// without its two refactoring (`rf`) passes, `b; rw; b; rw;
+    /// rw -z; b; rw -z; b` — alternating balancing and DAG-aware 4-cut
+    /// rewriting, with zero-cost (`-z`) perturbation passes late in
+    /// the sequence. A refactor over five size-ranked cuts per node,
+    /// the smallest ones, applied nothing on any benchmark circuit
+    /// while taking about a fifth of synthesis time, so the round has
+    /// none; ABC refactors one reconvergence-driven cut per node.
     pub fn resyn2rs() -> Script {
-        use crate::{Balance, Refactor, Rewrite};
+        use crate::{Balance, Rewrite};
         Script::new()
             .then(Balance)
             .then(Rewrite::new(false))
-            .then(Refactor::new(8, false))
             .then(Balance)
             .then(Rewrite::new(false))
             .then(Rewrite::new(true))
             .then(Balance)
-            .then(Refactor::new(10, true))
             .then(Rewrite::new(true))
             .then(Balance)
     }
@@ -401,23 +393,6 @@ impl Script {
         use crate::{Balance, Rewrite};
         Script::new().then(Balance).then(Rewrite::new(false))
     }
-}
-
-/// Structural fingerprint of a graph (ids, fanins, outputs): two
-/// graphs with different fingerprints are structurally different, so
-/// a ledger recorded on one says nothing about the other.
-fn fingerprint(aig: &Aig) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    aig.num_pis().hash(&mut h);
-    for id in aig.and_ids() {
-        let (a, b) = aig.fanins(id);
-        (id.index(), a.code(), b.code()).hash(&mut h);
-    }
-    for &po in aig.pos() {
-        po.code().hash(&mut h);
-    }
-    h.finish()
 }
 
 impl std::fmt::Debug for Script {
@@ -481,5 +456,38 @@ mod tests {
         let mut script = Script::new().then(Rewrite::new(false)).then(Rewrite::new(true));
         let report = script.run(&mut g);
         assert!(report.passes.iter().all(|p| !p.skipped));
+    }
+
+    #[test]
+    fn script_keeps_rewritings_arena_current() {
+        // On C1908 only the first balance edits, so the kept arena is
+        // the one the first rewrite enumerated. On the 8-bit
+        // carry-lookahead adder later rewrites and balances edit too,
+        // so the arena rides through their updates and compactions.
+        // Either way it must be the one from-scratch enumeration gives
+        // on the final graph; with caching off, nothing is kept.
+        let circuits = [(cntfet_circuits::c1908_like(), false), (cntfet_circuits::cla_adder(8), true)];
+        for (g, upkeep) in circuits {
+            let mut g = g.compact();
+            let mut script = Script::resyn2rs();
+            let report = script.run(&mut g);
+            let name = g.name();
+            let edited_late = report.passes[2..].iter().any(|p| p.applied > 0);
+            assert_eq!(edited_late, upkeep, "{name}: passes after the first rewrite");
+            let kept = script.ctx.arena.as_ref();
+            if !cntfet_boolfn::cache::enabled() {
+                assert!(kept.is_none(), "{name}: kept an arena with caching disabled");
+                continue;
+            }
+            let kept = kept.unwrap_or_else(|| panic!("{name}: the script kept no arena"));
+            assert_eq!(script.ctx.fp, Some(g.fingerprint()));
+            let fresh = enumerate_cuts_with(&g, REWRITE_CUTS);
+            let list = |a: &CutArena, id| -> Vec<_> {
+                a.of(id).map(|c| (c.leaves().to_vec(), c.function_word())).collect()
+            };
+            for id in g.node_ids() {
+                assert_eq!(list(kept, id), list(&fresh, id), "{name}: kept arena diverges at {id:?}");
+            }
+        }
     }
 }

@@ -25,8 +25,11 @@ use cntfet_aig::{Aig, CutParams, CutRank, Lit, NodeId};
 use cntfet_boolfn::hash::FastMap;
 use cntfet_boolfn::{cache, RwrLibrary, RwrMatch, RwrOperand, RwrStructure};
 
-/// Priority cuts kept per node during rewriting.
-const REWRITE_CUTS: usize = 8;
+/// Rewriting's cuts: up to [`cntfet_boolfn::rwr::RWR_VARS`] leaves,
+/// eight size-ranked priority cuts per node. [`PassCtx`] keeps the
+/// arena at these parameters across the passes of a script.
+pub(crate) const REWRITE_CUTS: CutParams =
+    CutParams { k: cntfet_boolfn::rwr::RWR_VARS, max_cuts: 8, rank: CutRank::Size };
 
 /// The DAG-aware rewriting pass (see module docs).
 #[derive(Debug, Clone, Copy)]
@@ -98,17 +101,12 @@ pub fn rewrite_inplace(aig: &mut Aig, zero_cost: bool) -> usize {
     rewrite_ctx(aig, zero_cost, &mut PassCtx::ephemeral())
 }
 
-/// [`rewrite_inplace`] with a [`PassCtx`] carrying persistent cut
-/// arenas across passes and rounds.
+/// [`rewrite_inplace`] with a [`PassCtx`] carrying the persistent cut
+/// arena across passes and rounds.
 pub(crate) fn rewrite_ctx(aig: &mut Aig, zero_cost: bool, ctx: &mut PassCtx) -> usize {
     assert!(!aig.is_editing(), "pass expects sole ownership of the graph");
-    let params = CutParams {
-        k: cntfet_boolfn::rwr::RWR_VARS,
-        max_cuts: REWRITE_CUTS,
-        rank: CutRank::Size,
-    };
     ctx.sync(aig);
-    let cuts = ctx.take_or_enumerate(aig, params);
+    let cuts = ctx.take_or_enumerate(aig);
     let lib = RwrLibrary::global();
     let n0 = aig.num_nodes();
     let mut mffc = MffcSet::default();
@@ -182,7 +180,7 @@ pub(crate) fn rewrite_ctx(aig: &mut Aig, zero_cost: bool, ctx: &mut PassCtx) -> 
         }
     }
     let delta = aig.end_edit();
-    ctx.put(params, cuts);
+    ctx.put(cuts);
     ctx.absorb(aig, &delta);
     if applied > 0 {
         let (out, map) = aig.compact_with_map();
@@ -263,6 +261,18 @@ mod tests {
         let applied = rewrite_inplace(&mut g, false);
         assert!(applied > 0);
         assert!(g.num_ands() < before, "{} -> {}", before, g.num_ands());
+
+        // (a·b) + (a·b·c) == a·b: the absorbed term goes entirely.
+        let mut g = Aig::new("absorb");
+        let p = g.add_pis(3);
+        let ab = g.and(p[0], p[1]);
+        let abc = g.and(ab, p[2]);
+        let o = g.or(ab, abc);
+        g.add_po(o);
+        let reference = g.clone();
+        rewrite_inplace(&mut g, false);
+        assert!(equivalent(&reference, &g));
+        assert_eq!(g.num_ands(), 1, "rewrite collapses to a·b");
     }
 
     #[test]

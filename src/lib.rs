@@ -98,8 +98,7 @@ pub mod prelude {
     pub use cntfet_sat::{SolveResult, Solver};
     pub use cntfet_switchlevel::{solve, DynamicSim, Netlist, NodeState, Rank};
     pub use cntfet_synth::{
-        balance, quick_opt, refactor, resyn2rs, resyn2rs_with, rewrite, AigStats, Pass, Script,
-        SynthOptions,
+        balance, quick_opt, resyn2rs, resyn2rs_with, rewrite, AigStats, Pass, Script, SynthOptions,
     };
     pub use cntfet_techmap::{map, verify_mapping, MapOptions, MapStats, Mapping, Objective};
 }

@@ -89,10 +89,12 @@ fn cut_lists_are_pinned() {
     assert_eq!(h, 0x82ba_1791_7f69_37f8, "a cut list changed");
 }
 
-/// Every per-node cut list of the 15 suite circuits at refactoring's
-/// widths, (8, Size, 5) and (10, Size, 5), is pinned by one digest.
-/// These arenas carry no function words, so the digest folds leaves
-/// only.
+/// Every per-node cut list of the 15 suite circuits at two wide
+/// settings, (8, Size, 5) and (10, Size, 5), is pinned by one digest.
+/// No pass enumerates cuts wider than six leaves any more (these were
+/// the deleted refactoring pass's widths); the pin holds the
+/// enumerator's wide path, whose arenas carry no function words, so
+/// the digest folds leaves only.
 #[test]
 fn refactor_cut_lists_are_pinned() {
     let mut h = 0u64;
@@ -102,7 +104,7 @@ fn refactor_cut_lists_are_pinned() {
             h = fold_cut_lists(h, &b.aig, &enumerate_cuts_with(&b.aig, params));
         }
     }
-    assert_eq!(h, 0xd35e_a0e4_3d52_7163, "a refactoring cut list changed");
+    assert_eq!(h, 0xd35e_a0e4_3d52_7163, "a wide cut list changed");
 }
 
 /// One editing session over `g`: every `stride`-th AND node, starting
@@ -132,7 +134,8 @@ fn reassociate(g: &mut Aig, stride: usize, offset: usize) -> EditDelta {
 
 /// The cut lists an arena reaches through `CutArena::update` and
 /// `CutArena::rebase` are pinned by one digest: five suite circuits,
-/// the rewriting, mapping and refactoring parameters,
+/// the rewriting and mapping parameters and the wide, wordless
+/// (8, Size, 5) setting,
 /// and two rounds of re-association, each folded after the update and
 /// again after the compaction's rebase. The incremental paths and
 /// from-scratch enumeration share their per-node kernel, so comparing

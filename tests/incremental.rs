@@ -169,7 +169,7 @@ proptest! {
     /// compaction ([`Aig::compact_with_map`] + [`CutArena::rebase`])
     /// and a *second* edit round still matches from-scratch
     /// enumeration at every step — the exact lifetime a synthesis
-    /// `Script`'s persistent arenas live through across passes.
+    /// `Script`'s persistent arena lives through across passes.
     #[test]
     fn prop_arena_survives_compaction(
         script in proptest::collection::vec((0u8..6, 0u16..500, 0u16..500), 20..100),

@@ -60,7 +60,6 @@ use ambipolar_cntfet::prelude::NodeState as _;
 use ambipolar_cntfet::prelude::Rank as _;
 
 use ambipolar_cntfet::prelude::balance as _;
-use ambipolar_cntfet::prelude::refactor as _;
 use ambipolar_cntfet::prelude::resyn2rs as _;
 use ambipolar_cntfet::prelude::rewrite as _;
 

@@ -45,7 +45,7 @@ fn big_script(len: usize, mut seed: u64) -> Vec<(u8, u16, u16)> {
 }
 
 /// Two rounds of one resyn2rs [`Script`] — the second reusing the cut
-/// arenas the first kept up to date — preserve the function of
+/// arena the first kept up to date — preserve the function of
 /// 400-op random networks.
 #[test]
 fn script_rounds_preserve_function_on_large_networks() {
@@ -103,10 +103,10 @@ proptest! {
         family_idx in 0usize..5,
         size in 2usize..5,
         seed in 0u64..1000,
-        pass_idx in 0usize..7,
+        pass_idx in 0usize..5,
     ) {
         use cntfet_circuits::{mux_tree, parity, random_logic};
-        use cntfet_synth::{quick_opt, refactor, AigStats};
+        use cntfet_synth::{quick_opt, AigStats};
         let g = match family_idx {
             0 => ripple_adder(size + 2),
             1 => array_multiplier(size),
@@ -118,13 +118,11 @@ proptest! {
             0 => balance(&g),
             1 => rewrite(&g, false),
             2 => rewrite(&g, true),
-            3 => refactor(&g, 8, false),
-            4 => refactor(&g, 10, true),
-            5 => quick_opt(&g),
+            3 => quick_opt(&g),
             _ => resyn2rs(&g),
         };
         prop_assert!(equivalent(&g, &o), "pass {pass_idx} broke family {family_idx}");
-        if pass_idx == 6 {
+        if pass_idx == 4 {
             // The script's never-worse guard: (ands, depth) vs input.
             let (si, so) = (AigStats::of(&g.compact()), AigStats::of(&o));
             prop_assert!(
