@@ -609,13 +609,19 @@ struct NodeScratch {
 
 fn fresh_arena(aig: &Aig, k: usize, max_cuts: usize) -> CutArena {
     let n = aig.num_nodes();
+    // Sized once, so that enumeration does not regrow either buffer (a
+    // regrowth copies the whole buffer while the old one is live): no
+    // node keeps more than `max_cuts` cuts, and they average at most
+    // four leaves per kept slot. At k ≤ 4 that is a bound; at the
+    // mapper's k = 6 the suite and the DES chain fill at most 97 % of
+    // it, even when the widest cuts rank first. Past 16 cuts per node
+    // the buffers grow as needed instead.
+    let cuts = n * max_cuts.min(16);
     CutArena {
         k,
         has_tts: k <= word::MAX_WORD_VARS,
-        // Rough guesses: most nodes keep close to max_cuts cuts of a
-        // few leaves each; growth beyond this is a single realloc.
-        leaves: Vec::with_capacity(n * max_cuts.min(8) * 2),
-        cuts: Vec::with_capacity(n * max_cuts.min(8)),
+        leaves: Vec::with_capacity(cuts * k.min(4)),
+        cuts: Vec::with_capacity(cuts),
         spans: vec![(0, 0); n],
     }
 }

@@ -5,10 +5,11 @@
 //! incrementality substrate (dirty-region cut-enumeration updates vs
 //! from-scratch re-enumeration), the batch synthesis service (cold vs
 //! warm throughput), and the persistent cut arena carried across a
-//! compaction (`rebase` vs re-enumeration) — and writes the numbers to
-//! `BENCH_PR10.json` in the current directory (run it from a scratch
-//! directory to keep the committed snapshot). Its ratio assertions
-//! run in CI at the default worker count. The JSON continues the bench
+//! compaction (`rebase` vs re-enumeration), and peak memory per AND
+//! of a delay-mapped DES chain at three sizes — and writes the numbers
+//! to `BENCH_PR10.json` in the current directory (run it from a
+//! scratch directory to keep the committed snapshot). Its ratio and
+//! memory assertions run in CI at the default worker count. The JSON continues the bench
 //! trajectory the ROADMAP asks for: `BENCH_PR3.json` records the
 //! verification rebuild, `BENCH_PR4.json` the arrival-aware mapper,
 //! `BENCH_PR5.json` the synthesis rebuild, `BENCH_PR7.json` the
@@ -21,6 +22,10 @@
 //! `available_parallelism` is recorded next to it, and on a
 //! single-core container the jobs>1 rows will not (and must not
 //! pretend to) beat jobs=1.
+//!
+//! The memory row runs each chain size in a child process
+//! (`perfsnap --mem-row ROUNDS`), so every size's peak RSS is its own;
+//! it reads `VmHWM` from `/proc/self/status` and so needs Linux.
 
 use cntfet_aig::{
     check_equivalence_sweeping_report, enumerate_cuts_with, CecResult, CutParams, CutRank, NodeId,
@@ -29,7 +34,9 @@ use cntfet_aig::{
 use cntfet_bench::serve::{SynthRequest, SynthService};
 use cntfet_bench::run_suite_with;
 use cntfet_boolfn::{canon_cache_stats, CacheStats};
-use cntfet_circuits::{array_multiplier, c1908_like, cla_adder, ripple_adder, shift_add_multiplier};
+use cntfet_circuits::{
+    array_multiplier, c1908_like, cla_adder, des_chain, ripple_adder, shift_add_multiplier,
+};
 use cntfet_core::{Library, LogicFamily};
 use cntfet_synth::{resyn2rs, SynthOptions};
 use cntfet_techmap::{map, mapping_to_aig, verify_mapping_report, MapOptions, Objective};
@@ -56,12 +63,72 @@ fn stats_json(s: &CacheStats) -> String {
     )
 }
 
+/// DES-chain round counts of the memory row: about 11.6k, 46.5k and
+/// 186k ANDs after synthesis.
+const MEM_ROW_ROUNDS: [usize; 3] = [8, 32, 128];
+/// Ceiling on the largest chain's peak RSS, in KiB per AND.
+const MEM_ROW_MAX_KIB_PER_AND: f64 = 1.6;
+/// Ceiling on the growth of KiB per AND per decade of ANDs, from the
+/// smallest chain to the largest: memory must stay linear in the graph.
+const MEM_ROW_MAX_GROWTH_PER_DECADE: f64 = 1.3;
+
+/// The process's peak resident set size (`VmHWM`), in kB.
+fn vm_hwm_kb() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("a VmHWM line in /proc/self/status")
+}
+
+/// The `--mem-row ROUNDS` child: builds the `ROUNDS`-round DES chain,
+/// runs `resyn2rs` and then a TG-static delay map, and prints the ANDs
+/// after synthesis and the process's peak RSS in kB.
+fn mem_row_child(rounds: usize) {
+    let optimized = resyn2rs(&des_chain(rounds));
+    let lib = Library::new(LogicFamily::TgStatic);
+    let opts = MapOptions { objective: Objective::Delay, ..Default::default() };
+    assert!(map(&optimized, &lib, opts).stats.gates > 0);
+    println!("{} {}", optimized.num_ands(), vm_hwm_kb());
+}
+
+/// One row of the memory table, measured by a `--mem-row` child:
+/// (ANDs after synthesis, peak RSS in kB).
+fn mem_row_sample(rounds: usize) -> (u64, u64) {
+    let exe = std::env::current_exe().expect("perfsnap's own path");
+    let out = std::process::Command::new(exe)
+        .args(["--mem-row", &rounds.to_string()])
+        .output()
+        .expect("start the --mem-row child");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let row: Vec<u64> = text.split_whitespace().filter_map(|w| w.parse().ok()).collect();
+    match row[..] {
+        [ands, kb] if out.status.success() && ands > 0 => (ands, kb),
+        _ => panic!("memory row at {rounds} rounds failed: {} {text}", out.status),
+    }
+}
+
+fn usage() -> ! {
+    eprintln!("usage: perfsnap [--mem-row ROUNDS]");
+    std::process::exit(2);
+}
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mem_row: Option<usize> = match args.as_slice() {
+        [] => None,
+        [flag, rounds] if flag == "--mem-row" => Some(rounds.parse().unwrap_or_else(|_| usage())),
+        _ => usage(),
+    };
     // Timing numbers with the invariant checkers compiled in would be
     // garbage — refuse to record them.
     if cfg!(feature = "paranoid") {
         eprintln!("perfsnap: built with --features paranoid; rebuild without it for timing runs");
         std::process::exit(2);
+    }
+    if let Some(rounds) = mem_row {
+        return mem_row_child(rounds);
     }
     println!("perfsnap: measuring synthesis, mapping, verification and cache hot paths...");
 
@@ -267,6 +334,46 @@ fn main() {
         assert!(cntfet_aig::parse_aiger(&des_binary).is_ok());
     });
 
+    // --- peak memory per AND, by graph size ---
+    // A DES chain synthesized and delay-mapped in a child process per
+    // size. The delay map sets the peak: its candidates and cut arena
+    // grow with the graph, so a layout regression shows up here as
+    // KiB per AND, and superlinear growth as a rising row.
+    println!("perfsnap: memory per AND on DES chains of {MEM_ROW_ROUNDS:?} rounds...");
+    let mem_rows: Vec<(usize, u64, u64, f64)> = MEM_ROW_ROUNDS
+        .iter()
+        .map(|&rounds| {
+            let (ands, kb) = mem_row_sample(rounds);
+            let kib_per_and = kb as f64 / ands as f64;
+            println!(
+                "perfsnap:   {rounds} rounds: {ands} ANDs, VmHWM {kb} kB, {kib_per_and:.2} KiB per AND"
+            );
+            (rounds, ands, kb, kib_per_and)
+        })
+        .collect();
+    let (_, small_ands, _, small_kib) = mem_rows[0];
+    let (large_rounds, large_ands, _, large_kib) = mem_rows[mem_rows.len() - 1];
+    let decades = (large_ands as f64 / small_ands as f64).log10();
+    let mem_growth_per_decade = (large_kib / small_kib).powf(1.0 / decades);
+    assert!(
+        large_kib <= MEM_ROW_MAX_KIB_PER_AND,
+        "{large_rounds}-round chain peaks at {large_kib:.2} KiB per AND, above {MEM_ROW_MAX_KIB_PER_AND}"
+    );
+    assert!(
+        mem_growth_per_decade <= MEM_ROW_MAX_GROWTH_PER_DECADE,
+        "KiB per AND grows {mem_growth_per_decade:.2}x per decade of ANDs, \
+         above {MEM_ROW_MAX_GROWTH_PER_DECADE}x"
+    );
+    let mem_rows_json = mem_rows
+        .iter()
+        .map(|(rounds, ands, kb, kib)| {
+            format!(
+                r#"{{ "rounds": {rounds}, "ands": {ands}, "vmhwm_kb": {kb}, "kib_per_and": {kib:.3} }}"#
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n      ");
+
     // --- NPN memo counters, accumulated over everything above ---
     let canon = canon_cache_stats();
 
@@ -289,6 +396,13 @@ fn main() {
     "write_binary": {aiger_write_binary_ms:.3},
     "parse_ascii": {aiger_parse_ascii_ms:.3},
     "parse_binary": {aiger_parse_binary_ms:.3}
+  }},
+  "memory_per_and": {{
+    "circuit": "des_chain, resyn2rs then a TG-static delay map, one process per size",
+    "rows": [
+      {mem_rows_json}
+    ],
+    "growth_per_decade": {mem_growth_per_decade:.3}
   }},
   "caching": {{
     "counters": {{

@@ -63,7 +63,7 @@ const EXPECT_BUDGET: &[(&str, usize)] = &[
     ("crates/switchlevel/src/dynamic.rs", 2),
     ("crates/switchlevel/src/solver.rs", 1),
     ("crates/synth/src/balance.rs", 2),
-    ("crates/techmap/src/mapper.rs", 4),
+    ("crates/techmap/src/mapper.rs", 5),
     ("crates/techmap/src/verify.rs", 1),
 ];
 

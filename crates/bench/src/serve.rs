@@ -63,6 +63,15 @@ impl CancelToken {
 pub struct RequestLimits {
     /// Reject the request up front when the *input* has more AND
     /// nodes than this (admission control — no work is done at all).
+    ///
+    /// To derive it from a memory budget: a request delay-mapped onto
+    /// the TG-static library peaks at 1.23 KiB of resident memory per
+    /// AND after synthesis on a 186k-AND DES chain, 1.5 KiB at 46.5k
+    /// ANDs and 1.8 KiB at 11.6k, where the process's fixed memory
+    /// weighs more (`perfsnap`'s memory row, one process per chain).
+    /// Synthesis never returns more ANDs than its input, so a budget
+    /// of `B` MiB admits about `B × 560` input ANDs. Area and balanced
+    /// maps run no arrival rounds and peak lower.
     pub max_ands: Option<usize>,
     /// Cooperative cancellation, checked between pipeline stages.
     pub cancel: CancelToken,

@@ -35,3 +35,13 @@ fn full_repro_rejects_unknown_arguments() {
         assert!(stderr.contains("usage: full_repro"), "full_repro {args:?}: {stderr}");
     }
 }
+
+#[test]
+fn perfsnap_rejects_unknown_arguments() {
+    let perfsnap = env!("CARGO_BIN_EXE_perfsnap");
+    for args in [&["--fast"][..], &["--mem-row"], &["--mem-row", "eight"], &["--mem-row", "8", "9"]] {
+        let (code, stderr) = run(perfsnap, args);
+        assert_eq!(code, Some(2), "perfsnap {args:?} must fail");
+        assert!(stderr.contains("usage: perfsnap"), "perfsnap {args:?}: {stderr}");
+    }
+}

@@ -37,7 +37,7 @@ pub use arith::{
     array_multiplier, cla_adder, eval_adder, eval_multiplier, full_adder, ripple_adder,
     shift_add_multiplier,
 };
-pub use des::{des_f, des_f_circuit, des_f_reference, des_like};
+pub use des::{des_chain, des_f, des_f_circuit, des_f_reference, des_like};
 pub use ecc::{c1355_like, c1355_reference, c1908_like};
 pub use randlogic::{majority, mux_tree, parity, random_logic};
 pub use rng::SplitMix64;

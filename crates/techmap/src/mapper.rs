@@ -25,10 +25,11 @@
 
 use crate::matcher::Matcher;
 use cntfet_aig::{
-    enumerate_cuts_custom, enumerate_cuts_with, Aig, CutArena, CutParams, CutRank, NodeId,
+    enumerate_cuts_custom, enumerate_cuts_with, Aig, CutArena, CutParams, CutRank, Lit, NodeId,
 };
 use cntfet_boolfn::word;
-use cntfet_core::Library;
+use cntfet_core::{Cell, Library};
+use std::ops::Index;
 
 /// Where a mapped-gate pin comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,10 +136,11 @@ pub struct MapOptions {
     /// cuts are re-enumerated under the mapped arrival times of the
     /// previous round — ranked by the arrival of each cut's best
     /// library match, tie-broken on area-flow — and the covering
-    /// passes rerun, keeping the better cover. Rounds run under
-    /// [`Objective::Delay`] only and stop early once the critical path
-    /// stops improving; `0` reproduces the single-enumeration engine
-    /// exactly.
+    /// passes rerun. Rounds run under [`Objective::Delay`] only. A
+    /// round's cover is kept, and the next round runs, when it has a
+    /// shorter critical path, or the same one at a smaller area;
+    /// otherwise the rounds stop. `0` reproduces the single-enumeration
+    /// engine exactly.
     pub delay_rounds: usize,
     /// Covering objective.
     pub objective: Objective,
@@ -161,22 +163,22 @@ impl Default for MapOptions {
     }
 }
 
-const ALIAS: usize = usize::MAX;
+const ALIAS: u32 = u32::MAX;
 const EPS: f64 = 1e-9;
 
 /// Most pins a candidate has: the widest mapped cut (and cell) has six
 /// inputs.
 const MAX_PINS: usize = 6;
 
-/// A candidate implementation of a node. Pins are stored inline, so a
-/// candidate costs no heap allocation.
+/// A candidate implementation of a node, in 32 bytes. Pins are stored
+/// inline, so a candidate costs no heap allocation.
 #[derive(Debug, Clone)]
 struct Cand {
-    /// Library cell, or [`ALIAS`] for a wire/complement alias.
-    cell: usize,
-    /// Per pin: (leaf AIG node, complemented); the first `npins` are
-    /// used.
-    pins: [(NodeId, bool); MAX_PINS],
+    /// Library cell index, or [`ALIAS`] for a wire/complement alias.
+    cell: u32,
+    /// Per pin: the leaf AIG node, complemented iff the pin receives
+    /// the leaf's complement; the first `npins` are used.
+    pins: [Lit; MAX_PINS],
     npins: u8,
     /// Node = cell output ⊕ out_compl.
     out_compl: bool,
@@ -185,15 +187,14 @@ struct Cand {
     cut: u8,
 }
 
+// A delay map holds about a dozen candidates per AND node, so a field
+// added here grows a request's peak memory; keep a candidate at 32
+// bytes.
+const _: () = assert!(std::mem::size_of::<Cand>() == 32);
+
 impl Cand {
-    fn new(
-        cell: usize,
-        pins: impl IntoIterator<Item = (NodeId, bool)>,
-        out_compl: bool,
-        cut: u8,
-    ) -> Cand {
-        let unused = [(NodeId::CONST, false); MAX_PINS];
-        let mut c = Cand { cell, pins: unused, npins: 0, out_compl, cut };
+    fn new(cell: u32, pins: impl IntoIterator<Item = Lit>, out_compl: bool, cut: u8) -> Cand {
+        let mut c = Cand { cell, pins: [Lit::FALSE; MAX_PINS], npins: 0, out_compl, cut };
         let mut pins = pins.into_iter();
         for (slot, pin) in c.pins.iter_mut().zip(pins.by_ref()) {
             *slot = pin;
@@ -204,8 +205,35 @@ impl Cand {
     }
 
     /// Per pin: (leaf AIG node, complemented).
-    fn pins(&self) -> &[(NodeId, bool)] {
-        &self.pins[..usize::from(self.npins)]
+    fn pins(&self) -> impl ExactSizeIterator<Item = (NodeId, bool)> + '_ {
+        self.pins[..usize::from(self.npins)].iter().map(|l| (l.node(), l.is_complement()))
+    }
+
+    /// The (leaf, complemented) pair an alias forwards: its one pin.
+    fn alias_leaf(&self) -> (NodeId, bool) {
+        (self.pins[0].node(), self.pins[0].is_complement())
+    }
+
+    /// The library cell of a non-alias candidate.
+    fn lib_cell<'l>(&self, library: &'l Library) -> &'l Cell {
+        &library.cells()[self.cell as usize]
+    }
+}
+
+/// Every node's candidates in one flat buffer, in node order: node
+/// `i`'s candidates are `list[start[i]..start[i + 1]]`, and a node
+/// that is not an AND has none. Index it by node index, as in
+/// `cands[i][choice]`.
+struct Cands {
+    list: Vec<Cand>,
+    start: Vec<usize>,
+}
+
+impl Index<usize> for Cands {
+    type Output = [Cand];
+
+    fn index(&self, node: usize) -> &[Cand] {
+        &self.list[self.start[node]..self.start[node + 1]]
     }
 }
 
@@ -304,17 +332,19 @@ pub fn map(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
     };
 
     let cands = generate_cands(&ctx, &cuts, &mut matcher);
-    let mut sel = run_cover(&ctx, &cands, &opts);
+    let sel = run_cover(&ctx, &cands, &opts);
     let mut best = extract(&ctx, &cuts, &cands, &sel);
     #[cfg(feature = "paranoid")]
     {
         let r = crate::check::check_mapping(aig, &best, library);
         assert!(r.is_ok(), "paranoid: initial cover is corrupt: {r:?}");
     }
-    // The arrival rounds read only `sel`: free round 0's cuts and
-    // candidates before they enumerate their own.
+    // The arrival rounds read only the kept cover's arrivals and area
+    // flows: free round 0's cuts, candidates and the rest of its
+    // selection before they enumerate their own.
     drop(cands);
     drop(cuts);
+    let Sel { mut arr, mut aflow, .. } = sel;
 
     // ---- arrival-aware delay rounds ----
     // Structural cut ranking is a poor proxy for mapped arrival: the
@@ -330,8 +360,6 @@ pub fn map(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
     // the plain single-enumeration flow.
     let rounds = if opts.objective == Objective::Delay { opts.delay_rounds } else { 0 };
     for _ in 0..rounds {
-        let arr = sel.arr.clone();
-        let aflow = sel.aflow.clone();
         let mut support: Vec<usize> = Vec::with_capacity(6);
         let cuts = enumerate_cuts_custom(aig, params, |_root, leaves, tt| {
             arrival_cost(&ctx, &mut matcher, &mut support, &arr, &aflow, leaves, tt)
@@ -352,7 +380,7 @@ pub fn map(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
             break;
         }
         best = m;
-        sel = new_sel;
+        Sel { arr, aflow, .. } = new_sel;
     }
     best
 }
@@ -364,13 +392,17 @@ pub fn map(aig: &Aig, library: &Library, opts: MapOptions) -> Mapping {
 ///
 /// Panics if some node ends up without a candidate (the library lacks
 /// a 2-input-complete cell set).
-fn generate_cands(ctx: &Ctx<'_>, cuts: &CutArena, matcher: &mut Matcher<'_>) -> Vec<Vec<Cand>> {
+fn generate_cands(ctx: &Ctx<'_>, cuts: &CutArena, matcher: &mut Matcher<'_>) -> Cands {
     let aig = ctx.aig;
     let library = ctx.library;
-    let mut cands: Vec<Vec<Cand>> = vec![Vec::new(); aig.num_nodes()];
+    let mut list = Vec::new();
+    let mut start = Vec::with_capacity(aig.num_nodes() + 1);
     let mut support: Vec<usize> = Vec::with_capacity(6);
-    for id in aig.and_ids() {
-        let mut list = Vec::new();
+    for id in aig.node_ids() {
+        start.push(list.len());
+        if !aig.is_and(id) {
+            continue;
+        }
         for (pos, cut) in cuts.of(id).enumerate() {
             if cut.size() < 2 {
                 continue;
@@ -384,33 +416,34 @@ fn generate_cands(ctx: &Ctx<'_>, cuts: &CutArena, matcher: &mut Matcher<'_>) -> 
                 1 => {
                     // The node is a (possibly complemented) wire.
                     let compl = w >> (1u64 << support[0]) & 1 == 0;
-                    list.push(Cand::new(ALIAS, [(cut.leaves()[support[0]], compl)], false, pos));
+                    let pin = Lit::new(cut.leaves()[support[0]], compl);
+                    list.push(Cand::new(ALIAS, [pin], false, pos));
                 }
                 k => {
                     let compact = word::shrink_to(w, &support);
                     for m in matcher.matches_word(k, compact) {
-                        let cell = &library.cells()[m.cell];
-                        let pins = (0..cell.num_inputs).map(|pin| {
-                            (
+                        let cell = u32::try_from(m.cell).expect("library cell indices fit a u32");
+                        let pins = (0..library.cells()[m.cell].num_inputs).map(|pin| {
+                            Lit::new(
                                 cut.leaves()[support[m.transform.perm(pin)]],
                                 m.transform.input_flipped(pin),
                             )
                         });
-                        list.push(Cand::new(m.cell, pins, m.transform.output_flipped(), pos));
+                        list.push(Cand::new(cell, pins, m.transform.output_flipped(), pos));
                     }
                 }
             }
         }
-        assert!(!list.is_empty(), "no candidate for node {id:?} — library incomplete");
-        cands[id.index()] = list;
+        assert!(list.len() > start[id.index()], "no candidate for node {id:?} — library incomplete");
     }
-    cands
+    start.push(list.len());
+    Cands { list, start }
 }
 
 /// Runs the covering pass pipeline — forward pass, area-flow recovery
 /// under required times, exact-area refinement — over a fixed
 /// candidate set and returns the final per-node selection.
-fn run_cover(ctx: &Ctx<'_>, cands: &[Vec<Cand>], opts: &MapOptions) -> Sel {
+fn run_cover(ctx: &Ctx<'_>, cands: &Cands, opts: &MapOptions) -> Sel {
     let n = ctx.aig.num_nodes();
     let mut sel = Sel {
         choice: vec![0; n],
@@ -524,7 +557,7 @@ fn arrival_cost(
 /// candidate under the current leaf state.
 fn eval_cand(ctx: &Ctx<'_>, sel: &Sel, c: &Cand) -> (f64, f64, bool) {
     if c.cell == ALIAS {
-        let (leaf, compl) = c.pins()[0];
+        let (leaf, compl) = c.alias_leaf();
         let ph = sel.phase[leaf.index()] ^ compl;
         return (
             sel.arr[leaf.index()],
@@ -532,10 +565,10 @@ fn eval_cand(ctx: &Ctx<'_>, sel: &Sel, c: &Cand) -> (f64, f64, bool) {
             if ctx.free_pol { false } else { ph },
         );
     }
-    let cell = &ctx.library.cells()[c.cell];
+    let cell = c.lib_cell(ctx.library);
     let mut a = 0.0f64;
     let mut flow = cell.area;
-    for (pin, &(leaf, compl)) in c.pins().iter().enumerate() {
+    for (pin, (leaf, compl)) in c.pins().enumerate() {
         let needs_inv = !ctx.free_pol && (sel.phase[leaf.index()] ^ compl);
         let pin_arr = sel.arr[leaf.index()]
             + if needs_inv { ctx.inv_delay } else { 0.0 }
@@ -551,7 +584,7 @@ fn eval_cand(ctx: &Ctx<'_>, sel: &Sel, c: &Cand) -> (f64, f64, bool) {
 }
 
 /// One forward selection pass over all AND nodes.
-fn select_pass(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, mode: Mode, obj: Objective) {
+fn select_pass(ctx: &Ctx<'_>, cands: &Cands, sel: &mut Sel, mode: Mode, obj: Objective) {
     for id in ctx.aig.and_ids() {
         let i = id.index();
         if mode == Mode::Exact && cands[i][sel.choice[i]].cell == ALIAS {
@@ -645,7 +678,7 @@ fn cover_delay(ctx: &Ctx<'_>, sel: &Sel) -> f64 {
 /// required times stay infinite — recovery is unconstrained.
 fn prepare_required(
     ctx: &Ctx<'_>,
-    cands: &[Vec<Cand>],
+    cands: &Cands,
     sel: &mut Sel,
     obj: Objective,
     target: &mut f64,
@@ -683,12 +716,12 @@ fn prepare_required(
         let c = &cands[i][sel.choice[i]];
         let req_i = sel.required[i];
         if c.cell == ALIAS {
-            let (leaf, _) = c.pins()[0];
+            let (leaf, _) = c.alias_leaf();
             required_min(&mut sel.required, leaf, req_i);
             continue;
         }
-        let cell = &ctx.library.cells()[c.cell];
-        for (pin, &(leaf, compl)) in c.pins().iter().enumerate() {
+        let cell = c.lib_cell(ctx.library);
+        for (pin, (leaf, compl)) in c.pins().enumerate() {
             let pen = if !ctx.free_pol && (sel.phase[leaf.index()] ^ compl) {
                 ctx.inv_delay
             } else {
@@ -706,14 +739,14 @@ fn required_min(required: &mut [f64], node: NodeId, value: f64) {
 
 /// Follows alias chains to the base gate node actually emitted for
 /// `n`, or `None` when the chain ends at a PI/constant.
-fn resolve_base(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &Sel, mut n: NodeId) -> Option<NodeId> {
+fn resolve_base(ctx: &Ctx<'_>, cands: &Cands, sel: &Sel, mut n: NodeId) -> Option<NodeId> {
     loop {
         if !ctx.aig.is_and(n) {
             return None;
         }
         let c = &cands[n.index()][sel.choice[n.index()]];
         if c.cell == ALIAS {
-            n = c.pins()[0].0;
+            n = c.alias_leaf().0;
         } else {
             return Some(n);
         }
@@ -724,14 +757,14 @@ fn cand_area(ctx: &Ctx<'_>, c: &Cand) -> f64 {
     if c.cell == ALIAS {
         0.0
     } else {
-        ctx.library.cells()[c.cell].area
+        c.lib_cell(ctx.library).area
     }
 }
 
 /// References every base gate a candidate's pins resolve to,
 /// cascading into newly-referenced gates; returns the area those new
 /// references pull into the cover.
-fn ref_cover(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, c: &Cand) -> f64 {
+fn ref_cover(ctx: &Ctx<'_>, cands: &Cands, sel: &mut Sel, c: &Cand) -> f64 {
     let mut area = 0.0;
     let mut stack = std::mem::take(&mut sel.stack);
     push_bases(ctx, cands, sel, c, &mut stack);
@@ -750,7 +783,7 @@ fn ref_cover(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, c: &Cand) -> f64
 
 /// Inverse of [`ref_cover`]: releases the references a candidate's
 /// pins hold on the cover.
-fn deref_cover(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, c: &Cand) {
+fn deref_cover(ctx: &Ctx<'_>, cands: &Cands, sel: &mut Sel, c: &Cand) {
     let mut stack = std::mem::take(&mut sel.stack);
     push_bases(ctx, cands, sel, c, &mut stack);
     while let Some(b) = stack.pop() {
@@ -766,8 +799,8 @@ fn deref_cover(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, c: &Cand) {
 }
 
 /// Pushes the base gate each of a candidate's pins resolves to.
-fn push_bases(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &Sel, c: &Cand, stack: &mut Vec<NodeId>) {
-    stack.extend(c.pins().iter().filter_map(|&(leaf, _)| resolve_base(ctx, cands, sel, leaf)));
+fn push_bases(ctx: &Ctx<'_>, cands: &Cands, sel: &Sel, c: &Cand, stack: &mut Vec<NodeId>) {
+    stack.extend(c.pins().filter_map(|(leaf, _)| resolve_base(ctx, cands, sel, leaf)));
 }
 
 /// Exact incremental area a candidate would add to the current cover
@@ -775,11 +808,11 @@ fn push_bases(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &Sel, c: &Cand, stack: &m
 /// evaluated by a reference/dereference trial that leaves the counts
 /// untouched. CMOS polarity fixes are charged as amortized inverter
 /// area per mismatched pin.
-fn trial_exact_area(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, c: &Cand) -> f64 {
+fn trial_exact_area(ctx: &Ctx<'_>, cands: &Cands, sel: &mut Sel, c: &Cand) -> f64 {
     let mut ex = cand_area(ctx, c) + ref_cover(ctx, cands, sel, c);
     deref_cover(ctx, cands, sel, c);
     if !ctx.free_pol {
-        for &(leaf, compl) in c.pins() {
+        for (leaf, compl) in c.pins() {
             if sel.phase[leaf.index()] ^ compl {
                 ex += ctx.inv_area / ctx.fanout[leaf.index()].max(1) as f64;
             }
@@ -795,7 +828,7 @@ fn trial_exact_area(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel, c: &Cand)
 /// base (non-alias) gate nodes; consumers of an alias node hold their
 /// reference on the chain's base instead, which is why alias choices
 /// are frozen while references are live.
-fn compute_refs(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel) {
+fn compute_refs(ctx: &Ctx<'_>, cands: &Cands, sel: &mut Sel) {
     for r in sel.nref.iter_mut() {
         *r = 0;
     }
@@ -817,7 +850,7 @@ fn compute_refs(ctx: &Ctx<'_>, cands: &[Vec<Cand>], sel: &mut Sel) {
 
 /// Extracts the final cover as a netlist with statistics. `cuts` is
 /// the arena `cands` was generated from.
-fn extract(ctx: &Ctx<'_>, cuts: &CutArena, cands: &[Vec<Cand>], sel: &Sel) -> Mapping {
+fn extract(ctx: &Ctx<'_>, cuts: &CutArena, cands: &Cands, sel: &Sel) -> Mapping {
     let aig = ctx.aig;
     let library = ctx.library;
     let n = aig.num_nodes();
@@ -840,7 +873,7 @@ fn extract(ctx: &Ctx<'_>, cuts: &CutArena, cands: &[Vec<Cand>], sel: &Sel) -> Ma
             }
             let c = &cands[cur.index()][sel.choice[cur.index()]];
             if c.cell == ALIAS {
-                let (leaf, compl) = c.pins()[0];
+                let (leaf, compl) = c.alias_leaf();
                 match resolved[leaf.index()] {
                     Some((src, lc)) => {
                         resolved[cur.index()] = Some((src, lc ^ compl));
@@ -852,7 +885,7 @@ fn extract(ctx: &Ctx<'_>, cuts: &CutArena, cands: &[Vec<Cand>], sel: &Sel) -> Ma
                 }
             } else {
                 resolved[cur.index()] = Some((Source::Node(cur), false));
-                for &(leaf, _) in c.pins() {
+                for (leaf, _) in c.pins() {
                     stack.push(leaf);
                 }
             }
@@ -891,10 +924,10 @@ fn extract(ctx: &Ctx<'_>, cuts: &CutArena, cands: &[Vec<Cand>], sel: &Sel) -> Ma
             wires.push((id, cut_leaves(id, c)));
             continue;
         }
-        let cell = &library.cells()[c.cell];
+        let cell = c.lib_cell(library);
         let mut pins = Vec::with_capacity(c.pins().len());
         let mut lvl = 0u32;
-        for &(leaf, compl) in c.pins() {
+        for (leaf, compl) in c.pins() {
             let (src, lc) = resolved[leaf.index()].expect("leaf resolved");
             let pin_compl = compl ^ lc;
             // Physical phase of the source:
@@ -917,7 +950,7 @@ fn extract(ctx: &Ctx<'_>, cuts: &CutArena, cands: &[Vec<Cand>], sel: &Sel) -> Ma
         area += cell.area;
         gates.push(MappedGate {
             root: id,
-            cell: c.cell,
+            cell: c.cell as usize,
             pins,
             out_compl: c.out_compl,
             leaves: cut_leaves(id, c),

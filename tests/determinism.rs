@@ -18,9 +18,9 @@ use cntfet_aig::{
 use cntfet_bench::{run_suite_with, suite_libraries};
 use cntfet_bench::serve::{BatchReport, ServeOutcome, ServeStats, SynthRequest, SynthService};
 use cntfet_circuits::{
-    array_multiplier, cla_adder, paper_benchmarks, ripple_adder, shift_add_multiplier,
+    array_multiplier, cla_adder, des_chain, paper_benchmarks, ripple_adder, shift_add_multiplier,
 };
-use cntfet_core::LogicFamily;
+use cntfet_core::{Library, LogicFamily};
 use cntfet_synth::resyn2rs;
 use cntfet_techmap::{map, MapOptions, Mapping, Objective, PoBinding, Source};
 
@@ -239,6 +239,19 @@ fn covers_are_pinned() {
     });
     let h = covers.iter().flatten().fold(0u64, fold_mapping);
     assert_eq!(h, 0x3cd0_7c86_4072_c740, "a cover changed");
+}
+
+/// The TG-static delay cover of a 2-round DES Feistel chain after
+/// `resyn2rs` is pinned by one digest. The chain is the benchmark's
+/// circuit family (large-par delay-maps the 8-round chain the same
+/// way), and no suite circuit chains Feistel rounds.
+#[test]
+fn des_chain_delay_cover_is_pinned() {
+    let optimized = resyn2rs(&des_chain(2));
+    let lib = Library::new(LogicFamily::TgStatic);
+    let opts = MapOptions { objective: Objective::Delay, ..MapOptions::default() };
+    let h = fold_mapping(0, &map(&optimized, &lib, opts));
+    assert_eq!(h, 0x825f_2fb4_5e77_8bd6, "the DES-chain delay cover changed");
 }
 
 /// The `resyn2rs` output of each of the 15 suite circuits is pinned by
