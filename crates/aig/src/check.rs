@@ -797,19 +797,19 @@ mod tests {
     fn detects_cut_bounds_and_unit_corruption() {
         let (g, cuts) = cut_sample();
 
-        let mut wide = CutArena { spans: cuts.spans[..2].to_vec(), ..clone_arena(&cuts) };
+        let mut wide = CutArena { spans: cuts.spans[..2].to_vec(), ..cuts.clone() };
         assert!(matches!(wide.check(&g), Err(CheckError::CutArenaSize { .. })));
         wide.spans = cuts.spans.clone();
         wide.spans.last_mut().expect("nonempty").1 = u32::MAX;
         assert!(matches!(wide.check(&g), Err(CheckError::CutSpanBounds { .. })));
 
-        let mut oob = clone_arena(&cuts);
+        let mut oob = cuts.clone();
         let victim = oob.cuts.len() - 1;
         oob.cuts[victim].off = oob.leaves.len() as u32;
         oob.cuts[victim].len = 2;
         assert!(matches!(oob.check(&g), Err(CheckError::CutLeafBounds { .. })));
 
-        let mut nounit = clone_arena(&cuts);
+        let mut nounit = cuts.clone();
         let root = g.pos()[0].node();
         let (s, _) = nounit.spans[root.index()];
         nounit.spans[root.index()].0 = s + 1; // drop the unit cut
@@ -878,17 +878,5 @@ mod tests {
         assert!(e.to_string().contains("node 7"));
         let boxed: Box<dyn std::error::Error> = Box::new(e);
         assert!(boxed.to_string().contains("hash"));
-    }
-
-    /// Manual clone (CutData is Copy; CutArena itself is not Clone to
-    /// keep the public surface minimal).
-    fn clone_arena(a: &CutArena) -> CutArena {
-        CutArena {
-            k: a.k,
-            has_tts: a.has_tts,
-            leaves: a.leaves.clone(),
-            cuts: a.cuts.clone(),
-            spans: a.spans.clone(),
-        }
     }
 }

@@ -7,12 +7,11 @@
 //! cuts. Enumeration keeps a bounded list of the best cuts per node —
 //! the smallest ones, or those an external cost oracle ranks first
 //! ([`enumerate_cuts_custom`]) — prunes dominated cuts with
-//! bloom-style signatures, and — for cut sizes the mapper uses
-//! (`k ≤ 6`) — computes every kept cut's function as a single `u64`
-//! word in the same forward pass, so downstream consumers never walk
+//! bloom-style signatures, and computes every kept cut's function as a
+//! single `u64` word in the same forward pass (cuts have at most
+//! [`word::MAX_WORD_VARS`] leaves), so downstream consumers never walk
 //! cones or allocate per-cut sets.
 
-use crate::edit::EditDelta;
 use crate::graph::{Aig, NodeId};
 use cntfet_boolfn::{word, TruthTable};
 
@@ -31,7 +30,7 @@ pub enum CutRank {
 /// Parameters of [`enumerate_cuts_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CutParams {
-    /// Maximum cut size (`k ≥ 2`).
+    /// Maximum cut size (`2 ≤ k ≤ 6`).
     pub k: usize,
     /// Priority cuts kept per node, unit cut included. The direct
     /// fanin-pair cut of an AND node is always among them (displacing
@@ -44,7 +43,7 @@ pub struct CutParams {
 }
 
 /// Per-cut record: a slice of the arena's leaf buffer plus signature
-/// and (for `k ≤ 6`) the cut function.
+/// and the cut function.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CutData {
     /// Offset of the first leaf in the arena buffer.
@@ -54,8 +53,7 @@ pub(crate) struct CutData {
     /// Bloom-style signature (`1 << (leaf % 64)` folded over leaves).
     pub(crate) sig: u64,
     /// Function of the cut's root over its leaves (leaf `i` is
-    /// variable `i`), replicated-u64 form; valid iff the arena carries
-    /// truth tables.
+    /// variable `i`), replicated-u64 form.
     pub(crate) tt: u64,
 }
 
@@ -64,7 +62,6 @@ pub(crate) struct CutData {
 #[derive(Debug, Clone)]
 pub struct CutArena {
     pub(crate) k: usize,
-    pub(crate) has_tts: bool,
     pub(crate) leaves: Vec<NodeId>,
     pub(crate) cuts: Vec<CutData>,
     /// Per node: `[start, end)` into `cuts`.
@@ -72,357 +69,15 @@ pub struct CutArena {
 }
 
 impl CutArena {
-    /// The cut-size bound enumeration ran with.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Whether cut functions were computed in-pass (`k ≤ 6`).
-    pub fn has_functions(&self) -> bool {
-        self.has_tts
-    }
-
     /// Total number of cuts stored.
     pub fn num_cuts(&self) -> usize {
         self.cuts.len()
-    }
-
-    /// Total number of leaf slots stored.
-    pub fn num_leaves(&self) -> usize {
-        self.leaves.len()
     }
 
     /// The cuts of a node; the first cut is always the unit cut.
     pub fn of(&self, node: NodeId) -> CutIter<'_> {
         let (start, end) = self.spans[node.index()];
         CutIter { arena: self, cur: start as usize, end: end as usize }
-    }
-
-    /// Re-enumerates cuts only where an editing session changed the
-    /// graph, splicing the refreshed lists into the arena in place.
-    ///
-    /// `delta` is the [`EditDelta`] returned by [`Aig::end_edit`] and
-    /// `params` must carry the same `k` the arena was built with. The
-    /// ascending pass recomputes every seed-dirty node plus any node
-    /// whose fanin's cut list actually changed, and stops propagating
-    /// as soon as a refreshed list comes out identical to the stored
-    /// one — so the work is proportional to the edit's structural
-    /// footprint, not to the graph.
-    ///
-    /// After the call every node's cut list — leaves, functions, rank
-    /// order — is identical to what
-    /// [`enumerate_cuts_with`] would produce from scratch on the
-    /// post-edit graph (including its convention that a fanin appended
-    /// *after* its fanout reads as an empty list during the ascending
-    /// pass). Only the arena's internal storage order may differ:
-    /// superseded spans linger as unreachable garbage until the next
-    /// full enumeration. With `CNTFET_NO_CACHE=1` set
-    /// ([`cntfet_boolfn::cache::enabled`]) the whole arena is rebuilt
-    /// from scratch instead — behaviourally identical, just without
-    /// the dirty-region shortcut.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.k` differs from the arena's, or if the arena,
-    /// delta and graph sizes are inconsistent (e.g. the arena was not
-    /// built from the delta's pre-edit graph).
-    pub fn update(&mut self, aig: &Aig, delta: &EditDelta, params: CutParams) {
-        if !cntfet_boolfn::cache::enabled() {
-            self.update_prepare(aig, delta, params);
-            *self = enumerate_cuts_with(aig, params);
-            return;
-        }
-        self.update_prepare(aig, delta, params);
-        let n = aig.num_nodes();
-        let mut seed = vec![false; n];
-        for d in delta.dirty() {
-            seed[d.index()] = true;
-        }
-        let mut changed = vec![false; n];
-        let mut sc = NodeScratch::default();
-        let (mut tmp_leaves, mut tmp_cuts) = (Vec::new(), Vec::new());
-        for i in 0..n {
-            let id = NodeId::from_index(i);
-            let is_and = aig.is_and(id);
-            let need = seed[i]
-                || (is_and && {
-                    let (f0, f1) = aig.fanins(id);
-                    let (a, b) = (f0.node().index(), f1.node().index());
-                    // Propagation only flows upward: the from-scratch
-                    // pass reads an empty list for a fanin at or above
-                    // the node's id, so its content cannot matter here.
-                    (a < i && changed[a]) || (b < i && changed[b])
-                });
-            if !need {
-                continue;
-            }
-            if is_and {
-                // Emulate the from-scratch ascending-order semantics on
-                // an edited (non-topological) graph: a fanin whose id
-                // is not below the node's reads as an empty cut list —
-                // hide such spans for the duration of the merge.
-                let (f0, f1) = aig.fanins(id);
-                let mut hid: [Option<(usize, (u32, u32))>; 2] = [None, None];
-                for (slot, fi) in [f0.node().index(), f1.node().index()].into_iter().enumerate()
-                {
-                    if fi >= i && hid[0].map(|(x, _)| x) != Some(fi) {
-                        hid[slot] = Some((fi, self.spans[fi]));
-                        self.spans[fi] = (0, 0);
-                    }
-                }
-                compute_node_cuts(self, aig, id, params.max_cuts, None, &mut sc);
-                for (fi, span) in hid.into_iter().flatten() {
-                    self.spans[fi] = span;
-                }
-                rebase_scratch(&sc, &mut tmp_leaves, &mut tmp_cuts);
-            } else {
-                // PI, constant or reclaimed node: the list is just the
-                // unit cut, exactly as the from-scratch pass emits it.
-                tmp_leaves.clear();
-                tmp_cuts.clear();
-            }
-            if self.stored_equals(id, &tmp_cuts, &tmp_leaves) {
-                continue;
-            }
-            changed[i] = true;
-            self.splice(id, &tmp_cuts, &tmp_leaves);
-        }
-    }
-
-    /// Follows the arena across [`Aig::compact_with_map`]: remaps every
-    /// stored cut into the compacted graph's id space, then repairs the
-    /// lists compaction changed — so a persistent arena survives the
-    /// `end_edit → update → compact` cycle of a synthesis pass instead
-    /// of being re-enumerated from scratch each round.
-    ///
-    /// `aig` must be the compacted graph the map describes and the
-    /// arena must be current for the pre-compaction graph (i.e.
-    /// [`CutArena::update`] already ran for the session's delta). Per
-    /// cut, leaves follow the map and are re-sorted under the new id
-    /// order, the function word is permuted along, and the signature is
-    /// refolded; the list order carries over, because a renaming keeps
-    /// every cut's leaf count. Two kinds of AND node are re-enumerated,
-    /// and the change propagated upward with the same stop-on-equal
-    /// walk [`CutArena::update`] uses: nodes whose pre-compaction list
-    /// was computed under the edited graph's empty-fanin convention (an
-    /// appended fanout preceding its fanin in id order), which are
-    /// exactly the unit-only lists, and nodes whose fanins compaction
-    /// put in the other order, because equal-size cuts keep the order
-    /// in which the fanins' cuts were merged.
-    ///
-    /// After the call every node's cut list is identical to what
-    /// [`enumerate_cuts_with`] would produce from scratch on the
-    /// compacted graph. When the remap is not a clean positive
-    /// bijection (compaction merged, complemented or constant-folded
-    /// surviving nodes) or `CNTFET_NO_CACHE=1` disables incremental
-    /// paths, the arena is rebuilt from scratch instead — behaviourally
-    /// identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.k` differs from the arena's, or if the arena,
-    /// map and graph sizes are inconsistent.
-    pub fn rebase(&mut self, map: &crate::graph::CompactMap, aig: &Aig, params: CutParams) {
-        assert!(params.k >= 2, "cut size must be at least 2");
-        assert_eq!(params.k, self.k, "rebase must reuse the arena's cut size");
-        assert_eq!(
-            self.spans.len(),
-            map.old_len(),
-            "arena was not built from the map's pre-compaction graph"
-        );
-        assert_eq!(aig.num_nodes(), map.new_len(), "graph is not the map's compacted graph");
-        if !cntfet_boolfn::cache::enabled() {
-            *self = enumerate_cuts_with(aig, params);
-            return;
-        }
-        match self.rebase_clean(map, aig, params) {
-            Some(out) => *self = out,
-            None => *self = enumerate_cuts_with(aig, params),
-        }
-    }
-
-    /// The remap-and-repair path of [`CutArena::rebase`]; `None` when
-    /// the map is not a clean positive bijection and the caller must
-    /// re-enumerate.
-    fn rebase_clean(
-        &self,
-        map: &crate::graph::CompactMap,
-        aig: &Aig,
-        params: CutParams,
-    ) -> Option<CutArena> {
-        let n_new = map.new_len();
-        // Invert the map, requiring a positive bijection: every
-        // surviving old node maps to a distinct uncomplemented new
-        // node and every new node has a preimage. Anything else means
-        // compaction rewrote structure (strash merges, trivial folds)
-        // and cut lists cannot be carried over one-for-one.
-        let mut pre: Vec<Option<NodeId>> = vec![None; n_new];
-        let mut old2new: Vec<u32> = vec![u32::MAX; map.old_len()];
-        for (i, slot) in old2new.iter_mut().enumerate() {
-            if let Some(l) = map.map_id(NodeId::from_index(i)) {
-                if l.is_complement() || pre[l.node().index()].is_some() {
-                    return None;
-                }
-                pre[l.node().index()] = Some(NodeId::from_index(i));
-                *slot = l.node().index() as u32;
-            }
-        }
-        if pre.iter().any(Option::is_none) {
-            return None;
-        }
-
-        let mut out = fresh_arena(aig, self.k, params.max_cuts);
-        let mut seed = vec![false; n_new];
-        let mut newl: Vec<NodeId> = Vec::new();
-        let mut ord: Vec<usize> = Vec::new();
-        let mut perm: Vec<usize> = Vec::new();
-        for j in 0..n_new {
-            let id = NodeId::from_index(j);
-            let start = out.cuts.len() as u32;
-            push_unit(&mut out, id);
-            if aig.is_and(id) {
-                let old = pre[j]?; // checked non-None above
-                let (s, e) = self.spans[old.index()];
-                let mut nonunit = 0usize;
-                // Skip the stored unit cut (always first) — `push_unit`
-                // already emitted the new one.
-                for ci in s as usize + 1..e as usize {
-                    let c = self.cuts[ci];
-                    let lv = &self.leaves[c.off as usize..(c.off + c.len as u32) as usize];
-                    newl.clear();
-                    for &l in lv {
-                        let t = old2new[l.index()];
-                        if t == u32::MAX {
-                            return None; // leaf died: list is stale, rebuild
-                        }
-                        newl.push(NodeId::from_index(t as usize));
-                    }
-                    // Re-sort leaves under the new id order; the cut
-                    // function's variables follow the same permutation.
-                    ord.clear();
-                    ord.extend(0..newl.len());
-                    ord.sort_by_key(|&p| newl[p]);
-                    let tt = if out.has_tts {
-                        perm.clear();
-                        perm.resize(ord.len(), 0);
-                        for (p, &oi) in ord.iter().enumerate() {
-                            perm[oi] = p;
-                        }
-                        word::permute(c.tt, &perm)
-                    } else {
-                        0
-                    };
-                    let off = out.leaves.len() as u32;
-                    let mut sig = 0u64;
-                    for &p in &ord {
-                        out.leaves.push(newl[p]);
-                        sig |= 1 << (newl[p].index() % 64);
-                    }
-                    out.cuts.push(CutData { off, len: c.len, sig, tt });
-                    nonunit += 1;
-                }
-                // A from-scratch AND list always keeps at least the
-                // direct fanin-pair cut; a unit-only list is exactly
-                // the edited graph's empty-fanin degeneracy and must be
-                // re-enumerated against the (topological) new graph.
-                // So must a list whose fanins compaction put in the
-                // other order: enumeration merges the lower fanin's
-                // cuts first, and equal costs keep that merge order.
-                let (f0, f1) = aig.fanins(id);
-                let swapped = pre[f0.node().index()] > pre[f1.node().index()];
-                seed[j] = nonunit == 0 || swapped;
-            }
-            out.spans[j] = (start, out.cuts.len() as u32);
-        }
-
-        // Repair pass: recompute the degenerate seeds and propagate
-        // upward while lists keep changing — the compacted graph is
-        // topological in id order, so the plain ascending walk of
-        // `update` applies without span hiding.
-        let mut changed = vec![false; n_new];
-        let mut sc = NodeScratch::default();
-        let (mut tmp_leaves, mut tmp_cuts) = (Vec::new(), Vec::new());
-        for i in 0..n_new {
-            let id = NodeId::from_index(i);
-            if !aig.is_and(id) {
-                continue;
-            }
-            let (f0, f1) = aig.fanins(id);
-            if !(seed[i] || changed[f0.node().index()] || changed[f1.node().index()]) {
-                continue;
-            }
-            compute_node_cuts(&out, aig, id, params.max_cuts, None, &mut sc);
-            rebase_scratch(&sc, &mut tmp_leaves, &mut tmp_cuts);
-            if out.stored_equals(id, &tmp_cuts, &tmp_leaves) {
-                continue;
-            }
-            changed[i] = true;
-            out.splice(id, &tmp_cuts, &tmp_leaves);
-        }
-        Some(out)
-    }
-
-    /// Shared sanity checks of the incremental entry points, plus span
-    /// growth for nodes the edit appended.
-    fn update_prepare(&mut self, aig: &Aig, delta: &EditDelta, params: CutParams) {
-        assert!(params.k >= 2, "cut size must be at least 2");
-        assert_eq!(params.k, self.k, "incremental update must reuse the arena's cut size");
-        assert_eq!(
-            self.spans.len(),
-            delta.nodes_before(),
-            "arena was not built from the delta's pre-edit graph"
-        );
-        assert_eq!(
-            aig.num_nodes(),
-            delta.nodes_after(),
-            "delta does not describe the post-edit graph"
-        );
-        self.spans.resize(aig.num_nodes(), (0, 0));
-    }
-
-    /// True iff `id`'s stored cut list equals the unit cut followed by
-    /// `cuts` (whose offsets index `leaves`).
-    fn stored_equals(&self, id: NodeId, cuts: &[CutData], leaves: &[NodeId]) -> bool {
-        let (start, end) = self.spans[id.index()];
-        let (start, end) = (start as usize, end as usize);
-        if end - start != cuts.len() + 1 {
-            return false;
-        }
-        let u = self.cuts[start];
-        let unit_tt = if id == NodeId::CONST { 0 } else { word::var_word(0) };
-        if u.len != 1
-            || self.leaves[u.off as usize] != id
-            || u.sig != 1 << (id.index() % 64)
-            || u.tt != unit_tt
-        {
-            return false;
-        }
-        for (c_old, c_new) in self.cuts[start + 1..end].iter().zip(cuts) {
-            if c_old.len != c_new.len || c_old.sig != c_new.sig || c_old.tt != c_new.tt {
-                return false;
-            }
-            let lo = &self.leaves[c_old.off as usize..(c_old.off + c_old.len as u32) as usize];
-            let ln = &leaves[c_new.off as usize..(c_new.off + c_new.len as u32) as usize];
-            if lo != ln {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Appends the unit cut of `id` plus `cuts` (offsets indexing
-    /// `leaves`) at the arena's end and re-points the node's span; the
-    /// old span becomes unreachable garbage.
-    fn splice(&mut self, id: NodeId, cuts: &[CutData], leaves: &[NodeId]) {
-        let start = self.cuts.len() as u32;
-        push_unit(self, id);
-        for c in cuts {
-            let off = self.leaves.len() as u32;
-            self.leaves
-                .extend_from_slice(&leaves[c.off as usize..(c.off + c.len as u32) as usize]);
-            self.cuts.push(CutData { off, ..*c });
-        }
-        self.spans[id.index()] = (start, self.cuts.len() as u32);
     }
 }
 
@@ -431,7 +86,6 @@ impl CutArena {
 pub struct CutView<'a> {
     leaves: &'a [NodeId],
     tt: u64,
-    has_tt: bool,
 }
 
 impl<'a> CutView<'a> {
@@ -446,16 +100,15 @@ impl<'a> CutView<'a> {
     }
 
     /// The cut function as a replicated `u64` word over `size()`
-    /// variables (leaf `i` is variable `i`), when the arena computed
-    /// functions in-pass.
-    pub fn function_word(&self) -> Option<u64> {
-        self.has_tt.then_some(self.tt)
+    /// variables (leaf `i` is variable `i`).
+    pub fn function_word(&self) -> u64 {
+        self.tt
     }
 
-    /// The cut function as a [`TruthTable`], when available (see
+    /// The cut function as a [`TruthTable`] (see
     /// [`CutView::function_word`]).
-    pub fn function(&self) -> Option<TruthTable> {
-        self.has_tt.then(|| TruthTable::from_bits(self.size(), self.tt))
+    pub fn function(&self) -> TruthTable {
+        TruthTable::from_bits(self.size(), self.tt)
     }
 }
 
@@ -479,7 +132,6 @@ impl<'a> Iterator for CutIter<'a> {
         Some(CutView {
             leaves: &self.arena.leaves[d.off as usize..d.off as usize + d.len as usize],
             tt: d.tt,
-            has_tt: self.arena.has_tts,
         })
     }
 
@@ -520,7 +172,7 @@ impl ScratchCut {
 ///
 /// # Panics
 ///
-/// Panics if `k < 2`.
+/// Panics unless `2 ≤ k ≤ 6`.
 pub fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> CutArena {
     enumerate_cuts_with(aig, CutParams { k, max_cuts, rank: CutRank::Size })
 }
@@ -534,15 +186,14 @@ pub fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> CutArena {
 /// Dominance is decided after all merges, visiting cuts by size: a cut
 /// survives iff no smaller or earlier-found surviving cut is a subset
 /// of it. That visiting order is the rank order, so the visit stops
-/// once the list is full and later cuts are never compared. When
-/// `k ≤ 6` each kept cut's function is derived from its two fanin
-/// cuts' words — expanded onto the merged leaf set and ANDed — so no
-/// cone traversal ever happens afterwards; cuts that are pruned or
-/// truncated get no word.
+/// once the list is full and later cuts are never compared. Each kept
+/// cut's function is derived from its two fanin cuts' words — expanded
+/// onto the merged leaf set and ANDed — so no cone traversal ever
+/// happens afterwards; cuts that are pruned or truncated get no word.
 ///
 /// # Panics
 ///
-/// Panics if `params.k < 2`.
+/// Panics unless `2 ≤ params.k ≤ 6` ([`word::MAX_WORD_VARS`]).
 pub fn enumerate_cuts_with(aig: &Aig, params: CutParams) -> CutArena {
     enumerate_impl(aig, params, None)
 }
@@ -550,8 +201,7 @@ pub fn enumerate_cuts_with(aig: &Aig, params: CutParams) -> CutArena {
 /// [`enumerate_cuts_with`] under an external ranking oracle: `cost` is
 /// called once per surviving (non-dominated, non-unit) cut, after all
 /// of the node's merges and dominance checks, in discovery order, with
-/// the cut's root, sorted leaves and — when `k ≤ 6` — its function
-/// word, and must return the `(primary, secondary)` ranking cost
+/// the cut's root, sorted leaves and function word, and must return the `(primary, secondary)` ranking cost
 /// (smaller is better); ties keep discovery order. Dominance is
 /// decided for every merged cut, and every surviving cut gets its word
 /// before its oracle call. `params.rank` is ignored. Technology
@@ -564,7 +214,7 @@ pub fn enumerate_cuts_with(aig: &Aig, params: CutParams) -> CutArena {
 ///
 /// # Panics
 ///
-/// Panics if `params.k < 2`.
+/// Panics unless `2 ≤ params.k ≤ 6`.
 pub fn enumerate_cuts_custom<F>(aig: &Aig, params: CutParams, mut cost: F) -> CutArena
 where
     F: FnMut(NodeId, &[NodeId], u64) -> (u32, u32),
@@ -619,7 +269,6 @@ fn fresh_arena(aig: &Aig, k: usize, max_cuts: usize) -> CutArena {
     let cuts = n * max_cuts.min(16);
     CutArena {
         k,
-        has_tts: k <= word::MAX_WORD_VARS,
         leaves: Vec::with_capacity(cuts * k.min(4)),
         cuts: Vec::with_capacity(cuts),
         spans: vec![(0, 0); n],
@@ -628,9 +277,7 @@ fn fresh_arena(aig: &Aig, k: usize, max_cuts: usize) -> CutArena {
 
 /// Computes the ranked non-unit cuts of AND node `id` from its fanins'
 /// cut lists in `arena`, leaving the winners in `sc.order` (indices
-/// into `sc.scuts`, rank order). Reads the arena only — callers store
-/// the results themselves: the from-scratch pass appends them, and
-/// [`CutArena::update`] first compares them with the stored list.
+/// into `sc.scuts`, rank order) for [`emit_node`] to append.
 ///
 /// Two phases. First every fanin-cut pair is merged (signature
 /// quick-reject, then the leaf merge) and recorded with its source
@@ -710,15 +357,12 @@ fn compute_node_cuts(
     }
 
     let compl = [flip(f0.is_complement()), flip(f1.is_complement())];
-    let has_tts = arena.has_tts;
     if let Some(cost) = oracle {
         // Cost the survivors in discovery order, each with its word.
         sc.order.sort_unstable();
         for &i in &sc.order {
             let s = &mut scuts[i];
-            if has_tts {
-                s.tt = merged_word(arena, s, &sc.sleaves, compl, &mut sc.pos);
-            }
+            s.tt = merged_word(arena, s, &sc.sleaves, compl, &mut sc.pos);
             s.cost = cost(id, s.leaves(&sc.sleaves), s.tt);
         }
         sc.order.sort_by_key(|&i| scuts[i].cost);
@@ -733,7 +377,7 @@ fn compute_node_cuts(
         sc.order.pop();
         sc.order.push(0);
     }
-    if has_tts && size_ranked {
+    if size_ranked {
         for &i in &sc.order {
             scuts[i].tt = merged_word(arena, &scuts[i], &sc.sleaves, compl, &mut sc.pos);
         }
@@ -754,24 +398,13 @@ fn emit_node(arena: &mut CutArena, id: NodeId, sc: &NodeScratch) {
     arena.spans[id.index()] = (start, arena.cuts.len() as u32);
 }
 
-/// Rebases the kept scratch cuts of one node into caller-owned
-/// buffers (offsets indexing `leaves`), clearing both first — the
-/// interchange format [`CutArena::stored_equals`] and
-/// [`CutArena::splice`] consume.
-fn rebase_scratch(sc: &NodeScratch, leaves: &mut Vec<NodeId>, cuts: &mut Vec<CutData>) {
-    leaves.clear();
-    cuts.clear();
-    for &i in &sc.order {
-        let s = sc.scuts[i];
-        let off = leaves.len() as u32;
-        leaves.extend_from_slice(s.leaves(&sc.sleaves));
-        cuts.push(CutData { off, len: s.len, sig: s.sig, tt: s.tt });
-    }
-}
-
 fn enumerate_impl(aig: &Aig, params: CutParams, mut oracle: Option<&mut CutCost<'_>>) -> CutArena {
     let CutParams { k, max_cuts, .. } = params;
-    assert!(k >= 2, "cut size must be at least 2");
+    assert!(
+        (2..=word::MAX_WORD_VARS).contains(&k),
+        "cut size must be between 2 and {}",
+        word::MAX_WORD_VARS
+    );
     let mut arena = fresh_arena(aig, k, max_cuts);
     let mut sc = NodeScratch::default();
     for id in aig.node_ids() {
@@ -868,9 +501,8 @@ fn subset(a: &[NodeId], sig_a: u64, b: &[NodeId], sig_b: u64) -> bool {
 
 /// Computes the function of `root` in terms of the given cut leaves
 /// (leaf `i` becomes variable `i`) by an iterative cone walk — the
-/// fallback for cuts wider than [`word::MAX_WORD_VARS`]; cuts the
-/// arena enumerated with `k ≤ 6` carry their function already (see
-/// [`CutView::function`]).
+/// reference the in-pass cut functions are tested against; enumerated
+/// cuts carry their function already (see [`CutView::function`]).
 ///
 /// # Panics
 ///
@@ -979,7 +611,7 @@ mod tests {
             assert!(cuts.len() > 0);
             let unit = cuts.next().unwrap();
             assert_eq!(unit.leaves(), &[id]);
-            assert_eq!(unit.function(), Some(TruthTable::var(1, 0)));
+            assert_eq!(unit.function(), TruthTable::var(1, 0));
         }
     }
 
@@ -1001,7 +633,7 @@ mod tests {
         let cs = enumerate_cuts(&g, 4, 16);
         for id in g.and_ids() {
             for cut in cs.of(id) {
-                let inpass = cut.function().expect("k <= 6 carries functions");
+                let inpass = cut.function();
                 let walked = cut_function(&g, id, cut.leaves());
                 assert_eq!(inpass, walked, "node {id:?}, cut {:?}", cut.leaves());
             }
@@ -1017,7 +649,7 @@ mod tests {
             .of(root)
             .find(|c| c.size() == 4 && c.leaves().iter().all(|&l| g.is_pi(l)))
             .unwrap();
-        let mut tt = pi_cut.function().unwrap();
+        let mut tt = pi_cut.function();
         if g.pos()[0].is_complement() {
             tt = !tt;
         }
@@ -1058,6 +690,12 @@ mod tests {
                 assert!(c.size() <= 2);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cut size must be between 2 and 6")]
+    fn cuts_wider_than_one_word_are_rejected() {
+        enumerate_cuts(&sample_aig(), 7, 8);
     }
 
     #[test]
@@ -1144,233 +782,5 @@ mod tests {
             g.add_po(o);
         }
         g
-    }
-
-    fn assert_same_per_node(g: &Aig, a: &CutArena, b: &CutArena) {
-        assert_eq!(a.k(), b.k());
-        assert_eq!(a.has_functions(), b.has_functions());
-        for id in g.node_ids() {
-            let ca: Vec<_> = a.of(id).map(|c| (c.leaves().to_vec(), c.function_word())).collect();
-            let cb: Vec<_> = b.of(id).map(|c| (c.leaves().to_vec(), c.function_word())).collect();
-            assert_eq!(ca, cb, "cut lists diverge at node {id:?}");
-        }
-    }
-
-    #[test]
-    fn update_matches_scratch_after_reassociation() {
-        // The edit appends nodes referenced by a lower-id fanout, so
-        // the update must reproduce the from-scratch empty-span
-        // convention on the now non-topological graph.
-        let params = CutParams { k: 4, max_cuts: 6, rank: CutRank::Size };
-        let mut g = Aig::new("t");
-        let p = g.add_pis(4);
-        let c1 = g.and(p[0], p[1]);
-        let c2 = g.and(c1, p[2]);
-        let top = g.and(c2, p[3]);
-        g.add_po(top);
-        let mut arena = enumerate_cuts_with(&g, params);
-        g.begin_edit();
-        let r = g.and(p[1], p[2]);
-        let c2b = g.and(p[0], r);
-        g.replace_node(c2.node(), c2b);
-        let delta = g.end_edit();
-        arena.update(&g, &delta, params);
-        assert_same_per_node(&g, &enumerate_cuts_with(&g, params), &arena);
-    }
-
-    #[test]
-    fn update_matches_scratch_after_cascade_collapse() {
-        // Replacing by a constant collapses a fanout chain and
-        // reclaims nodes: the refreshed lists of dead nodes shrink to
-        // the unit cut, exactly as from-scratch enumeration emits them.
-        let params = CutParams { k: 4, max_cuts: 6, rank: CutRank::Size };
-        let mut g = Aig::new("t");
-        let p = g.add_pis(3);
-        let x = g.and(p[0], p[1]);
-        let y = g.and(x, p[2]);
-        let z = g.or(y, p[0]);
-        g.add_po(z);
-        let mut arena = enumerate_cuts_with(&g, params);
-        g.begin_edit();
-        g.replace_node(x.node(), crate::graph::Lit::FALSE);
-        let delta = g.end_edit();
-        arena.update(&g, &delta, params);
-        assert_same_per_node(&g, &enumerate_cuts_with(&g, params), &arena);
-    }
-
-    #[test]
-    fn update_with_empty_delta_is_noop() {
-        let mut g = reconvergent_aig();
-        let params = CutParams { k: 4, max_cuts: 6, rank: CutRank::Size };
-        let mut arena = enumerate_cuts_with(&g, params);
-        let (cuts_before, leaves_before) = (arena.num_cuts(), arena.num_leaves());
-        g.begin_edit();
-        let delta = g.end_edit();
-        assert!(delta.is_empty());
-        arena.update(&g, &delta, params);
-        if cntfet_boolfn::cache::enabled() {
-            assert_eq!(arena.num_cuts(), cuts_before);
-            assert_eq!(arena.num_leaves(), leaves_before);
-        }
-        assert_same_per_node(&g, &enumerate_cuts_with(&g, params), &arena);
-    }
-
-    #[test]
-    fn update_matches_scratch_on_topological_edit() {
-        // Replacing by an already-present lower-id node keeps the
-        // graph topological in id order: no fanin reads as an empty
-        // list, unlike the re-association edits above.
-        let params = CutParams { k: 4, max_cuts: 6, rank: CutRank::Size };
-        let mut g = Aig::new("t");
-        let p = g.add_pis(3);
-        let a1 = g.and(p[0], p[1]);
-        let top1 = g.and(a1, p[2]);
-        let a2 = g.and(p[0], p[1].negate());
-        let top2 = g.and(a2, p[2]);
-        g.add_po(top1);
-        g.add_po(top2);
-        let mut arena = enumerate_cuts_with(&g, params);
-        g.begin_edit();
-        g.replace_node(a2.node(), a1);
-        let delta = g.end_edit();
-        arena.update(&g, &delta, params);
-        assert_same_per_node(&g, &enumerate_cuts_with(&g, params), &arena);
-    }
-
-    #[test]
-    fn update_matches_scratch_on_larger_session() {
-        // Several re-associations in one session over a reconvergent
-        // graph: cascades may merge or kill nodes collected earlier,
-        // and the delta must still drive the arena to the from-scratch
-        // fixpoint.
-        let params = CutParams { k: 4, max_cuts: 6, rank: CutRank::Size };
-        let mut g = reconvergent_aig();
-        let mut arena = enumerate_cuts_with(&g, params);
-        g.begin_edit();
-        let ands: Vec<NodeId> = g.and_ids().collect();
-        let mut done = 0;
-        for id in ands {
-            if done == 3 {
-                break;
-            }
-            if !g.is_and(id) {
-                continue; // died in an earlier cascade
-            }
-            let (f0, f1) = g.fanins(id);
-            if f0.is_complement() || !g.is_and(f0.node()) {
-                continue;
-            }
-            // (g0·g1)·f1 → g0·(g1·f1).
-            let (g0, g1) = g.fanins(f0.node());
-            let inner = g.and(g1, f1);
-            let outer = g.and(g0, inner);
-            g.replace_node(id, outer);
-            done += 1;
-        }
-        assert!(done > 0, "expected at least one re-association");
-        let delta = g.end_edit();
-        arena.update(&g, &delta, params);
-        assert_same_per_node(&g, &enumerate_cuts_with(&g, params), &arena);
-    }
-
-    #[test]
-    fn rebase_matches_scratch_after_compaction() {
-        // The full persistent-arena cycle: edit → update (on the
-        // edited graph) → compact_with_map → rebase, checked against
-        // from-scratch enumeration of the compacted graph.
-        let params = CutParams { k: 4, max_cuts: 6, rank: CutRank::Size };
-        let mut g = Aig::new("t");
-        let p = g.add_pis(4);
-        let c1 = g.and(p[0], p[1]);
-        let c2 = g.and(c1, p[2]);
-        let top = g.and(c2, p[3]);
-        g.add_po(top);
-        let mut arena = enumerate_cuts_with(&g, params);
-        g.begin_edit();
-        let r = g.and(p[1], p[2]);
-        let c2b = g.and(p[0], r);
-        g.replace_node(c2.node(), c2b);
-        let delta = g.end_edit();
-        arena.update(&g, &delta, params);
-        let (compacted, map) = g.compact_with_map();
-        arena.rebase(&map, &compacted, params);
-        assert_same_per_node(&compacted, &enumerate_cuts_with(&compacted, params), &arena);
-    }
-
-    #[test]
-    fn rebase_matches_scratch_on_larger_session() {
-        // Several re-associations (as in the update test) followed by
-        // compaction; cascades reclaim nodes so the remap really
-        // renumbers, and wide (k = 8, no in-pass functions) arenas ride
-        // along too.
-        for k in [4, 8] {
-            let params = CutParams { k, max_cuts: 6, rank: CutRank::Size };
-            let mut g = reconvergent_aig();
-            let mut arena = enumerate_cuts_with(&g, params);
-            g.begin_edit();
-            let ands: Vec<NodeId> = g.and_ids().collect();
-            let mut done = 0;
-            for id in ands {
-                if done == 3 {
-                    break;
-                }
-                if !g.is_and(id) {
-                    continue;
-                }
-                let (f0, f1) = g.fanins(id);
-                if f0.is_complement() || !g.is_and(f0.node()) {
-                    continue;
-                }
-                let (g0, g1) = g.fanins(f0.node());
-                let inner = g.and(g1, f1);
-                let outer = g.and(g0, inner);
-                g.replace_node(id, outer);
-                done += 1;
-            }
-            assert!(done > 0, "expected at least one re-association");
-            let delta = g.end_edit();
-            arena.update(&g, &delta, params);
-            let (compacted, map) = g.compact_with_map();
-            arena.rebase(&map, &compacted, params);
-            assert_same_per_node(&compacted, &enumerate_cuts_with(&compacted, params), &arena);
-        }
-    }
-
-    #[test]
-    fn rebase_falls_back_when_compaction_folds() {
-        // Replacing by a constant makes compaction fold nodes away
-        // (the survivor map is not a positive bijection), so rebase
-        // must detect it and rebuild — still matching from-scratch.
-        let params = CutParams { k: 4, max_cuts: 6, rank: CutRank::Size };
-        let mut g = Aig::new("t");
-        let p = g.add_pis(3);
-        let x = g.and(p[0], p[1]);
-        let y = g.and(x, p[2]);
-        let z = g.or(y, p[0]);
-        g.add_po(z);
-        g.add_po(x);
-        let mut arena = enumerate_cuts_with(&g, params);
-        g.begin_edit();
-        g.replace_node(y.node(), p[2]);
-        let delta = g.end_edit();
-        arena.update(&g, &delta, params);
-        let (compacted, map) = g.compact_with_map();
-        arena.rebase(&map, &compacted, params);
-        assert_same_per_node(&compacted, &enumerate_cuts_with(&compacted, params), &arena);
-    }
-
-    #[test]
-    fn wide_cuts_fall_back_to_cone_walk() {
-        let mut g = Aig::new("wide");
-        let pis = g.add_pis(8);
-        let x = g.xor_many(&pis);
-        g.add_po(x);
-        let cs = enumerate_cuts(&g, 8, 16);
-        assert!(!cs.has_functions());
-        let root = g.pos()[0].node();
-        let wide = cs.of(root).max_by_key(|c| c.size()).unwrap();
-        assert!(wide.function().is_none());
-        let tt = cut_function(&g, root, wide.leaves());
-        assert_eq!(tt.nvars(), wide.size());
     }
 }

@@ -35,7 +35,7 @@
 //! over [`Aig::topo_order`] and stay exact, and `compact()` restores
 //! ascending topological ids.
 
-use crate::graph::{Aig, CompactMap, Lit, Node, NodeId};
+use crate::graph::{Aig, Lit, Node, NodeId};
 
 /// Reference counts, fanout lists and replacement forwarding of one
 /// editing session (see [`Aig::begin_edit`]).
@@ -51,15 +51,6 @@ pub(crate) struct EditState {
     /// Replacement forwarding: `fwd[n]` is the literal the (positive)
     /// node was replaced by, or its own positive literal while alive.
     pub(crate) fwd: Vec<Lit>,
-    /// Dirty markers: nodes whose structural cone changed during the
-    /// session (replaced nodes, patched fanouts, cascade merges,
-    /// re-homed strash owners, reclaimed nodes, appended nodes). The
-    /// session's [`EditDelta`] is distilled from these at
-    /// [`Aig::end_edit`].
-    pub(crate) dirty: Vec<bool>,
-    /// Node count when the session started; every node at or past this
-    /// index was appended during the session.
-    pub(crate) nodes_before: usize,
 }
 
 impl EditState {
@@ -73,91 +64,17 @@ impl EditState {
             fanouts[f1.node().index()].push(id);
         }
         let fwd = (0..n).map(|i| NodeId::from_index(i).lit()).collect();
-        EditState { refs, fanouts, fwd, dirty: vec![false; n], nodes_before: n }
+        EditState { refs, fanouts, fwd }
     }
 
-    /// Extends the session state for `added` freshly appended nodes
-    /// (always dirty: their cut lists do not exist yet).
+    /// Extends the session state for `added` freshly appended nodes.
     pub(crate) fn grow(&mut self, added: usize) {
         for _ in 0..added {
             let id = NodeId::from_index(self.refs.len());
             self.refs.push(0);
             self.fanouts.push(Vec::new());
             self.fwd.push(id.lit());
-            self.dirty.push(true);
         }
-    }
-
-    /// Marks a node's structural cone as changed.
-    fn mark(&mut self, id: NodeId) {
-        self.dirty[id.index()] = true;
-    }
-}
-
-/// What one editing session touched — returned by [`Aig::end_edit`]
-/// and consumed by [`crate::CutArena::update`] to re-enumerate cuts
-/// only where the structure actually changed.
-///
-/// The set is *seed* dirtiness: nodes whose own fanin pair changed,
-/// that were appended, merged, re-homed in the strash, or reclaimed.
-/// Transitive fanout of a changed cut list is discovered by the
-/// incremental consumer itself (it stops propagating as soon as a
-/// recomputed list comes out identical), so the delta stays
-/// proportional to the edit, not to the graph.
-#[derive(Debug, Clone)]
-pub struct EditDelta {
-    /// Seed-dirty node ids, ascending, deduplicated.
-    dirty: Vec<NodeId>,
-    /// Node count when the session began.
-    nodes_before: usize,
-    /// Node count when the session ended.
-    nodes_after: usize,
-}
-
-impl EditDelta {
-    /// The seed-dirty nodes, in ascending id order.
-    pub fn dirty(&self) -> &[NodeId] {
-        &self.dirty
-    }
-
-    /// True when the session changed nothing structural.
-    pub fn is_empty(&self) -> bool {
-        self.dirty.is_empty()
-    }
-
-    /// Node count when the session began (every id at or past this
-    /// index was appended during the session).
-    pub fn nodes_before(&self) -> usize {
-        self.nodes_before
-    }
-
-    /// Node count when the session ended.
-    pub fn nodes_after(&self) -> usize {
-        self.nodes_after
-    }
-
-    /// Re-expresses the delta in the id space of a compacted graph:
-    /// every surviving dirty node follows its [`CompactMap`] image,
-    /// dropped nodes vanish, and the result is sorted and deduplicated.
-    /// Both node counts become the compacted graph's — the remapped
-    /// delta describes *state already incorporated* into the compacted
-    /// graph, for consumers whose per-node records are keyed to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map` was not produced from this delta's post-edit
-    /// graph (length mismatch).
-    pub fn remap(&self, map: &CompactMap) -> EditDelta {
-        assert_eq!(
-            map.old_len(),
-            self.nodes_after,
-            "compact map does not describe this delta's post-edit graph"
-        );
-        let mut dirty: Vec<NodeId> =
-            self.dirty.iter().filter_map(|&d| map.map_id(d)).map(|l| l.node()).collect();
-        dirty.sort_unstable();
-        dirty.dedup();
-        EditDelta { dirty, nodes_before: map.new_len(), nodes_after: map.new_len() }
     }
 }
 
@@ -175,30 +92,20 @@ impl Aig {
         self.edit = Some(Box::new(EditState::build(self)));
     }
 
-    /// Ends the editing session, dropping the bookkeeping and
-    /// returning the [`EditDelta`] describing which nodes the session
-    /// touched. Dead nodes stay in the node array until
-    /// [`Aig::compact`].
+    /// Ends the editing session, dropping the bookkeeping. Dead nodes
+    /// stay in the node array until [`Aig::compact`].
     ///
     /// # Panics
     ///
     /// Panics if no session is active.
-    pub fn end_edit(&mut self) -> EditDelta {
+    pub fn end_edit(&mut self) {
         assert!(self.edit.is_some(), "no editing session active");
         #[cfg(feature = "paranoid")]
         {
             let r = self.check();
             assert!(r.is_ok(), "paranoid: end_edit on a corrupt graph: {r:?}");
         }
-        let state = self.edit.take().expect("session checked active above");
-        let dirty = state
-            .dirty
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d)
-            .map(|(i, _)| NodeId::from_index(i))
-            .collect();
-        EditDelta { dirty, nodes_before: state.nodes_before, nodes_after: self.num_nodes() }
+        self.edit = None;
     }
 
     /// True while an editing session is active.
@@ -360,13 +267,9 @@ impl Aig {
                 let key = (node.f0.code(), node.f1.code());
                 match self.strash.get(&key) {
                     Some(&z) if z != o => n = z.lit(),
-                    Some(_) => {
-                        self.edit.as_mut().expect("session active").mark(o);
-                        continue;
-                    }
+                    Some(_) => continue,
                     None => {
                         self.strash.insert(key, o);
-                        self.edit.as_mut().expect("session active").mark(o);
                         continue;
                     }
                 }
@@ -421,7 +324,6 @@ impl Aig {
                 let (w0, w1) =
                     if nf0.code() <= nf1.code() { (nf0, nf1) } else { (nf1, nf0) };
                 self.nodes[f_id.index()] = Node { f0: w0, f1: w1 };
-                self.edit.as_mut().expect("session active").mark(f_id);
                 match collapsed {
                     Some(l) => work.push((f_id, l)),
                     None => {
@@ -438,7 +340,6 @@ impl Aig {
 
             let edit = self.edit.as_mut().expect("session active");
             edit.fwd[o.index()] = n;
-            edit.mark(o);
             if edit.refs[o.index()] == 0 {
                 self.reclaim(o);
             }
@@ -470,9 +371,7 @@ impl Aig {
                 }
             }
             self.nodes[xi] = Node { f0: crate::graph::LIT_DEAD, f1: crate::graph::LIT_DEAD };
-            let edit = self.edit.as_mut().expect("session active");
-            edit.fanouts[xi].clear();
-            edit.mark(x);
+            self.edit.as_mut().expect("session active").fanouts[xi].clear();
         }
     }
 }
@@ -593,65 +492,6 @@ mod tests {
         g.end_edit();
         let c = g.compact();
         assert_eq!(c.num_ands(), 2);
-    }
-
-    #[test]
-    fn end_edit_reports_delta() {
-        let mut g = Aig::new("t");
-        let p = g.add_pis(3);
-        let x = g.and(p[0], p[1]);
-        let y = g.and(x, p[2]);
-        g.add_po(y);
-
-        // A session that edits nothing reports an empty delta.
-        g.begin_edit();
-        let delta = g.end_edit();
-        assert!(delta.is_empty());
-        assert_eq!(delta.nodes_before(), delta.nodes_after());
-
-        // Appending and replacing dirties the appended nodes, the
-        // replaced node and its patched fanout; untouched PIs stay
-        // clean.
-        g.begin_edit();
-        let r = g.and(p[1], p[2]);
-        let xb = g.and(p[0], r);
-        g.replace_node(y.node(), xb);
-        let delta = g.end_edit();
-        assert!(!delta.is_empty());
-        assert_eq!(delta.nodes_after(), delta.nodes_before() + 2);
-        assert!(delta.dirty().contains(&y.node()));
-        assert!(delta.dirty().contains(&r.node()));
-        assert!(delta.dirty().contains(&xb.node()));
-        for id in p.iter().map(|l| l.node()) {
-            assert!(!delta.dirty().contains(&id), "PI {id:?} must stay clean");
-        }
-        assert!(delta.dirty().windows(2).all(|w| w[0].index() < w[1].index()));
-    }
-
-    #[test]
-    fn remap_follows_compaction() {
-        let mut g = Aig::new("t");
-        let p = g.add_pis(3);
-        let x = g.and(p[0], p[1]);
-        let y = g.and(x, p[2]);
-        g.add_po(y);
-        g.begin_edit();
-        let r = g.and(p[1], p[2]);
-        let yb = g.and(p[0], r);
-        g.replace_node(y.node(), yb);
-        let delta = g.end_edit();
-        let (compacted, map) = g.compact_with_map();
-        let remapped = delta.remap(&map);
-        assert_eq!(remapped.nodes_before(), compacted.num_nodes());
-        assert_eq!(remapped.nodes_after(), compacted.num_nodes());
-        // Survivors follow the map; reclaimed nodes (x, y) vanish.
-        for d in remapped.dirty() {
-            assert!(compacted.is_and(*d) || compacted.is_pi(*d));
-        }
-        let yb_new = map.map_lit(yb).expect("replacement root survives").node();
-        assert!(remapped.dirty().contains(&yb_new));
-        assert!(remapped.dirty().windows(2).all(|w| w[0].index() < w[1].index()));
-        assert!(remapped.dirty().len() <= delta.dirty().len());
     }
 
     #[test]

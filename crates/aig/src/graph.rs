@@ -584,14 +584,6 @@ impl Aig {
     /// Returns a compacted copy containing only logic reachable from
     /// the outputs, with structural hashing re-applied.
     pub fn compact(&self) -> Aig {
-        self.compact_with_map().0
-    }
-
-    /// [`Aig::compact`] that also returns the old→new id remap, so
-    /// per-node state built against the pre-compaction graph (cut
-    /// arenas, edit deltas) can follow the surviving nodes instead of
-    /// being rebuilt from scratch. See [`CompactMap`].
-    pub fn compact_with_map(&self) -> (Aig, CompactMap) {
         let mut out = Aig::with_hasher(self.name.clone(), *self.strash.hasher());
         let mut map: Vec<Option<Lit>> = vec![None; self.nodes.len()];
         map[0] = Some(Lit::FALSE);
@@ -630,8 +622,7 @@ impl Aig {
             let l = Self::map_lit(&map, po);
             out.add_po(l);
         }
-        let new_len = out.num_nodes();
-        (out, CompactMap { map, new_len })
+        out
     }
 
     fn map_lit(map: &[Option<Lit>], l: Lit) -> Lit {
@@ -717,46 +708,6 @@ impl Aig {
         }
         s.push_str("}\n");
         s
-    }
-}
-
-/// Old→new id remap returned by [`Aig::compact_with_map`].
-///
-/// `map_lit(old)` is `Some(new)` when the old node survived compaction
-/// (it was reachable from an output or is a primary input) and `None`
-/// when it was dropped. The mapped literal may be complemented or
-/// shared: compaction re-applies structural hashing, so two old nodes
-/// can land on one new node and a trivially-simplified node can map
-/// onto a constant or a fanin. Consumers that need a clean bijection
-/// (e.g. [`crate::CutArena::rebase`]) check for those cases and fall
-/// back to a rebuild.
-#[derive(Debug, Clone)]
-pub struct CompactMap {
-    /// Per old node: the literal it became, `None` if unreachable.
-    map: Vec<Option<Lit>>,
-    /// Node count of the compacted graph.
-    new_len: usize,
-}
-
-impl CompactMap {
-    /// Node count of the pre-compaction graph.
-    pub fn old_len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Node count of the compacted graph.
-    pub fn new_len(&self) -> usize {
-        self.new_len
-    }
-
-    /// The literal old node `id` became, `None` if it was dropped.
-    pub fn map_id(&self, id: NodeId) -> Option<Lit> {
-        self.map.get(id.index()).copied().flatten()
-    }
-
-    /// Maps a whole literal: complement flags compose.
-    pub fn map_lit(&self, l: Lit) -> Option<Lit> {
-        self.map_id(l.node()).map(|m| m.negate_if(l.is_complement()))
     }
 }
 

@@ -9,9 +9,9 @@
 //!
 //! * **Priority-cut enumeration** — [`enumerate_cuts_with`] fills a
 //!   [`CutArena`] with the k-feasible cuts of every node under the
-//!   [`CutParams`] knobs (cut size, cuts per node), smallest cuts
-//!   first. For `k ≤ 6` every cut carries its function as one `u64`
-//!   word, computed during enumeration. [`enumerate_cuts_custom`]
+//!   [`CutParams`] knobs (cut size up to six, cuts per node), smallest
+//!   cuts first. Every cut carries its function as one `u64` word,
+//!   computed during enumeration. [`enumerate_cuts_custom`]
 //!   swaps the size ranking for an external cost oracle — how
 //!   technology mapping's arrival rounds rank cuts by *mapped arrival*
 //!   of their best library match.
@@ -63,7 +63,7 @@
 //!     .of(root)
 //!     .find(|c| c.size() == 4 && c.leaves().iter().all(|&l| g.is_pi(l)))
 //!     .expect("full PI cut");
-//! assert_eq!(full.function().unwrap().count_ones(), 8);
+//! assert_eq!(full.function().count_ones(), 8);
 //!
 //! // The sweeping checker agrees with itself under tier overrides
 //! // (here: exhaustive simulation disabled, forcing SAT sweeping).
@@ -97,8 +97,7 @@ pub use cuts::{
     cut_function, enumerate_cuts, enumerate_cuts_custom, enumerate_cuts_with,
     enumerate_cuts_with_jobs, CutArena, CutIter, CutParams, CutRank, CutView,
 };
-pub use edit::EditDelta;
-pub use graph::{Aig, CompactMap, Lit, NodeId};
+pub use graph::{Aig, Lit, NodeId};
 pub use sweep::{
     check_equivalence_sweeping, check_equivalence_sweeping_report, check_equivalence_sweeping_with,
     SweepOptions,

@@ -11,8 +11,8 @@
 //! with status 2 and a usage line.
 
 use cntfet_aig::{
-    check_equivalence_sweeping, enumerate_cuts, enumerate_cuts_with, parse_aiger,
-    write_aiger_ascii, write_aiger_binary, Aig, CecResult, CutArena, CutParams, CutRank, NodeId,
+    check_equivalence_sweeping, enumerate_cuts, parse_aiger, write_aiger_ascii,
+    write_aiger_binary, Aig, CecResult,
 };
 use cntfet_bench::serve::load_circuit;
 use cntfet_bench::{
@@ -365,55 +365,6 @@ fn main() {
         tolerance_pct: 0.0,
     });
 
-    // Incrementality (PR 8): a deterministic edit trace on a suite
-    // sample, the pre-edit cut arena driven to the post-edit graph by
-    // `CutArena::update`, compared per node against from-scratch
-    // enumeration. Zero deviating nodes is the contract the caches
-    // ride on (`CNTFET_NO_CACHE=1` reruns this on the uncached path,
-    // where `update` rebuilds from scratch by construction).
-    println!("\nauditing incremental cut enumeration (update vs from-scratch)...");
-    let params = CutParams { k: 4, max_cuts: 8, rank: CutRank::Size };
-    type NodeCuts = Vec<(Vec<NodeId>, Option<u64>)>;
-    let node_cuts = |arena: &CutArena, id: NodeId| -> NodeCuts {
-        arena.of(id).map(|c| (c.leaves().to_vec(), c.function_word())).collect()
-    };
-    let mut incremental_deviations = 0usize;
-    for b in paper_benchmarks().iter().filter(|b| ["C1908", "add-16", "C6288"].contains(&b.name))
-    {
-        let mut g = b.aig.compact();
-        let mut arena = enumerate_cuts_with(&g, params);
-        g.begin_edit();
-        let ands: Vec<NodeId> = g.and_ids().collect();
-        let mut edits = 0usize;
-        for (i, id) in ands.into_iter().enumerate() {
-            // Re-associate every 7th eligible AND: (g0·g1)·f1 → g0·(g1·f1).
-            if i % 7 != 0 || !g.is_and(id) {
-                continue;
-            }
-            let (f0, f1) = g.fanins(id);
-            if f0.is_complement() || !g.is_and(f0.node()) {
-                continue;
-            }
-            let (g0, g1) = g.fanins(f0.node());
-            let inner = g.and(g1, f1);
-            let outer = g.and(g0, inner);
-            if outer != id.lit() {
-                g.replace_node(id, outer);
-                edits += 1;
-            }
-        }
-        let delta = g.end_edit();
-        arena.update(&g, &delta, params);
-        let fresh = enumerate_cuts_with(&g, params);
-        let deviating =
-            g.node_ids().filter(|&id| node_cuts(&arena, id) != node_cuts(&fresh, id)).count();
-        incremental_deviations += deviating;
-        println!(
-            "  {}: {edits} edits, {} dirty nodes, {deviating} deviating cut lists",
-            b.name,
-            delta.dirty().len(),
-        );
-    }
     // AIGER frontend (PR 9): every suite circuit must survive a write →
     // parse round trip through BOTH formats with identical structural
     // stats and CEC-proven equivalence. This is the contract the batch
@@ -511,12 +462,6 @@ fn main() {
         tolerance_pct: 0.0,
     });
 
-    checks.push(Check {
-        what: "Incremental: updated cuts == from-scratch",
-        paper: 0.0,
-        measured: incremental_deviations as f64,
-        tolerance_pct: 0.0,
-    });
     checks.push(Check {
         what: "AIGER: suite round-trips (stats + CEC)",
         paper: 0.0,

@@ -1,20 +1,17 @@
 //! Performance snapshot: measures the workspace's hot paths —
 //! synthesis, technology mapping, verification (the per-gate mapping
 //! certificate vs SAT, and SAT CEC), the suite fan-out at several
-//! worker counts, the
-//! incrementality substrate (dirty-region cut-enumeration updates vs
-//! from-scratch re-enumeration), the batch synthesis service (cold vs
-//! warm throughput), and the persistent cut arena carried across a
-//! compaction (`rebase` vs re-enumeration), and peak memory per AND
-//! of a delay-mapped DES chain at three sizes — and writes the numbers
-//! to `BENCH_PR10.json` in the current directory (run it from a
-//! scratch directory to keep the committed snapshot). Its ratio and
-//! memory assertions run in CI at the default worker count. The JSON continues the bench
-//! trajectory the ROADMAP asks for: `BENCH_PR3.json` records the
-//! verification rebuild, `BENCH_PR4.json` the arrival-aware mapper,
+//! worker counts, the batch synthesis service (cold vs warm
+//! throughput), and peak memory per AND of a delay-mapped DES chain at
+//! three sizes — and writes the numbers to `BENCH_PR10.json` in the
+//! current directory (run it from a scratch directory to keep the
+//! committed snapshot). Its ratio and memory assertions run in CI at
+//! the default worker count. The JSON continues the bench trajectory
+//! the ROADMAP asks for: `BENCH_PR3.json` records the verification
+//! rebuild, `BENCH_PR4.json` the arrival-aware mapper,
 //! `BENCH_PR5.json` the synthesis rebuild, `BENCH_PR7.json` the
 //! thread pool, `BENCH_PR8.json` the caches, `BENCH_PR9.json` the
-//! service, this file the arena carried across compaction. The engines
+//! service, this file the hot-path rows after them. The engines
 //! keep no result cache, so every engine timing row recomputes on
 //! every iteration; the service's cold/warm row is where its
 //! fingerprint cache is allowed to shine. The suite scaling row is an
@@ -27,10 +24,7 @@
 //! (`perfsnap --mem-row ROUNDS`), so every size's peak RSS is its own;
 //! it reads `VmHWM` from `/proc/self/status` and so needs Linux.
 
-use cntfet_aig::{
-    check_equivalence_sweeping_report, enumerate_cuts_with, CecResult, CutParams, CutRank, NodeId,
-    SweepOptions,
-};
+use cntfet_aig::{check_equivalence_sweeping_report, CecResult, SweepOptions};
 use cntfet_bench::serve::{SynthRequest, SynthService};
 use cntfet_bench::run_suite_with;
 use cntfet_boolfn::{canon_cache_stats, CacheStats};
@@ -131,76 +125,6 @@ fn main() {
         return mem_row_child(rounds);
     }
     println!("perfsnap: measuring synthesis, mapping, verification and cache hot paths...");
-
-    // --- incremental cut enumeration: update vs from-scratch ---
-    // A deterministic edit trace on the suite's biggest graph: every
-    // 7th eligible AND gets re-associated, then the pre-edit arena is
-    // driven to the post-edit graph with `update` and compared against
-    // full re-enumeration for time (the workspace tests compare the
-    // cut lists themselves).
-    let params = CutParams { k: 4, max_cuts: 8, rank: CutRank::Size };
-    let mut incr_g = cntfet_circuits::des_like().compact();
-    let pre_arena = enumerate_cuts_with(&incr_g, params);
-    incr_g.begin_edit();
-    let ands: Vec<NodeId> = incr_g.and_ids().collect();
-    let mut edited = 0usize;
-    for (i, id) in ands.into_iter().enumerate() {
-        if i % 7 != 0 || edited == 8 || !incr_g.is_and(id) {
-            continue;
-        }
-        let (f0, f1) = incr_g.fanins(id);
-        if f0.is_complement() || !incr_g.is_and(f0.node()) {
-            continue;
-        }
-        let (g0, g1) = incr_g.fanins(f0.node());
-        let inner = incr_g.and(g1, f1);
-        let outer = incr_g.and(g0, inner);
-        if outer != id.lit() {
-            incr_g.replace_node(id, outer);
-            edited += 1;
-        }
-    }
-    let delta = incr_g.end_edit();
-    assert!(edited > 0, "edit trace produced no edits");
-    let full_enum_ms = best_ms(5, || {
-        assert!(enumerate_cuts_with(&incr_g, params).num_cuts() > 0);
-    });
-    let mut update_ms = f64::INFINITY;
-    for _ in 0..5 {
-        let mut arena = pre_arena.clone();
-        let t = Instant::now();
-        arena.update(&incr_g, &delta, params);
-        update_ms = update_ms.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    assert!(
-        update_ms * 2.0 <= full_enum_ms,
-        "incremental update not 2x faster: full {full_enum_ms:.3}ms vs update {update_ms:.3}ms"
-    );
-
-    // --- persistent arena across compaction (PR 10) ---
-    // The same trace, carried through the compaction that follows an
-    // applied pass: the updated arena is rebased onto the compacted
-    // graph and must beat re-enumerating the compacted graph from
-    // scratch by 2x. This is the step that lets a `Script` keep one
-    // arena alive across passes, rounds and compactions instead of
-    // re-enumerating at every pass boundary.
-    let mut post_arena = pre_arena.clone();
-    post_arena.update(&incr_g, &delta, params);
-    let (compacted, compact_map) = incr_g.compact_with_map();
-    let compact_enum_ms = best_ms(5, || {
-        assert!(enumerate_cuts_with(&compacted, params).num_cuts() > 0);
-    });
-    let mut rebase_ms = f64::INFINITY;
-    for _ in 0..5 {
-        let mut arena = post_arena.clone();
-        let t = Instant::now();
-        arena.rebase(&compact_map, &compacted, params);
-        rebase_ms = rebase_ms.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    assert!(
-        rebase_ms * 2.0 <= compact_enum_ms,
-        "arena rebase across compaction not 2x faster: full {compact_enum_ms:.3}ms vs rebase {rebase_ms:.3}ms"
-    );
 
     // --- synthesis (tracked for regressions) ---
     let mult8_src = array_multiplier(8);
@@ -380,7 +304,7 @@ fn main() {
     let json = format!(
         r#"{{
   "pr": 10,
-  "description": "Script-owned cut arenas rebased across compaction instead of re-enumerated, next to the hot-path rows; the suite report is identical at every worker count",
+  "description": "Hot-path rows of synthesis, mapping, verification, the service and peak memory per AND; the suite report is identical at every worker count",
   "service": {{
     "requests": {n_requests},
     "verify": false,
@@ -408,22 +332,6 @@ fn main() {
     "counters": {{
       "npn_canon": {canon_json}
     }}
-  }},
-  "incremental_cuts": {{
-    "circuit": "des-like",
-    "nodes": {incr_nodes},
-    "edits": {edited},
-    "dirty_nodes": {dirty_nodes},
-    "full_enum_ms": {full_enum_ms:.3},
-    "update_ms": {update_ms:.3},
-    "speedup": {incr_speedup:.1}
-  }},
-  "arena_across_compaction": {{
-    "circuit": "des-like",
-    "compacted_nodes": {compacted_nodes},
-    "full_enum_ms": {compact_enum_ms:.3},
-    "rebase_ms": {rebase_ms:.3},
-    "speedup": {rebase_speedup:.1}
   }},
   "parallel": {{
     "available_parallelism": {cores},
@@ -462,11 +370,6 @@ fn main() {
         m8_opt.depth(),
         c19_opt.num_ands(),
         canon_json = stats_json(&canon),
-        incr_nodes = incr_g.num_nodes(),
-        dirty_nodes = delta.dirty().len(),
-        incr_speedup = full_enum_ms / update_ms,
-        compacted_nodes = compacted.num_nodes(),
-        rebase_speedup = compact_enum_ms / rebase_ms,
         n_requests = requests.len(),
         serve_cold_s = serve_cold.elapsed_s,
         serve_warm_s = serve_warm.elapsed_s,

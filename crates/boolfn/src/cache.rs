@@ -1,10 +1,9 @@
 //! Process-wide cache policy and hit/miss accounting.
 //!
-//! Four caching layers share this module as their single policy
+//! Three caching layers share this module as their single policy
 //! switch: the NPN canonicalization memo ([`crate::CanonCache`]), the
-//! rewrite pass's library-lookup memo in `cntfet-synth`, the
-//! dirty-region incremental cut enumeration in `cntfet-aig`, and the
-//! batch service's fingerprint-keyed result cache in `cntfet-bench`.
+//! rewrite pass's library-lookup memo in `cntfet-synth`, and the batch
+//! service's fingerprint-keyed result cache in `cntfet-bench`.
 //! Setting the environment variable `CNTFET_NO_CACHE=1` before the
 //! process starts disables all of them at once — every consumer falls
 //! back to its from-scratch path, which is the escape hatch CI uses to

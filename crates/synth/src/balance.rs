@@ -5,7 +5,6 @@
 //! [`Aig::replace_node`], so only trees whose balanced form differs
 //! structurally cost anything.
 
-use crate::pass::PassCtx;
 use cntfet_aig::{Aig, Lit, NodeId};
 
 /// The balancing pass (see module docs).
@@ -20,26 +19,13 @@ impl crate::Pass for Balance {
     fn apply(&mut self, aig: &mut Aig) -> usize {
         balance_inplace(aig)
     }
-
-    fn apply_ctx(&mut self, aig: &mut Aig, ctx: &mut PassCtx) -> usize {
-        balance_ctx(aig, ctx)
-    }
 }
 
 /// Runs one in-place balancing sweep; returns the number of
 /// restructured trees. The result is compacted unless the sweep was
 /// a no-op.
 pub fn balance_inplace(aig: &mut Aig) -> usize {
-    balance_ctx(aig, &mut PassCtx::ephemeral())
-}
-
-/// [`balance_inplace`] with a [`PassCtx`]: balancing itself uses no
-/// cuts, but it still rides the script's persistent arena through
-/// its edit session and compaction so the next rewrite finds it
-/// current.
-pub(crate) fn balance_ctx(aig: &mut Aig, ctx: &mut PassCtx) -> usize {
     assert!(!aig.is_editing(), "pass expects sole ownership of the graph");
-    ctx.sync(aig);
     let n0 = aig.num_nodes();
     let mut lv = aig.levels();
     let mut applied = 0usize;
@@ -94,14 +80,10 @@ pub(crate) fn balance_ctx(aig: &mut Aig, ctx: &mut PassCtx) -> usize {
             lv[id.index()] = refreshed_level(aig, &mut lv, id);
         }
     }
-    let delta = aig.end_edit();
-    ctx.absorb(aig, &delta);
+    aig.end_edit();
     if applied > 0 {
-        let (out, map) = aig.compact_with_map();
-        ctx.rebase(&map, &out);
-        *aig = out;
+        *aig = aig.compact();
     }
-    ctx.finish(aig);
     applied
 }
 

@@ -7,13 +7,15 @@
 //! same substrate as the technology mapper:
 //!
 //! * **[`Pass`] / [`Script`]** — passes edit one graph through
-//!   [`cntfet_aig::Aig::replace_node`] instead of rebuilding it; the
-//!   script runner collects per-pass stats and timing and offers a CEC
-//!   self-check hook.
+//!   [`cntfet_aig::Aig::replace_node`] instead of rebuilding it and
+//!   keep no state between calls; the script runner collects per-pass
+//!   stats and timing and offers a self-check hook (SAT-sweeping CEC
+//!   after every pass).
 //! * **[`Rewrite`]** — true NPN-class rewriting over `CutArena`
-//!   priority cuts: cut functions are looked up in the precomputed
-//!   structure library ([`cntfet_boolfn::RwrLibrary`], one
-//!   near-optimal AIG per 4-input NPN class) and applied when the
+//!   priority cuts, enumerated afresh by every sweep and dropped at
+//!   its end (as ABC's `rewrite` does): cut functions are looked up in
+//!   the precomputed structure library ([`cntfet_boolfn::RwrLibrary`],
+//!   one near-optimal AIG per 4-input NPN class) and applied when the
 //!   exact gain — MFFC freed minus nodes added, dry-costed against the
 //!   strash — is positive (`zero_cost` accepts break-even
 //!   perturbations).
@@ -79,7 +81,7 @@ mod rewrite;
 mod script;
 
 pub use balance::{balance_inplace, Balance};
-pub use pass::{AigStats, Pass, PassCtx, PassStats, Script, ScriptReport};
+pub use pass::{AigStats, Pass, PassStats, Script, ScriptReport};
 pub use rewrite::{rewrite_inplace, Rewrite};
 pub use script::{quick_opt, quick_opt_with, resyn2rs, resyn2rs_with, SynthOptions};
 

@@ -2,8 +2,7 @@
 //! [`Script`] runs a sequence of passes with per-pass statistics,
 //! timing, and an optional CEC self-check after every pass.
 
-use crate::rewrite::REWRITE_CUTS;
-use cntfet_aig::{enumerate_cuts_with, equivalent, Aig, CompactMap, CutArena, EditDelta};
+use cntfet_aig::{check_equivalence_sweeping, Aig, CecResult};
 use std::time::{Duration, Instant};
 
 /// Statistics snapshot of an AIG.
@@ -35,6 +34,9 @@ impl AigStats {
 /// dead nodes), edits it — typically through an editing session
 /// ([`Aig::begin_edit`] / [`Aig::replace_node`]) — and leaves it
 /// compacted again. The return value counts applied transformations.
+/// A pass carries nothing from one call to the next: a cut-based pass
+/// enumerates the cuts of the graph it receives and drops them when
+/// it returns.
 ///
 /// # Examples
 ///
@@ -65,112 +67,12 @@ pub trait Pass {
     /// Runs the pass, returning the number of applied transformations.
     fn apply(&mut self, aig: &mut Aig) -> usize;
 
-    /// Runs the pass with access to the script-owned [`PassCtx`], so
-    /// cut-aware passes can reuse (and maintain) the persistent
-    /// [`CutArena`] instead of re-enumerating from scratch. The
-    /// default ignores the context and calls [`Pass::apply`]; results
-    /// are identical either way — the context is purely a cache.
-    fn apply_ctx(&mut self, aig: &mut Aig, ctx: &mut PassCtx) -> usize {
-        let _ = ctx;
-        self.apply(aig)
-    }
-
     /// Names of the passes that would apply nothing right after this
     /// one left a graph untouched: it applied nothing and appended no
     /// node. [`Script`] then skips their reruns on that graph as it
     /// skips this pass's own. The default names none.
     fn implied_noops(&self) -> Vec<String> {
         Vec::new()
-    }
-}
-
-/// Script-owned state threaded through every pass: rewriting's
-/// persistent [`CutArena`], kept consistent with the graph across
-/// edits (via [`CutArena::update`]) and compactions (via
-/// [`CutArena::rebase`] over the [`CompactMap`]).
-///
-/// The context is *purely a cache*: the arena handed out by
-/// [`PassCtx`] is always equal to a from-scratch enumeration on the
-/// current graph (the incremental update and rebase contracts
-/// guarantee it), so pass results are bit-identical with or without
-/// it. Under `CNTFET_NO_CACHE=1` nothing is retained and every pass
-/// enumerates from scratch.
-pub struct PassCtx {
-    /// Fingerprint of the graph the stored arena describes; a
-    /// different graph at pass entry invalidates it.
-    fp: Option<u128>,
-    /// Rewriting's arena, enumerated at [`REWRITE_CUTS`].
-    arena: Option<CutArena>,
-    /// False for the throwaway context of the standalone `*_inplace`
-    /// entry points: nothing is retained, so no maintenance runs.
-    keep: bool,
-}
-
-impl Default for PassCtx {
-    fn default() -> PassCtx {
-        PassCtx::new()
-    }
-}
-
-impl PassCtx {
-    /// A fresh context that retains the arena across passes (subject
-    /// to the global `CNTFET_NO_CACHE` switch).
-    pub fn new() -> PassCtx {
-        PassCtx { fp: None, arena: None, keep: true }
-    }
-
-    /// A context that retains nothing — used by the standalone
-    /// single-pass entry points where there is no next pass to pay
-    /// off the maintenance.
-    pub(crate) fn ephemeral() -> PassCtx {
-        PassCtx { fp: None, arena: None, keep: false }
-    }
-
-    /// Drops the arena unless it describes `aig`. Called at pass
-    /// entry, before the arena is handed out.
-    pub(crate) fn sync(&mut self, aig: &Aig) {
-        let f = aig.fingerprint();
-        if self.fp != Some(f) {
-            self.arena = None;
-            self.fp = Some(f);
-        }
-    }
-
-    /// Hands out the arena, enumerating from scratch on a miss.
-    /// Ownership moves to the caller; return it with [`PassCtx::put`]
-    /// before absorbing the pass's edits.
-    pub(crate) fn take_or_enumerate(&mut self, aig: &Aig) -> CutArena {
-        self.arena.take().unwrap_or_else(|| enumerate_cuts_with(aig, REWRITE_CUTS))
-    }
-
-    /// Stores the arena for later passes (no-op for ephemeral contexts
-    /// or with caching globally disabled).
-    pub(crate) fn put(&mut self, arena: CutArena) {
-        if self.keep && cntfet_boolfn::cache::enabled() {
-            self.arena = Some(arena);
-        }
-    }
-
-    /// Rides the stored arena through a just-ended editing session
-    /// (`aig` is the edited, not-yet-compacted graph).
-    pub(crate) fn absorb(&mut self, aig: &Aig, delta: &EditDelta) {
-        if let Some(a) = &mut self.arena {
-            a.update(aig, delta, REWRITE_CUTS);
-        }
-    }
-
-    /// Rides the stored arena through a compaction (`aig` is the
-    /// compacted graph, `map` the old→new id remap).
-    pub(crate) fn rebase(&mut self, map: &CompactMap, aig: &Aig) {
-        if let Some(a) = &mut self.arena {
-            a.rebase(map, aig, REWRITE_CUTS);
-        }
-    }
-
-    /// Records the graph the (maintained) arena now describes; called
-    /// once at pass exit.
-    pub(crate) fn finish(&mut self, aig: &Aig) {
-        self.fp = if self.keep { Some(aig.fingerprint()) } else { None };
     }
 }
 
@@ -254,9 +156,6 @@ pub struct Script {
     /// it; a different graph on the next `run` resets the ledger (the
     /// recorded no-ops say nothing about it).
     last_graph: Option<u128>,
-    /// Rewriting's persistent cut arena, threaded through every pass
-    /// (and kept across `run` calls, so script rounds reuse it too).
-    ctx: PassCtx,
 }
 
 impl Script {
@@ -273,7 +172,8 @@ impl Script {
     }
 
     /// Enables (or disables) the CEC self-check hook: after every
-    /// pass, the result is SAT-checked equivalent to the pass input.
+    /// pass, the result is checked equivalent to the pass input by SAT
+    /// sweeping ([`check_equivalence_sweeping`]).
     ///
     /// # Panics
     ///
@@ -331,11 +231,12 @@ impl Script {
             let reference = self.self_check.then(|| aig.clone());
             let nodes = aig.num_nodes();
             let t = Instant::now();
-            let applied = pass.apply_ctx(aig, &mut self.ctx);
+            let applied = pass.apply(aig);
             let time = t.elapsed();
             if let Some(reference) = reference {
-                assert!(
-                    equivalent(&reference, aig),
+                assert_eq!(
+                    check_equivalence_sweeping(&reference, aig),
+                    CecResult::Equivalent,
                     "pass `{name}` broke equivalence (self-check)"
                 );
             }
@@ -456,38 +357,5 @@ mod tests {
         let mut script = Script::new().then(Rewrite::new(false)).then(Rewrite::new(true));
         let report = script.run(&mut g);
         assert!(report.passes.iter().all(|p| !p.skipped));
-    }
-
-    #[test]
-    fn script_keeps_rewritings_arena_current() {
-        // On C1908 only the first balance edits, so the kept arena is
-        // the one the first rewrite enumerated. On the 8-bit
-        // carry-lookahead adder later rewrites and balances edit too,
-        // so the arena rides through their updates and compactions.
-        // Either way it must be the one from-scratch enumeration gives
-        // on the final graph; with caching off, nothing is kept.
-        let circuits = [(cntfet_circuits::c1908_like(), false), (cntfet_circuits::cla_adder(8), true)];
-        for (g, upkeep) in circuits {
-            let mut g = g.compact();
-            let mut script = Script::resyn2rs();
-            let report = script.run(&mut g);
-            let name = g.name();
-            let edited_late = report.passes[2..].iter().any(|p| p.applied > 0);
-            assert_eq!(edited_late, upkeep, "{name}: passes after the first rewrite");
-            let kept = script.ctx.arena.as_ref();
-            if !cntfet_boolfn::cache::enabled() {
-                assert!(kept.is_none(), "{name}: kept an arena with caching disabled");
-                continue;
-            }
-            let kept = kept.unwrap_or_else(|| panic!("{name}: the script kept no arena"));
-            assert_eq!(script.ctx.fp, Some(g.fingerprint()));
-            let fresh = enumerate_cuts_with(&g, REWRITE_CUTS);
-            let list = |a: &CutArena, id| -> Vec<_> {
-                a.of(id).map(|c| (c.leaves().to_vec(), c.function_word())).collect()
-            };
-            for id in g.node_ids() {
-                assert_eq!(list(kept, id), list(&fresh, id), "{name}: kept arena diverges at {id:?}");
-            }
-        }
     }
 }

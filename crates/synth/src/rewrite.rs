@@ -1,9 +1,10 @@
 //! DAG-aware NPN-class rewriting over priority cuts.
 //!
 //! For every AND node (in topological order of the input graph), the
-//! pass considers the node's 4-feasible priority cuts, looks the cut
-//! function up in the precomputed per-NPN-class structure library
-//! ([`RwrLibrary`]), and evaluates the *gain* of replacing the node's
+//! pass considers the node's 4-feasible priority cuts — enumerated
+//! afresh at the start of every sweep, as ABC's `rewrite` does — looks
+//! the cut function up in the precomputed per-NPN-class structure
+//! library ([`RwrLibrary`]), and evaluates the *gain* of replacing the node's
 //! cone: the size of the node's MFFC (what a replacement frees) minus
 //! the exact number of nodes the class structure would add (dry-built
 //! against the strash, with reused-MFFC cones charged back). The best
@@ -20,15 +21,13 @@
 //! signals still realizes the node's function.
 
 use crate::dry::{real, revive_count, Build, DryBuild, DryScratch, MffcSet, RealBuild};
-use crate::pass::PassCtx;
-use cntfet_aig::{Aig, CutParams, CutRank, Lit, NodeId};
+use cntfet_aig::{enumerate_cuts_with, Aig, CutParams, CutRank, Lit, NodeId};
 use cntfet_boolfn::hash::FastMap;
 use cntfet_boolfn::{cache, RwrLibrary, RwrMatch, RwrOperand, RwrStructure};
 
 /// Rewriting's cuts: up to [`cntfet_boolfn::rwr::RWR_VARS`] leaves,
-/// eight size-ranked priority cuts per node. [`PassCtx`] keeps the
-/// arena at these parameters across the passes of a script.
-pub(crate) const REWRITE_CUTS: CutParams =
+/// eight size-ranked priority cuts per node.
+const REWRITE_CUTS: CutParams =
     CutParams { k: cntfet_boolfn::rwr::RWR_VARS, max_cuts: 8, rank: CutRank::Size };
 
 /// The DAG-aware rewriting pass (see module docs).
@@ -53,10 +52,6 @@ impl crate::Pass for Rewrite {
 
     fn apply(&mut self, aig: &mut Aig) -> usize {
         rewrite_inplace(aig, self.zero_cost)
-    }
-
-    fn apply_ctx(&mut self, aig: &mut Aig, ctx: &mut PassCtx) -> usize {
-        rewrite_ctx(aig, self.zero_cost, ctx)
     }
 
     /// `rewrite -z` implies `rewrite`. On a graph it left untouched, the
@@ -98,15 +93,8 @@ fn lookup(lib: &'static RwrLibrary, word: u64) -> RwrMatch<'static> {
 /// replacements applied. The result is compacted unless the sweep was
 /// a no-op.
 pub fn rewrite_inplace(aig: &mut Aig, zero_cost: bool) -> usize {
-    rewrite_ctx(aig, zero_cost, &mut PassCtx::ephemeral())
-}
-
-/// [`rewrite_inplace`] with a [`PassCtx`] carrying the persistent cut
-/// arena across passes and rounds.
-pub(crate) fn rewrite_ctx(aig: &mut Aig, zero_cost: bool, ctx: &mut PassCtx) -> usize {
     assert!(!aig.is_editing(), "pass expects sole ownership of the graph");
-    ctx.sync(aig);
-    let cuts = ctx.take_or_enumerate(aig);
+    let cuts = enumerate_cuts_with(aig, REWRITE_CUTS);
     let lib = RwrLibrary::global();
     let n0 = aig.num_nodes();
     let mut mffc = MffcSet::default();
@@ -136,7 +124,6 @@ pub(crate) fn rewrite_ctx(aig: &mut Aig, zero_cost: bool, ctx: &mut PassCtx) -> 
             if cut.size() < 2 {
                 continue;
             }
-            let Some(word) = cut.function_word() else { continue };
             let mut leaves = [Lit::FALSE; 4];
             let mut ok = true;
             for (i, &l) in cut.leaves().iter().enumerate() {
@@ -150,7 +137,7 @@ pub(crate) fn rewrite_ctx(aig: &mut Aig, zero_cost: bool, ctx: &mut PassCtx) -> 
             if !ok {
                 continue;
             }
-            let m = lookup(lib, word);
+            let m = lookup(lib, cut.function_word());
             let mut dry = DryBuild::new(aig, &mut scratch);
             walk_structure(&mut dry, &m, &leaves.map(real));
             let revive = revive_count(
@@ -179,15 +166,13 @@ pub(crate) fn rewrite_ctx(aig: &mut Aig, zero_cost: bool, ctx: &mut PassCtx) -> 
             }
         }
     }
-    let delta = aig.end_edit();
-    ctx.put(cuts);
-    ctx.absorb(aig, &delta);
+    aig.end_edit();
+    // The cuts describe the pre-edit graph only; free them before
+    // compaction builds the next graph beside this one.
+    drop(cuts);
     if applied > 0 {
-        let (out, map) = aig.compact_with_map();
-        ctx.rebase(&map, &out);
-        *aig = out;
+        *aig = aig.compact();
     }
-    ctx.finish(aig);
     applied
 }
 

@@ -31,8 +31,8 @@ pub struct SynthOptions {
     /// Maximum script rounds (each round runs the full pass sequence;
     /// iteration stops early once a round stops improving).
     pub rounds: usize,
-    /// Run the CEC self-check hook after every pass (expensive;
-    /// intended for tests and debugging).
+    /// Run the CEC self-check hook (SAT sweeping) after every pass
+    /// (expensive; intended for tests and debugging).
     pub self_check: bool,
 }
 
@@ -93,7 +93,7 @@ fn run_rounds(aig: &Aig, opts: &SynthOptions, script: fn() -> Script) -> Aig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cntfet_aig::equivalent;
+    use cntfet_aig::{check_equivalence_sweeping, equivalent, CecResult};
 
     /// A messy ripple-carry adder with redundant logic sprinkled in.
     fn messy_adder(bits: usize) -> Aig {
@@ -153,10 +153,13 @@ mod tests {
 
     #[test]
     fn self_check_mode_runs_clean() {
-        let g = messy_adder(3);
+        // 6 inputs are decided by exhaustive simulation; the 18-input
+        // multiplier is past its 16-input bound, so SAT sweeping runs.
         let opts = SynthOptions { rounds: 2, self_check: true };
-        let o = resyn2rs_with(&g, &opts);
-        assert!(equivalent(&g, &o));
+        for g in [messy_adder(3), cntfet_circuits::array_multiplier(9)] {
+            let o = resyn2rs_with(&g, &opts);
+            assert_eq!(check_equivalence_sweeping(&g, &o), CecResult::Equivalent);
+        }
     }
 
     #[test]

@@ -408,7 +408,7 @@ fn generate_cands(ctx: &Ctx<'_>, cuts: &CutArena, matcher: &mut Matcher<'_>) -> 
                 continue;
             }
             let pos = u8::try_from(pos).unwrap_or(u8::MAX);
-            let w = cut.function_word().expect("mapping cuts stay within one word");
+            let w = cut.function_word();
             // Compact onto the true support.
             word::support(w, cut.size(), &mut support);
             match support.len() {

@@ -1,20 +1,16 @@
 //! Workspace determinism tests: the fan-out across circuits — the
 //! benchmark suite and the batch service, one circuit per task —
 //! returns the same results, in the same order, at every worker count,
-//! and the suite's per-node cut lists (from scratch and incrementally
-//! maintained), `resyn2rs` outputs and covers are pinned. The engines
-//! inside a circuit run on its task's thread; parallelism is allowed
-//! to change wall time and nothing else.
+//! and the suite's per-node cut lists, `resyn2rs` outputs and covers
+//! are pinned. The engines inside a circuit run on its task's thread;
+//! parallelism is allowed to change wall time and nothing else.
 //!
 //! The tests of one binary run concurrently, so only
 //! `suite_report_identical_across_worker_counts` sets the process-wide
 //! `threadpool::Jobs` budget; every other test passes its worker count
 //! explicitly.
 
-use cntfet_aig::{
-    enumerate_cuts_custom, enumerate_cuts_with, Aig, CutArena, CutParams, CutRank, EditDelta,
-    NodeId,
-};
+use cntfet_aig::{enumerate_cuts_custom, enumerate_cuts_with, Aig, CutArena, CutParams, CutRank};
 use cntfet_bench::{run_suite_with, suite_libraries};
 use cntfet_bench::serve::{BatchReport, ServeOutcome, ServeStats, SynthRequest, SynthService};
 use cntfet_circuits::{
@@ -61,7 +57,7 @@ fn fold_cut_lists(mut h: u64, g: &Aig, arena: &CutArena) -> u64 {
             for l in cut.leaves() {
                 h = mix(h, l.index() as u64);
             }
-            h = mix(h, cut.function_word().unwrap_or(0));
+            h = mix(h, cut.function_word());
         }
     }
     h
@@ -87,87 +83,6 @@ fn cut_lists_are_pinned() {
         h = fold_cut_lists(h, &b.aig, &by_word);
     }
     assert_eq!(h, 0x82ba_1791_7f69_37f8, "a cut list changed");
-}
-
-/// Every per-node cut list of the 15 suite circuits at two wide
-/// settings, (8, Size, 5) and (10, Size, 5), is pinned by one digest.
-/// No pass enumerates cuts wider than six leaves any more (these were
-/// the deleted refactoring pass's widths); the pin holds the
-/// enumerator's wide path, whose arenas carry no function words, so
-/// the digest folds leaves only.
-#[test]
-fn refactor_cut_lists_are_pinned() {
-    let mut h = 0u64;
-    for b in paper_benchmarks() {
-        for k in [8, 10] {
-            let params = CutParams { k, max_cuts: 5, rank: CutRank::Size };
-            h = fold_cut_lists(h, &b.aig, &enumerate_cuts_with(&b.aig, params));
-        }
-    }
-    assert_eq!(h, 0xd35e_a0e4_3d52_7163, "a wide cut list changed");
-}
-
-/// One editing session over `g`: every `stride`-th AND node, starting
-/// at `offset`, whose first fanin is a positive AND is re-associated,
-/// `(g0·g1)·f1 → g0·(g1·f1)`. The new nodes land after their fanouts,
-/// so the edited graph is not topological in id order.
-fn reassociate(g: &mut Aig, stride: usize, offset: usize) -> EditDelta {
-    g.begin_edit();
-    let ands: Vec<NodeId> = g.and_ids().collect();
-    for &id in ands.iter().skip(offset).step_by(stride) {
-        if !g.is_and(id) {
-            continue; // reclaimed by an earlier replacement
-        }
-        let (f0, f1) = g.fanins(id);
-        if f0.is_complement() || !g.is_and(f0.node()) {
-            continue;
-        }
-        let (g0, g1) = g.fanins(f0.node());
-        let inner = g.and(g1, f1);
-        let outer = g.and(g0, inner);
-        if outer != id.lit() {
-            g.replace_node(id, outer);
-        }
-    }
-    g.end_edit()
-}
-
-/// The cut lists an arena reaches through `CutArena::update` and
-/// `CutArena::rebase` are pinned by one digest: five suite circuits,
-/// the rewriting and mapping parameters and the wide, wordless
-/// (8, Size, 5) setting,
-/// and two rounds of re-association, each folded after the update and
-/// again after the compaction's rebase. The incremental paths and
-/// from-scratch enumeration share their per-node kernel, so comparing
-/// them with each other cannot catch a change to both. The digest is
-/// the one from-scratch enumeration gives on the same graphs
-/// (`CNTFET_NO_CACHE=1` takes that path), so it also holds the
-/// incremental paths to their contract.
-#[test]
-fn incremental_cut_lists_are_pinned() {
-    let params = [
-        CutParams { k: 4, max_cuts: 8, rank: CutRank::Size },
-        CutParams { k: 6, max_cuts: 10, rank: CutRank::Size },
-        CutParams { k: 8, max_cuts: 5, rank: CutRank::Size },
-    ];
-    let names = ["C1908", "C6288", "t481", "C1355", "add-16"];
-    let mut h = 0u64;
-    for b in paper_benchmarks().into_iter().filter(|b| names.contains(&b.name)) {
-        for p in params {
-            let mut g = b.aig.clone();
-            let mut arena = enumerate_cuts_with(&g, p);
-            for (stride, offset) in [(5, 0), (7, 3)] {
-                let delta = reassociate(&mut g, stride, offset);
-                arena.update(&g, &delta, p);
-                h = fold_cut_lists(h, &g, &arena);
-                let (compacted, map) = g.compact_with_map();
-                arena.rebase(&map, &compacted, p);
-                g = compacted;
-                h = fold_cut_lists(h, &g, &arena);
-            }
-        }
-    }
-    assert_eq!(h, 0x68e4_266c_ab90_0a65, "an incrementally maintained cut list changed");
 }
 
 /// A mapping source as one word: PI index or gate root, tagged.
