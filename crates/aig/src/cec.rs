@@ -1,16 +1,18 @@
-//! CNF export (Tseitin encoding) and SAT-based combinational
-//! equivalence checking.
+//! CNF export (Tseitin encoding), exhaustive-simulation equivalence
+//! and the workspace's combinational equivalence entry points.
 //!
-//! Circuits with at most [`crate::sim::EXHAUSTIVE_MAX_PIS`] primary
-//! inputs are decided by exhaustive 64-bit-parallel simulation (a
-//! complete check — `2^n` patterns is at most 1024 words per node),
-//! which is orders of magnitude faster than CDCL on the classic
-//! multiplier-miter shapes. Wider circuits go through a random
-//! simulation pre-filter and then a per-output SAT miter.
+//! [`check_equivalence`], [`check_equivalence_report`] and
+//! [`equivalent`] run the SAT-sweeping engine of [`crate::sweep`] at
+//! default [`SweepOptions`]: circuits with at most
+//! [`crate::sim::EXHAUSTIVE_MAX_PIS`] primary inputs are decided by
+//! exhaustive 64-bit-parallel simulation (a complete check — `2^n`
+//! patterns is at most 1024 words per node), wider ones by SAT
+//! sweeping with an output-miter tail.
 
 use crate::graph::{Aig, Lit, NodeId};
-use crate::sim::{exhaustive_feasible, SimMatrix, EXHAUSTIVE_MAX_PIS};
-use cntfet_sat::{Lit as SatLit, SolveResult, Solver, SolverStats, Var};
+use crate::sim::SimMatrix;
+use crate::sweep::{check_equivalence_sweeping_report, SweepOptions};
+use cntfet_sat::{Lit as SatLit, Solver, SolverStats, Var};
 
 /// Encodes the AIG into `solver`, returning the SAT variable of every
 /// node (indexable by `NodeId::index`).
@@ -74,19 +76,6 @@ pub struct CecReport {
     pub certified: bool,
 }
 
-impl CecReport {
-    fn simulation_only(result: CecResult) -> CecReport {
-        CecReport {
-            result,
-            sat_stats: SolverStats::default(),
-            internal_proofs: 0,
-            refinements: 0,
-            exhaustive: true,
-            certified: false,
-        }
-    }
-}
-
 /// Decides equivalence of two narrow-input networks by complete
 /// simulation. Returns the first differing output (scanning in output
 /// order) with a distinguishing assignment.
@@ -109,9 +98,8 @@ pub(crate) fn exhaustive_cec(a: &Aig, b: &Aig) -> CecResult {
 }
 
 /// Checks combinational equivalence of two AIGs with identical
-/// interfaces: exhaustive simulation for narrow-input circuits, else
-/// random simulation as a fast pre-filter and a SAT miter for the
-/// proof.
+/// interfaces by SAT sweeping at default [`SweepOptions`] (the same
+/// check as [`crate::check_equivalence_sweeping`]).
 ///
 /// # Panics
 ///
@@ -126,79 +114,7 @@ pub fn check_equivalence(a: &Aig, b: &Aig) -> CecResult {
 ///
 /// Panics if the PI/PO counts differ.
 pub fn check_equivalence_report(a: &Aig, b: &Aig) -> CecReport {
-    assert_eq!(a.num_pis(), b.num_pis(), "PI count mismatch");
-    assert_eq!(a.num_pos(), b.num_pos(), "PO count mismatch");
-
-    if exhaustive_feasible(a, EXHAUSTIVE_MAX_PIS) && exhaustive_feasible(b, EXHAUSTIVE_MAX_PIS) {
-        return CecReport::simulation_only(exhaustive_cec(a, b));
-    }
-
-    // Random-simulation pre-filter: cheap counterexamples first. Both
-    // matrices draw the same seeded rounds, so the networks see
-    // identical input patterns.
-    const PREFILTER_WORDS: usize = 8;
-    let seed = 0x1234_5678_9ABC_DEF0u64;
-    let ma = SimMatrix::random(a, PREFILTER_WORDS, seed);
-    let mb = SimMatrix::random(b, PREFILTER_WORDS, seed);
-    for (o, (&la, &lb)) in a.pos().iter().zip(b.pos().iter()).enumerate() {
-        for w in 0..ma.words() {
-            let d = ma.lit_word(la, w) ^ mb.lit_word(lb, w);
-            if d != 0 {
-                let bit = d.trailing_zeros();
-                return CecReport {
-                    result: CecResult::Counterexample {
-                        inputs: ma.pattern_inputs(a, w, bit),
-                        output: o,
-                    },
-                    sat_stats: SolverStats::default(),
-                    internal_proofs: 0,
-                    refinements: 0,
-                    exhaustive: false,
-                    certified: false,
-                };
-            }
-        }
-    }
-
-    // SAT miter, one output at a time (keeps learnt clauses local and
-    // yields the earliest distinguishing output index). The output
-    // XOR is expressed as assumptions — `la ≠ lb` is satisfiable iff
-    // one of the two phase combinations is — so no miter variables or
-    // clauses accumulate in the incremental solver.
-    let mut solver = Solver::new();
-    let va = tseitin(a, &mut solver);
-    let vb = tseitin(b, &mut solver);
-    // Tie the primary inputs together.
-    for (pa, pb) in a.pis().iter().zip(b.pis()) {
-        let la = va[pa.index()].pos();
-        let lb = vb[pb.index()].pos();
-        solver.add_clause(&[la.negate(), lb]);
-        solver.add_clause(&[la, lb.negate()]);
-    }
-    let mut result = CecResult::Equivalent;
-    'outputs: for o in 0..a.num_pos() {
-        let la = sat_lit(&va, a.pos()[o]);
-        let lb = sat_lit(&vb, b.pos()[o]);
-        for assumptions in [[la, lb.negate()], [la.negate(), lb]] {
-            if solver.solve(&assumptions) == SolveResult::Sat {
-                let inputs = a
-                    .pis()
-                    .iter()
-                    .map(|pi| solver.value(va[pi.index()]).unwrap_or(false))
-                    .collect();
-                result = CecResult::Counterexample { inputs, output: o };
-                break 'outputs;
-            }
-        }
-    }
-    CecReport {
-        result,
-        sat_stats: solver.stats(),
-        internal_proofs: 0,
-        refinements: 0,
-        exhaustive: false,
-        certified: false,
-    }
+    check_equivalence_sweeping_report(a, b, &SweepOptions::default())
 }
 
 /// Convenience wrapper returning `true` iff equivalent.
@@ -240,10 +156,9 @@ mod tests {
         let r = check_equivalence_report(&a, &b);
         assert_eq!(r.result, CecResult::Equivalent);
         assert!(!r.exhaustive);
-        assert!(r.sat_stats.propagations > 0, "miter must have run SAT");
+        assert!(r.sat_stats.propagations > 0, "sweeping must have run SAT");
 
-        // Broken polarity on a wide circuit: the random pre-filter
-        // finds it without SAT.
+        // Broken polarity on a wide circuit.
         let mut c = xor_chain(20, false);
         let po = c.pos()[0];
         c.set_po(0, po.negate());
@@ -308,7 +223,7 @@ mod tests {
     fn single_minterm_difference_on_wide_circuit_found_by_sat() {
         // 20 inputs: past the exhaustive bound, and random simulation
         // essentially never hits the single differing minterm — only
-        // the SAT miter can find it.
+        // SAT can find it.
         let mut a = Aig::new("a");
         let pis = a.add_pis(20);
         let conj = a.and_many(&pis[1..]);

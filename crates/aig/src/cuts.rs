@@ -506,19 +506,18 @@ fn subset(a: &[NodeId], sig_a: u64, b: &[NodeId], sig_b: u64) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if the cut has more than [`cntfet_boolfn::MAX_VARS`] leaves
-/// or does not actually cover the root's cone.
+/// Panics if the cut has more than [`word::MAX_WORD_VARS`] leaves or
+/// does not actually cover the root's cone.
 pub fn cut_function(aig: &Aig, root: NodeId, leaves: &[NodeId]) -> TruthTable {
     use std::collections::HashMap;
     let k = leaves.len();
-    assert!(k <= cntfet_boolfn::MAX_VARS);
+    assert!(k <= word::MAX_WORD_VARS);
     let mut memo: HashMap<NodeId, TruthTable> = HashMap::new();
     for (i, &leaf) in leaves.iter().enumerate() {
         memo.insert(leaf, TruthTable::var(k, i));
     }
     memo.insert(NodeId::CONST, TruthTable::zero(k));
-    // Iterative post-order: push fanins until resolvable, then combine
-    // with a single allocation per cone node.
+    // Iterative post-order: push fanins until resolvable, then combine.
     let mut stack = vec![root];
     while let Some(&n) = stack.last() {
         if memo.contains_key(&n) {
@@ -528,9 +527,10 @@ pub fn cut_function(aig: &Aig, root: NodeId, leaves: &[NodeId]) -> TruthTable {
         assert!(aig.is_and(n), "cut does not cover the cone (reached PI {n:?})");
         let (f0, f1) = aig.fanins(n);
         match (memo.get(&f0.node()), memo.get(&f1.node())) {
-            (Some(a), Some(b)) => {
-                let t = a.and_with_compl(b, f0.is_complement(), f1.is_complement());
-                memo.insert(n, t);
+            (Some(&a), Some(&b)) => {
+                let a = if f0.is_complement() { !a } else { a };
+                let b = if f1.is_complement() { !b } else { b };
+                memo.insert(n, a & b);
                 stack.pop();
             }
             (a, b) => {

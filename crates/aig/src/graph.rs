@@ -660,33 +660,6 @@ impl Aig {
         }
     }
 
-    /// Truth table of output `po` (requires `num_pis() <= 16`).
-    pub fn output_tt(&self, po: usize) -> cntfet_boolfn::TruthTable {
-        use cntfet_boolfn::TruthTable;
-        let n = self.num_pis();
-        assert!(n <= cntfet_boolfn::MAX_VARS, "too many inputs for a truth table");
-        let mut tts: Vec<TruthTable> = vec![TruthTable::zero(n); self.nodes.len()];
-        for (i, &pi) in self.pis.iter().enumerate() {
-            tts[pi.index()] = TruthTable::var(n, i);
-        }
-        for id in self.topo_order() {
-            let node = self.nodes[id.index()];
-            let t = tts[node.f0.node().index()].and_with_compl(
-                &tts[node.f1.node().index()],
-                node.f0.is_complement(),
-                node.f1.is_complement(),
-            );
-            tts[id.index()] = t;
-        }
-        let l = self.pos[po];
-        let t = tts[l.node().index()].clone();
-        if l.is_complement() {
-            !t
-        } else {
-            t
-        }
-    }
-
     /// GraphViz dot output (for debugging / documentation).
     pub fn to_dot(&self) -> String {
         let mut s = String::from("digraph aig {\n  rankdir=BT;\n");
@@ -892,8 +865,11 @@ mod tests {
         let leaves = g.add_pis(3);
         let l = g.build_expr(&e, &leaves);
         g.add_po(l);
-        let tt = g.output_tt(0);
-        assert_eq!(tt, e.to_tt(3));
+        let tt = e.to_tt(3);
+        for m in 0..8u64 {
+            let ins: Vec<bool> = (0..3).map(|v| m >> v & 1 == 1).collect();
+            assert_eq!(g.eval(&ins)[0], tt.eval(m), "minterm {m}");
+        }
     }
 
     #[test]

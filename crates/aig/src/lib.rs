@@ -15,11 +15,12 @@
 //!   swaps the size ranking for an external cost oracle — how
 //!   technology mapping's arrival rounds rank cuts by *mapped arrival*
 //!   of their best library match.
-//! * **Equivalence checking** — [`check_equivalence`] (plain miter
-//!   SAT) and [`check_equivalence_sweeping_with`] (fraig-style
-//!   sweeping under [`SweepOptions`], with an exhaustive-simulation
-//!   tier for ≤ 16-PI circuits) certify every synthesis and mapping
-//!   step; the `*_report` variants also return solver statistics.
+//! * **Equivalence checking** — [`check_equivalence_sweeping_with`]
+//!   (fraig-style SAT sweeping under [`SweepOptions`], with an
+//!   exhaustive-simulation tier for ≤ 16-PI circuits) certifies every
+//!   synthesis and mapping step; [`check_equivalence`] runs it at the
+//!   default options, and the `*_report` variants also return solver
+//!   statistics.
 //!
 //! # Examples
 //!

@@ -52,8 +52,8 @@ impl Default for SweepOptions {
 }
 
 /// Checks equivalence of two AIGs with identical interfaces using SAT
-/// sweeping under default [`SweepOptions`]. Functionally identical to
-/// [`crate::check_equivalence`], but scales to multiplier-class
+/// sweeping under default [`SweepOptions`], as
+/// [`crate::check_equivalence`] does; scales to multiplier-class
 /// circuits.
 ///
 /// # Panics

@@ -50,7 +50,6 @@ const EXPECT_BUDGET: &[(&str, usize)] = &[
     ("crates/boolfn/src/expr.rs", 2),
     ("crates/boolfn/src/npn.rs", 2),
     ("crates/boolfn/src/rwr.rs", 1),
-    ("crates/boolfn/src/tt.rs", 1),
     ("crates/circuits/src/arith.rs", 6),
     ("crates/circuits/src/randlogic.rs", 5),
     ("crates/core/src/chars.rs", 1),

@@ -275,12 +275,6 @@ impl SynthService {
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
-
-    /// Drops the service-level cache entries (counters keep
-    /// accumulating).
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
 }
 
 fn ms_since(t0: std::time::Instant) -> f64 {
@@ -353,20 +347,12 @@ impl<K: Eq + Hash, V: Clone> ResultCache<K, V> {
         map.insert(key, v);
     }
 
-    /// Hit/miss counters accumulated so far. Monotonic: [`clear`]
-    /// drops entries, never history.
-    ///
-    /// [`clear`]: ResultCache::clear
+    /// Hit/miss counters accumulated so far.
     fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Drops every stored entry (counters keep accumulating).
-    fn clear(&self) {
-        self.map.lock().unwrap_or_else(PoisonError::into_inner).clear();
     }
 }
 
@@ -491,20 +477,6 @@ mod tests {
         } else {
             assert_eq!(computed, 3);
             assert_eq!(c.stats(), CacheStats::default());
-        }
-    }
-
-    #[test]
-    fn result_cache_clear_keeps_counters() {
-        let c: ResultCache<u64, u64> = ResultCache::new(16);
-        let mut computed = 0;
-        let _ = lookup(&c, 1, &mut computed);
-        c.clear();
-        let before = c.stats();
-        assert_eq!(lookup(&c, 1, &mut computed), 2);
-        assert_eq!(computed, 2, "a cleared entry must be recomputed");
-        if cntfet_boolfn::cache::enabled() {
-            assert_eq!(c.stats(), CacheStats { hits: 0, misses: before.misses + 1 });
         }
     }
 

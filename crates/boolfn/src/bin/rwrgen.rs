@@ -37,11 +37,11 @@ fn main() {
         let tt = TruthTable::from_bits(RWR_VARS, t as u64);
         // Mark the whole NPN orbit so each class is processed once.
         for tr in &transforms {
-            let img = (tr.apply(&tt).words()[0] & 0xFFFF) as u16;
+            let img = (tr.apply(&tt).bits() & 0xFFFF) as u16;
             visited[img as usize] = true;
         }
         let canon = npn_canonical(&tt);
-        let key = (canon.table.words()[0] & 0xFFFF) as u16;
+        let key = (canon.table.bits() & 0xFFFF) as u16;
         let (structure, was_exact) = synth_class(key, &enumeration);
         let value = RwrStructure::eval_steps(&structure.steps, structure.out, VAR16);
         assert_eq!(value, key, "class {key:#06x} structure is wrong");
@@ -268,7 +268,7 @@ fn synth_class(key: u16, e: &Enumeration) -> (Structure, bool) {
         consider(Structure { steps: mini.steps, out });
     }
     let tt = TruthTable::from_bits(RWR_VARS, key as u64);
-    for (expr, out_neg) in [(factor(&isop(&tt)), false), (factor(&isop(&!&tt)), true)] {
+    for (expr, out_neg) in [(factor(&isop(&tt)), false), (factor(&isop(&!tt)), true)] {
         let mut mini = MiniAig::new();
         let out = compile_expr(&expr, &mut mini);
         consider(Structure { steps: mini.steps, out: out ^ out_neg as u8 });

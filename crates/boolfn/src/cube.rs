@@ -156,7 +156,7 @@ pub(crate) fn var_name(v: usize) -> char {
 /// ]);
 /// let a = TruthTable::var(2, 0);
 /// let b = TruthTable::var(2, 1);
-/// assert_eq!(sop.to_tt(), &a ^ &b);
+/// assert_eq!(sop.to_tt(), a ^ b);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sop {

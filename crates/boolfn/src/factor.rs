@@ -238,7 +238,7 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let hi = state;
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let f = TruthTable::from_words(6, vec![hi ^ state.rotate_left(17)]);
+            let f = TruthTable::from_bits(6, hi ^ state.rotate_left(17));
             roundtrip(&f);
         }
     }

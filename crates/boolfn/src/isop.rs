@@ -18,7 +18,7 @@ use crate::tt::TruthTable;
 /// let a = TruthTable::var(3, 0);
 /// let b = TruthTable::var(3, 1);
 /// let c = TruthTable::var(3, 2);
-/// let f = (&a ^ &b) | &c;
+/// let f = (a ^ b) | c;
 /// let cover = isop(&f);
 /// assert_eq!(cover.to_tt(), f);
 /// ```
@@ -33,13 +33,13 @@ pub fn isop(f: &TruthTable) -> Sop {
 /// Panics if `lower ⊄ upper` or variable counts differ.
 pub fn isop_interval(lower: &TruthTable, upper: &TruthTable) -> Sop {
     assert_eq!(lower.nvars(), upper.nvars());
-    assert!((lower & &!upper).is_zero(), "lower bound not contained in upper bound");
+    assert!((*lower & !*upper).is_zero(), "lower bound not contained in upper bound");
     let nvars = lower.nvars();
-    let cubes = rec(lower, upper, nvars);
+    let cubes = rec(*lower, *upper, nvars);
     Sop::from_cubes(nvars, cubes)
 }
 
-fn rec(l: &TruthTable, u: &TruthTable, top: usize) -> Vec<Cube> {
+fn rec(l: TruthTable, u: TruthTable, top: usize) -> Vec<Cube> {
     if l.is_zero() {
         return Vec::new();
     }
@@ -61,16 +61,16 @@ fn rec(l: &TruthTable, u: &TruthTable, top: usize) -> Vec<Cube> {
     let u1 = u.cofactor1(x);
 
     // Cubes that must contain literal x'.
-    let f0 = rec(&(&l0 & &!&u1), &u0, x);
+    let f0 = rec(l0 & !u1, u0, x);
     // Cubes that must contain literal x.
-    let f1 = rec(&(&l1 & &!&u0), &u1, x);
+    let f1 = rec(l1 & !u0, u1, x);
 
     let cov0 = cover_tt(&f0, l.nvars());
     let cov1 = cover_tt(&f1, l.nvars());
 
     // Remaining onset not yet covered, coverable without literal x.
-    let lstar = (&l0 & &!&cov0) | (&l1 & &!&cov1);
-    let fstar = rec(&lstar, &(&u0 & &u1), x);
+    let lstar = (l0 & !cov0) | (l1 & !cov1);
+    let fstar = rec(lstar, u0 & u1, x);
 
     let mut out = Vec::with_capacity(f0.len() + f1.len() + fstar.len());
     for c in f0 {
@@ -136,7 +136,7 @@ mod tests {
         let b = TruthTable::var(4, 1);
         let c = TruthTable::var(4, 2);
         let d = TruthTable::var(4, 3);
-        let f = &(&a ^ &b) ^ &(&c ^ &d);
+        let f = (a ^ b) ^ (c ^ d);
         let cover = isop(&f);
         assert_eq!(cover.num_cubes(), 8);
         assert_eq!(cover.to_tt(), f);
@@ -147,12 +147,12 @@ mod tests {
         // lower = a·b, upper = a: cover may be just "a".
         let a = TruthTable::var(2, 0);
         let b = TruthTable::var(2, 1);
-        let lower = &a & &b;
+        let lower = a & b;
         let cover = isop_interval(&lower, &a);
         assert_eq!(cover.num_cubes(), 1);
         let t = cover.to_tt();
-        assert!((&lower & &!&t).is_zero());
-        assert!((&t & &!&a).is_zero());
+        assert!((lower & !t).is_zero());
+        assert!((t & !a).is_zero());
     }
 
     #[test]

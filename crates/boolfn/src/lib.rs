@@ -7,6 +7,12 @@
 //! the precomputed rewrite library are all manipulated through the
 //! types defined here.
 //!
+//! Every function has at most six variables
+//! ([`word::MAX_WORD_VARS`]), the input count of the widest library
+//! cell, so one `u64` word holds its whole truth table: the [`word`]
+//! module has the kernels on bare words, and a [`TruthTable`] is a
+//! `Copy` word with its variable count whose methods call them.
+//!
 //! # Quick tour
 //!
 //! ```
@@ -54,4 +60,4 @@ pub use npn::{
     NpnCanon, NpnTransform,
 };
 pub use rwr::{RwrLibrary, RwrMatch, RwrOperand, RwrStructure};
-pub use tt::{TruthTable, MAX_VARS};
+pub use tt::TruthTable;

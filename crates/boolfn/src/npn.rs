@@ -78,7 +78,7 @@ impl NpnTransform {
     pub fn apply(&self, f: &TruthTable) -> TruthTable {
         assert_eq!(f.nvars(), self.nvars());
         let n = self.nvars();
-        let mut w = f.words()[0];
+        let mut w = f.bits();
         for i in 0..n {
             if self.input_flipped(i) {
                 w = word::flip_var(w, i);
@@ -179,7 +179,7 @@ pub fn npn_canonical(f: &TruthTable) -> NpnCanon {
     // every count by the same 2^(6-n) and so keeps each comparison.
     let mut search = Search::new(n);
     for &out in out_options {
-        let g = if out { !f.words()[0] } else { f.words()[0] };
+        let g = if out { !f.bits() } else { f.bits() };
         // Phase 2: input polarities — canonical requires
         // ones(cofactor1(v)) <= ones(cofactor0(v)); ties keep both.
         // The flip sets count in binary over the tied variables
@@ -426,7 +426,7 @@ impl CanonCache {
     pub fn canonical(&mut self, f: &TruthTable) -> NpnCanon {
         let nvars = f.nvars();
         assert!(nvars <= 6, "NPN canonicalization supports at most 6 variables");
-        let word = f.words()[0];
+        let word = f.bits();
         let tag = nvars as u8 + 1;
         let home = self.slot_of(word, nvars);
         let mut insert_at = home;
@@ -451,7 +451,7 @@ impl CanonCache {
         self.slots[insert_at] = CanonSlot {
             word,
             tag,
-            canon: canon.table.words()[0],
+            canon: canon.table.bits(),
             transform: canon.transform,
         };
         canon
@@ -586,11 +586,11 @@ mod tests {
             let fast = npn_canonical(&f).table;
             let class = npn_canonical_exhaustive(&f).table;
             // Same class ⇒ same fast representative.
-            if let Some(prev) = class_to_fast.insert(class.clone(), fast.clone()) {
+            if let Some(prev) = class_to_fast.insert(class, fast) {
                 assert_eq!(prev, fast, "class split by fast canonicalizer");
             }
             // Different class ⇒ different fast representative.
-            if let Some(prev) = fast_to_class.insert(fast.clone(), class.clone()) {
+            if let Some(prev) = fast_to_class.insert(fast, class) {
                 assert_eq!(prev, class, "classes merged by fast canonicalizer");
             }
             // The representative must itself belong to the class.
@@ -607,9 +607,9 @@ mod tests {
         let a = TruthTable::var(3, 0);
         let b = TruthTable::var(3, 1);
         let c = TruthTable::var(3, 2);
-        let x1 = &(&a ^ &b) ^ &c;
-        let x2 = !&x1;
-        let x3 = &(&c ^ &a) ^ &b;
+        let x1 = a ^ b ^ c;
+        let x2 = !x1;
+        let x3 = c ^ a ^ b;
         let c1 = npn_canonical(&x1).table;
         assert_eq!(npn_canonical(&x2).table, c1);
         assert_eq!(npn_canonical(&x3).table, c1);
@@ -684,7 +684,7 @@ mod tests {
         }
         meta |= (t.input_flips as u64) << 24;
         meta |= (t.output_flipped() as u64) << 32;
-        mix(mix(h, c.table.words()[0]), meta)
+        mix(mix(h, c.table.bits()), meta)
     }
 
     #[test]

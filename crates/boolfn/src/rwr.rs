@@ -196,7 +196,7 @@ impl RwrLibrary {
     pub fn lookup_word(&self, word: u64) -> RwrMatch<'_> {
         let tt = TruthTable::from_bits(RWR_VARS, word);
         let canon = crate::npn::npn_canonical_cached(&tt);
-        let key = (canon.table.words()[0] & 0xFFFF) as u16;
+        let key = (canon.table.bits() & 0xFFFF) as u16;
         let structure = self
             .entries
             .get(&key)
@@ -242,7 +242,7 @@ mod tests {
         // are exactly the NPN class representatives.
         let lib = RwrLibrary::global();
         for f in 0..=u16::MAX {
-            let m = lib.lookup_word(TruthTable::from_bits(4, f as u64).words()[0]);
+            let m = lib.lookup_word(TruthTable::from_bits(4, f as u64).bits());
             // Structure input position perm(i) carries the query's
             // variable i, complemented per the transform.
             let t = &m.transform;
@@ -291,10 +291,10 @@ mod tests {
         let lib = RwrLibrary::global();
         // AND2 class: a single node.
         let and2 = TruthTable::from_bits(4, 0x8888);
-        assert_eq!(lib.lookup_word(and2.words()[0]).structure.num_ands(), 1);
+        assert_eq!(lib.lookup_word(and2.bits()).structure.num_ands(), 1);
         // XOR2 class: three nodes.
         let xor2 = TruthTable::from_bits(4, 0x6666);
-        assert_eq!(lib.lookup_word(xor2.words()[0]).structure.num_ands(), 3);
+        assert_eq!(lib.lookup_word(xor2.bits()).structure.num_ands(), 3);
         // MUX class: three nodes.
         let mux = TruthTable::from_fn(4, |m| {
             if m & 1 != 0 {
@@ -303,7 +303,7 @@ mod tests {
                 m & 4 != 0
             }
         });
-        assert_eq!(lib.lookup_word(mux.words()[0]).structure.num_ands(), 3);
+        assert_eq!(lib.lookup_word(mux.bits()).structure.num_ands(), 3);
         // Constant class: no nodes.
         assert_eq!(lib.lookup_word(0).structure.num_ands(), 0);
     }

@@ -1,14 +1,12 @@
-//! Single-word truth tables: functions of up to [`MAX_WORD_VARS`]
-//! variables packed into one `u64`.
+//! Single-word truth-table kernels: functions of up to
+//! [`MAX_WORD_VARS`] variables packed into one `u64`.
 //!
-//! The bit convention matches [`crate::TruthTable`]: bit `i` is the
-//! function value on minterm `i`, and for fewer than 6 variables the
-//! upper bits hold periodic copies of the low `2^nvars` bits, so `&`,
-//! `|`, `^` and `!` act directly as Boolean connectives. Cut
-//! enumeration and technology mapping use these helpers to carry cut
-//! functions through the hot path without heap allocation; a word
-//! converts to a full [`crate::TruthTable`] via
-//! [`crate::TruthTable::from_bits`] only at the matching boundary.
+//! Bit `i` is the function value on minterm `i`, and for fewer than 6
+//! variables the upper bits hold periodic copies of the low `2^nvars`
+//! bits, so `&`, `|`, `^` and `!` act directly as Boolean connectives.
+//! A [`crate::TruthTable`] is such a word with its variable count, and
+//! its methods are these kernels; cut enumeration, technology mapping
+//! and NPN canonicalization call them on bare words.
 
 /// Maximum variable count a single word can hold.
 pub const MAX_WORD_VARS: usize = 6;
@@ -55,8 +53,7 @@ pub fn replicate(nvars: usize, low: u64) -> u64 {
 }
 
 /// Complements variable `v` of the function: `flip_var(tt, v)` is
-/// `tt` with the two `v`-cofactors exchanged (an involution). The word
-/// analogue of [`crate::TruthTable::flip_var`].
+/// `tt` with the two `v`-cofactors exchanged (an involution).
 ///
 /// # Panics
 ///
@@ -69,7 +66,6 @@ pub fn flip_var(tt: u64, v: usize) -> u64 {
 
 /// Exchanges variables `u` and `v` of the function (a delta swap of
 /// the minterm pairs that differ in exactly those two coordinates).
-/// The word analogue of [`crate::TruthTable::swap_vars`].
 ///
 /// # Panics
 ///
@@ -188,22 +184,6 @@ pub fn permute(tt: u64, perm: &[usize]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TruthTable;
-
-    #[test]
-    fn var_words_match_truth_tables() {
-        for v in 0..6 {
-            assert_eq!(var_word(v), TruthTable::var(6, v).words()[0]);
-        }
-    }
-
-    #[test]
-    fn replicate_matches_from_bits() {
-        for n in 0..=6usize {
-            let bits = 0x9E37_79B9_97F4_A7C1u64;
-            assert_eq!(replicate(n, bits), TruthTable::from_bits(n, bits).words()[0]);
-        }
-    }
 
     #[test]
     fn permute_reorders_variables() {
@@ -330,28 +310,5 @@ mod tests {
     fn expand_identity_fast_path() {
         let f = replicate(3, 0b1011_0010);
         assert_eq!(expand(f, &[0, 1, 2], 3), f);
-    }
-
-    #[test]
-    fn flip_var_matches_truth_table_flip() {
-        let f = TruthTable::from_bits(4, 0x6A3C);
-        let w = f.words()[0];
-        for v in 0..4 {
-            assert_eq!(flip_var(w, v), f.flip_var(v).words()[0]);
-            assert_eq!(flip_var(flip_var(w, v), v), w, "involution");
-        }
-    }
-
-    #[test]
-    fn word_ops_agree_with_truth_tables() {
-        let a = TruthTable::from_bits(4, 0x6A3C);
-        let b = TruthTable::from_bits(4, 0x9D51);
-        let wa = a.words()[0];
-        let wb = b.words()[0];
-        assert_eq!((&a & &b).words()[0], wa & wb);
-        assert_eq!((!&a).words()[0], !wa);
-        for v in 0..4 {
-            assert_eq!(a.depends_on(v), depends_on(wa, v));
-        }
     }
 }

@@ -15,7 +15,7 @@
 //! of every signal are available in these libraries), but not output
 //! complementation — NOR and NAND are different pull-down networks.
 
-use cntfet_boolfn::TruthTable;
+use cntfet_boolfn::{word, TruthTable};
 use std::collections::HashMap;
 
 /// One element choice in a topology.
@@ -64,13 +64,13 @@ impl Skeleton {
     /// Conduction function of the skeleton over leaf conduction tables.
     fn compose(self, l: &[TruthTable]) -> TruthTable {
         match self {
-            Skeleton::One => l[0].clone(),
-            Skeleton::Series2 => &l[0] & &l[1],
-            Skeleton::Parallel2 => &l[0] | &l[1],
-            Skeleton::Series3 => &(&l[0] & &l[1]) & &l[2],
-            Skeleton::Parallel3 => &(&l[0] | &l[1]) | &l[2],
-            Skeleton::ParallelOfSeries => &(&l[0] & &l[1]) | &l[2],
-            Skeleton::SeriesOfParallel => &(&l[0] | &l[1]) & &l[2],
+            Skeleton::One => l[0],
+            Skeleton::Series2 => l[0] & l[1],
+            Skeleton::Parallel2 => l[0] | l[1],
+            Skeleton::Series3 => l[0] & l[1] & l[2],
+            Skeleton::Parallel3 => l[0] | l[1] | l[2],
+            Skeleton::ParallelOfSeries => (l[0] & l[1]) | l[2],
+            Skeleton::SeriesOfParallel => (l[0] | l[1]) & l[2],
         }
     }
 
@@ -106,17 +106,9 @@ impl EnumerationResult {
 
 /// Compacts a function onto its support variables.
 fn compact_support(tt: &TruthTable) -> TruthTable {
-    let support: Vec<usize> = (0..tt.nvars()).filter(|&v| tt.depends_on(v)).collect();
-    let k = support.len();
-    TruthTable::from_fn(k.max(1), |m| {
-        let mut full = 0u64;
-        for (i, &v) in support.iter().enumerate() {
-            if m >> i & 1 == 1 {
-                full |= 1 << v;
-            }
-        }
-        tt.eval(full)
-    })
+    let mut support = Vec::new();
+    word::support(tt.bits(), tt.nvars(), &mut support);
+    TruthTable::from_bits(support.len().max(1), word::shrink_to(tt.bits(), &support))
 }
 
 /// Canonical form under input permutation and input complementation
@@ -133,7 +125,7 @@ pub fn np_canonical(tt: &TruthTable) -> TruthTable {
     let mut perm: Vec<usize> = (0..k).collect();
     loop {
         for flips in 0..(1u32 << k) {
-            let mut cand = compact.clone();
+            let mut cand = compact;
             for v in 0..k {
                 if flips >> v & 1 == 1 {
                     cand = cand.flip_var(v);
@@ -198,7 +190,7 @@ pub fn enumerate_gates(with_xor: bool) -> EnumerationResult {
     let elem_tt = |e: Elem| -> TruthTable {
         match e {
             Elem::Lit(d) => TruthTable::var(6, d as usize),
-            Elem::Xor(d, c) => &TruthTable::var(6, d as usize) ^ &TruthTable::var(6, c as usize),
+            Elem::Xor(d, c) => TruthTable::var(6, d as usize) ^ TruthTable::var(6, c as usize),
         }
     };
     let elem_desc = |e: Elem| -> String {
@@ -223,7 +215,7 @@ pub fn enumerate_gates(with_xor: bool) -> EnumerationResult {
             let tts: Vec<TruthTable> = leaves.iter().map(|&e| elem_tt(e)).collect();
             let f = skel.compose(&tts);
             if !f.is_zero() && !f.is_one() {
-                let canon = canon_cache.entry(f.clone()).or_insert_with(|| np_canonical(&f)).clone();
+                let canon = *canon_cache.entry(f).or_insert_with(|| np_canonical(&f));
                 classes.entry(canon).or_insert_with(|| {
                     let parts: Vec<String> = leaves.iter().map(|&e| elem_desc(e)).collect();
                     skel.describe(&parts)
@@ -249,9 +241,7 @@ pub fn enumerate_gates(with_xor: bool) -> EnumerationResult {
     }
 
     let mut sorted: Vec<(TruthTable, String)> = classes.into_iter().collect();
-    sorted.sort_by(|a, b| {
-        (a.0.support_size(), a.0.clone()).cmp(&(b.0.support_size(), b.0.clone()))
-    });
+    sorted.sort_by_key(|(tt, _)| (tt.support_size(), *tt));
     EnumerationResult { classes: sorted, topologies_examined: examined }
 }
 
@@ -280,7 +270,7 @@ mod tests {
     fn enumerated_classes_match_table1_exactly() {
         let r = enumerate_gates(true);
         let enumerated: BTreeSet<TruthTable> =
-            r.classes.iter().map(|(tt, _)| tt.clone()).collect();
+            r.classes.iter().map(|(tt, _)| *tt).collect();
         let table1: BTreeSet<TruthTable> = GateId::all()
             .map(|g| np_canonical(&g.function().to_tt(6)))
             .collect();
@@ -294,16 +284,16 @@ mod tests {
         let b = TruthTable::var(3, 1);
         let c = TruthTable::var(3, 2);
         // Invariant under permutation.
-        let f1 = &(&a & &b) | &c;
-        let f2 = &(&c & &b) | &a;
+        let f1 = (a & b) | c;
+        let f2 = (c & b) | a;
         assert_eq!(np_canonical(&f1), np_canonical(&f2));
         // Invariant under input complementation: A·B ~ A'·B.
-        let g1 = &a & &b;
-        let g2 = &!&a & &b;
+        let g1 = a & b;
+        let g2 = !a & b;
         assert_eq!(np_canonical(&g1), np_canonical(&g2));
         // But NOT under output complementation: AND vs OR differ.
-        let and2 = &a & &b;
-        let or2 = &a | &b;
+        let and2 = a & b;
+        let or2 = a | b;
         assert_ne!(np_canonical(&and2), np_canonical(&or2));
     }
 
@@ -312,9 +302,9 @@ mod tests {
         // A·(A⊕D) = A·D' must land in the A·B class, not a new one.
         let a = TruthTable::var(6, 0);
         let d = TruthTable::var(6, 3);
-        let f = &a & &(&a ^ &d);
+        let f = a & (a ^ d);
         let b = TruthTable::var(6, 1);
-        let g = &a & &b;
+        let g = a & b;
         assert_eq!(np_canonical(&f), np_canonical(&g));
     }
 }

@@ -5,7 +5,7 @@
 //! `f'`; every cell also carries an output inverter, making both
 //! polarities available — see Sec. 4.3 of the paper).
 
-use cntfet_boolfn::{Expr, TruthTable};
+use cntfet_boolfn::Expr;
 use std::fmt;
 
 /// Identifier of a gate in the paper's Table 1 (`F00` … `F45`).
@@ -51,12 +51,6 @@ impl GateId {
     /// Number of distinct signals the function reads.
     pub fn num_signals(self) -> usize {
         self.function().support_size()
-    }
-
-    /// Truth table over the gate's signal count.
-    pub fn truth_table(self) -> TruthTable {
-        let e = self.function();
-        e.to_tt(e.max_var_excl().max(1))
     }
 
     /// True iff the gate exists in plain CMOS with the same topology —

@@ -130,7 +130,7 @@ fn build_pc_classes(cells: &[Cell]) -> [u64; 7] {
 fn build_cof_classes(cells: &[Cell]) -> std::collections::HashSet<u64> {
     cells
         .iter()
-        .map(|cell| npn_cof_key(cell.num_inputs, cell.function.words()[0]))
+        .map(|cell| npn_cof_key(cell.num_inputs, cell.function.bits()))
         .collect()
 }
 
@@ -295,7 +295,7 @@ impl Library {
         ));
         for c in &self.cells {
             // Output function f' in SOP form over pins A..F.
-            let fprime = !&c.function;
+            let fprime = !c.function;
             let sop = factor(&isop(&fprime));
             out.push_str(&format!(
                 "GATE {:8} {:7.3} Y={};  # avg FO4 {:.2} tau\n",
@@ -405,7 +405,7 @@ mod tests {
                         for out in [false, true] {
                             let t = NpnTransform::new(k, perm, flips, out);
                             let g = t.apply(&cell.function);
-                            let w = g.words()[0];
+                            let w = g.bits();
                             assert!(
                                 lib.npn_popcount_feasible(k, g.count_ones()),
                                 "{family:?}/{}: popcount filter rejected a transform",

@@ -124,11 +124,6 @@ impl Netlist {
         id
     }
 
-    /// Marks an existing node as an observable output.
-    pub fn mark_output(&mut self, id: NodeId) {
-        self.outputs.push(id);
-    }
-
     /// Adds a fresh node and marks it as an output.
     pub fn add_output(&mut self, name: impl Into<String>) -> NodeId {
         let id = self.add_node(name);

@@ -102,8 +102,3 @@ pub fn rewrite(aig: &Aig, zero_cost: bool) -> Aig {
     rewrite_inplace(&mut out, zero_cost);
     out
 }
-
-/// Removes dangling logic.
-pub fn cleanup(aig: &Aig) -> Aig {
-    aig.compact()
-}

@@ -241,7 +241,7 @@ impl<'a> Certifier<'a> {
             return false;
         };
         let cell = library.cells().get(g.cell);
-        let Some(&function) = cell.and_then(|cell| cell.function.words().first()) else {
+        let Some(function) = cell.map(|cell| cell.function.bits()) else {
             return false;
         };
         if g.pins.len() > MAX_WORD_VARS {
@@ -540,7 +540,7 @@ mod tests {
                     assert_rejected(&src, &bad, &lib, &format!("{name}: pin 0 of gate {i}"));
 
                     let gate = &m.gates[i];
-                    let f = cells[gate.cell].function.words()[0];
+                    let f = cells[gate.cell].function.bits();
                     if gate.pins[0] != gate.pins[1] && word::swap_vars(f, 0, 1) != f {
                         let mut bad = m.clone();
                         bad.gates[i].pins.swap(0, 1);

@@ -1,9 +1,10 @@
 //! Workspace determinism tests: the fan-out across circuits — the
 //! benchmark suite and the batch service, one circuit per task —
 //! returns the same results, in the same order, at every worker count,
-//! and the suite's per-node cut lists, `resyn2rs` outputs and covers
-//! are pinned. The engines inside a circuit run on its task's thread;
-//! parallelism is allowed to change wall time and nothing else.
+//! and the suite's per-node cut lists, `resyn2rs` outputs and covers,
+//! and Table 1's gate enumeration, are pinned. The engines inside a
+//! circuit run on its task's thread; parallelism is allowed to change
+//! wall time and nothing else.
 //!
 //! The tests of one binary run concurrently, so only
 //! `suite_report_identical_across_worker_counts` sets the process-wide
@@ -16,7 +17,7 @@ use cntfet_bench::serve::{BatchReport, ServeOutcome, ServeStats, SynthRequest, S
 use cntfet_circuits::{
     array_multiplier, cla_adder, des_chain, paper_benchmarks, ripple_adder, shift_add_multiplier,
 };
-use cntfet_core::{Library, LogicFamily};
+use cntfet_core::{enumerate_gates, Library, LogicFamily};
 use cntfet_synth::resyn2rs;
 use cntfet_techmap::{map, MapOptions, Mapping, Objective, PoBinding, Source};
 
@@ -182,6 +183,28 @@ fn resyn2rs_outputs_are_pinned() {
         h = mix(h, (fp >> 64) as u64);
     }
     assert_eq!(h, 0x47ac_a832_b4a3_9ad6, "a resyn2rs output changed");
+}
+
+/// Table 1's two enumerations — the 46 ambipolar and the 7 CMOS gate
+/// classes, in the order `table1` prints them — are pinned by one
+/// digest over each class's variable count, truth-table word and
+/// description. The order is the truth tables' `Ord` (after support
+/// size), so the digest changes only together with Table 1.
+#[test]
+fn table1_enumeration_is_pinned() {
+    let mut h = 0u64;
+    for with_xor in [true, false] {
+        let r = enumerate_gates(with_xor);
+        h = mix(h, r.classes.len() as u64);
+        for (tt, name) in &r.classes {
+            h = mix(h, tt.nvars() as u64);
+            h = mix(h, tt.bits());
+            for b in name.bytes() {
+                h = mix(h, u64::from(b));
+            }
+        }
+    }
+    assert_eq!(h, 0xa5c7_3ef8_e94d_5f20, "a Table 1 class, its order or its description changed");
 }
 
 /// A batch of distinct small circuits: no two requests share a

@@ -240,10 +240,11 @@ proptest! {
         prop_assert_eq!(verify_mapping(&g, &iterated, &lib), CecResult::Equivalent);
     }
 
-    /// Every tier of the sweeping CEC stack agrees with the plain
-    /// miter check on random networks — including `node_budget: 0`,
-    /// which disables internal sweeping and forces the pure
-    /// output-miter fallback, and disabled exhaustive simulation.
+    /// The tiers of the sweeping CEC stack agree on random 6-input
+    /// networks: `check_equivalence` decides them by exhaustive
+    /// simulation, and SAT sweeping (exhaustive simulation disabled)
+    /// and the `node_budget: 0` output-miter fallback, which disables
+    /// internal sweeping, must reach the same verdict.
     #[test]
     fn prop_sweep_tiers_agree_with_plain_cec(
         script_a in proptest::collection::vec((0u8..6, 0u16..300, 0u16..300), 10..80),
@@ -260,7 +261,6 @@ proptest! {
             }
             _ => false,
         };
-        prop_assert!(agree(check_equivalence_sweeping(&a, &b)), "default sweep tier disagreed");
         let no_exhaustive = SweepOptions { exhaustive_pis: 0, ..Default::default() };
         prop_assert!(
             agree(cntfet_aig::check_equivalence_sweeping_with(&a, &b, &no_exhaustive)),
@@ -341,9 +341,9 @@ proptest! {
     /// functions.
     #[test]
     fn prop_isop_factor_roundtrip(bits in any::<u64>()) {
-        let tt = TruthTable::from_words(6, vec![bits]);
+        let tt = TruthTable::from_bits(6, bits);
         let cover = isop(&tt);
-        prop_assert_eq!(cover.to_tt(), tt.clone());
+        prop_assert_eq!(cover.to_tt(), tt);
         let e = factor(&cover);
         prop_assert_eq!(e.to_tt(6), tt);
     }
